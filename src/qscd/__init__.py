@@ -1,11 +1,11 @@
 """Exact desk-scale simulator for coset-state distinction over S_n.
 
 Subpackages: permgroup (symmetric-group arithmetic and key classes), qstate
-(sparse state simulation), qscdff / qscdcyc (the single-bit and multi-bit
-primitives), graphauto (automorphism search and the promise-problem bridge),
-reductions (security reductions and the advantage harness), pkc (the
-encryption protocols), cli (command-line front end), selftest (the
-acceptance suite).
+(sparse state simulation), qscdcyc (the coset-state primitive over K_n^m),
+qscdff (its m = 2 case, the single-bit primitive), graphauto (automorphism
+search and the promise-problem bridge), reductions (security reductions and
+the advantage harness), pkc (the encryption protocols), cli (command-line
+front end), selftest (the acceptance suite).
 """
 
 from .permgroup import (
@@ -18,10 +18,9 @@ from .permgroup import (
     sample_fpf_involution,
     sign,
 )
-from .qscdcyc import CyclicSample, decode_cyc, gen_cyc
+from .qscdcyc import PureSample, decode_cyc, gen_cyc
 from .qscdff import (
     Distinguisher,
-    PureSample,
     SampleTuple,
     convert,
     distinguish,

@@ -193,7 +193,17 @@ def cmd_advantage(args) -> int:
         source_a = cyc_source(pi, args.s0, args.m, args.k)
         source_b = cyc_source(pi, args.s1, args.m, args.k)
     else:
-        pi = sample_fpf_involution(SecurityParam.ff(args.n), rng)
+        ff_params = SecurityParam.ff(args.n)
+        if args.key is None:
+            pi = sample_fpf_involution(ff_params, rng)
+        else:
+            kp = parse_key(Path(args.key).read_text())
+            if kp.params != ff_params:
+                raise ValueError(
+                    f"--key holds a {kp.params.kind} key of degree {kp.params.n}, "
+                    f"not an ff key of degree {args.n}"
+                )
+            pi = kp.secret
         source_a = plus_source(pi, args.k)
         if args.pair == "plus-iota":
             source_b = iota_source(args.n, args.k)
@@ -201,7 +211,7 @@ def cmd_advantage(args) -> int:
             source_b = minus_source(pi, args.k)
     dist = _named_distinguisher(args.dist, args.key)
     report = estimate_advantage(
-        dist, source_a, source_b, args.trials, rng, confidence=args.confidence, jobs=args.jobs
+        dist, source_a, source_b, args.trials, rng, confidence=args.confidence
     )
     params = f"dist={args.dist} pair={args.pair} n={args.n} k={args.k}"
     for line in report.report_lines(seed=args.seed, params=params):
@@ -287,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--confidence", type=float, default=0.01)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for the trial loop")
-    p.add_argument("--key", help="key file for the omniscient distinguisher")
+    p.add_argument("--key", help="key file: the hidden ff key, and the omniscient trapdoor")
     add_seed(p)
     p.set_defaults(func=cmd_advantage)
 

@@ -25,7 +25,7 @@ from .permgroup import (
     random_permutation,
     sign,
 )
-from .qscdff import MINUS, PLUS, Provenance, PureSample
+from .qscdcyc import MINUS, PLUS, Provenance, PureSample
 from .qstate import SparseState
 
 

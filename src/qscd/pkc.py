@@ -4,7 +4,8 @@ Bob samples a secret key from K_n (single-bit mode) or K_n^m (multi-bit
 mode) and hands out state copies as encryption keys. Alice encrypts by
 either sign-converting a plus copy (bit 1) or sending it untouched (bit 0);
 in multi-bit mode Bob sends the full symbol series and Alice picks the copy
-for her symbol. Decryption runs the matching controlled-key test.
+for her symbol. Decryption runs the cyclic controlled-key test in both
+modes; the single-bit scheme is its m = 2 case, where bit b is symbol b.
 
 Key copies are single-use: encrypting through a copy consumes it, which is
 what keeps a classical simulation honest about no-cloning.
@@ -28,8 +29,8 @@ from .permgroup import (
     sample_cyclic,
     sample_fpf_involution,
 )
-from .qscdcyc import CyclicSample, decode_cyc, gen_cyc
-from .qscdff import Provenance, PureSample, convert, distinguish, gen_plus
+from .qscdcyc import PureSample, decode_cyc, gen_cyc
+from .qscdff import convert, gen_plus
 from .qstate import SparseState
 
 
@@ -51,7 +52,7 @@ class KeyPair:
 class KeyCopy:
     """A single-use encryption-key state; ``symbol`` is the public series label."""
 
-    sample: PureSample | CyclicSample
+    sample: PureSample
     symbol: int | None = None
     consumed: bool = False
 
@@ -87,7 +88,7 @@ def issue_key_series(kp: KeyPair, rng: np.random.Generator) -> list[KeyCopy]:
     return [issue_key_copy(kp, rng, s=s) for s in range(kp.params.m)]
 
 
-def _consume(copy: KeyCopy) -> PureSample | CyclicSample:
+def _consume(copy: KeyCopy) -> PureSample:
     if copy.consumed:
         raise ValueError("key copy already consumed")
     copy.consumed = True
@@ -98,9 +99,9 @@ def encrypt_ff(bit: int, key_copy: KeyCopy) -> Ciphertext:
     """Bit 0 sends the plus copy untouched; bit 1 sign-converts it first."""
     if bit not in (0, 1):
         raise ValueError(f"message bit must be 0 or 1, got {bit}")
-    sample = _consume(key_copy)
-    if not isinstance(sample, PureSample):
+    if key_copy.symbol is not None:
         raise ValueError("not a single-bit key copy")
+    sample = _consume(key_copy)
     if bit == 1:
         sample = convert(sample)
     return Ciphertext(sample.state, FF, 2)
@@ -109,9 +110,10 @@ def encrypt_ff(bit: int, key_copy: KeyCopy) -> Ciphertext:
 def encrypt_cyc(s: int, key_copies: list[KeyCopy]) -> Ciphertext:
     """Pick (and consume) the copy for symbol s; the rest of the series is spent."""
     copies = list(key_copies)
-    if not copies or not all(isinstance(c.sample, CyclicSample) for c in copies):
+    if not copies:
         raise ValueError("need a full multi-bit key series")
-    m = copies[0].sample.m
+    # Every copy is a coset state of the key's cyclic group, spanning m points.
+    m = len(copies[0].sample.state.amps)
     if [c.symbol for c in copies] != list(range(m)):
         raise ValueError("key series must carry symbols 0..m-1 in order")
     if not 0 <= s < m:
@@ -128,15 +130,14 @@ def decrypt(kp: KeyPair, c: Ciphertext, rng: np.random.Generator) -> int:
     """Recover the message bit (ff) or symbol (cyc) with the secret key."""
     if kp.params.kind != c.mode:
         raise ValueError(f"mode mismatch: key {kp.params.kind}, ciphertext {c.mode}")
-    if c.mode == FF:
-        return 0 if distinguish(c.state, kp.secret, rng) == 1 else 1
-    sample = CyclicSample(c.state, c.state.n, c.m, Provenance(kind="phi"))
-    return decode_cyc(sample, kp.secret, rng)
+    if kp.params.m != c.m:
+        raise ValueError(f"modulus mismatch: key {kp.params.m}, ciphertext {c.m}")
+    return decode_cyc(c.state, kp.secret, rng)
 
 
 def adversary_view(
     kp: KeyPair, c: Ciphertext, l: int, rng: np.random.Generator
-) -> tuple[Ciphertext, list[PureSample | CyclicSample]]:
+) -> tuple[Ciphertext, list[PureSample]]:
     """What an interceptor holds: the ciphertext plus l fresh key copies.
 
     In multi-bit mode each of the l requests yields the full public series,
@@ -144,7 +145,7 @@ def adversary_view(
     """
     if l < 0:
         raise ValueError("need l >= 0")
-    copies: list[PureSample | CyclicSample] = []
+    copies: list[PureSample] = []
     for _ in range(l):
         if kp.params.kind == FF:
             copies.append(gen_plus(kp.secret, rng))

@@ -1,16 +1,20 @@
-"""The cyclic generalization: m-point coset states over keys in K_n^m.
+"""The coset-state primitive: m-point coset states over keys in K_n^m.
 
 A draw for key pi and symbol s is (1/sqrt(m)) sum_t w^(st) |sigma pi^t> with
 w = exp(2 pi i / m) and a uniform hiding translation sigma. The decoder runs
 the generalized controlled-key test and recovers s exactly.
 
-With m = 2 this coincides with the fixed-point-free primitive: symbol 0
-gives plus states and symbol 1 gives minus states. No key-free conversion
-between symbols is offered for m > 2, because none exists: the m = 2
-conversion rides on the sign map, the only homomorphism from S_n onto a
-cyclic group (its kernel must be a normal subgroup, and for n > 4 those are
-just the trivial group, the alternating group, and S_n itself), so there is
-no analogous phase trick onto Z_m.
+The fixed-point-free scheme (qscdff) is the m = 2 case: for a key in K_n,
+symbol 0 gives the plus state, symbol 1 the minus state, and the decoder is
+the trapdoor test. No key-free conversion between symbols is offered for
+m > 2, because none exists: the m = 2 conversion rides on the sign map, the
+only homomorphism from S_n onto a cyclic group (its kernel must be a normal
+subgroup, and for n > 4 those are just the trivial group, the alternating
+group, and S_n itself), so there is no analogous phase trick onto Z_m.
+
+A mixed state is never held as a density matrix: each draw materializes one
+pure SparseState together with a provenance tag. Provenance exists only for
+test and orchestration code; distinguishers and decoders receive bare states.
 """
 
 from __future__ import annotations
@@ -22,17 +26,55 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permgroup import Permutation, is_cyclic_class, perm_pow, random_permutation
-from .qscdff import Provenance
 from .qstate import SparseState
+
+PLUS = "plus"
+MINUS = "minus"
+IOTA = "iota"
+PHI = "phi"
+
+
+def key_modulus(pi: Permutation) -> int:
+    """The m of a key in K_n^m: the length of the cycle through point 1."""
+    length, point = 1, pi(1)
+    while point != 1:
+        length, point = length + 1, pi(point)
+    return length
 
 
 @dataclass(frozen=True)
-class CyclicSample:
-    """One pure draw from the symbol-s mixture for a hidden key in K_n^m."""
+class Provenance:
+    """Hidden tag recording which mixture a pure draw came from."""
+
+    kind: str
+    pi: Permutation | None = None
+    s: int | None = None
+
+    @classmethod
+    def plus(cls, pi: Permutation) -> "Provenance":
+        return cls(PLUS, pi, 0)
+
+    @classmethod
+    def minus(cls, pi: Permutation) -> "Provenance":
+        return cls(MINUS, pi, 1)
+
+    @classmethod
+    def iota(cls) -> "Provenance":
+        return cls(IOTA)
+
+    @classmethod
+    def phi(cls, pi: Permutation, s: int) -> "Provenance":
+        """Symbol s under key pi; at m = 2 symbols 0 and 1 are plus and minus."""
+        if key_modulus(pi) == 2:
+            return cls.minus(pi) if s else cls.plus(pi)
+        return cls(PHI, pi, s)
+
+
+@dataclass(frozen=True)
+class PureSample:
+    """One pure draw from a mixture; the state has no control register."""
 
     state: SparseState
-    n: int
-    m: int
     provenance: Provenance
 
 
@@ -43,7 +85,7 @@ def require_cyclic_key(pi: Permutation, m: int) -> None:
         raise ValueError(f"key is not a product of disjoint {m}-cycles")
 
 
-def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> CyclicSample:
+def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> PureSample:
     """Fresh draw encoding symbol s under key pi in K_n^m.
 
     Builds the Fourier superposition over the cyclic group {id, pi, ...,
@@ -61,25 +103,28 @@ def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> Cyclic
     state = SparseState(pi.n, 1, amps)
     sigma = random_permutation(pi.n, rng)
     state = state.translate(sigma, "left")
-    return CyclicSample(state, pi.n, m, Provenance.phi(pi, s))
+    return PureSample(state, Provenance.phi(pi, s))
 
 
-def _decode_circuit(sample: CyclicSample, pi: Permutation) -> SparseState:
-    require_cyclic_key(pi, sample.m)
-    if pi.n != sample.n:
-        raise ValueError(f"degree mismatch: sample {sample.n}, key {pi.n}")
-    state = sample.state.with_control(sample.m)
+def _decode_circuit(state: SparseState, pi: Permutation) -> SparseState:
+    # Attach a control over Z_m, split it, apply the controlled key and
+    # recombine: a symbol-s draw leaves the control in |s>.
+    m = key_modulus(pi)
+    require_cyclic_key(pi, m)
+    if pi.n != state.n:
+        raise ValueError(f"degree mismatch: state {state.n}, key {pi.n}")
+    state = state.with_control(m)
     state = state.fourier_control("inverse")
     state = state.controlled_power(pi)
     return state.fourier_control("forward")
 
 
-def decode_cyc(sample: CyclicSample, pi: Permutation, rng: np.random.Generator) -> int:
+def decode_cyc(state: SparseState, pi: Permutation, rng: np.random.Generator) -> int:
     """Generalized controlled-key test; returns the measured symbol."""
-    outcome, _ = _decode_circuit(sample, pi).measure_control(rng)
+    outcome, _ = _decode_circuit(state, pi).measure_control(rng)
     return outcome
 
 
-def decode_distribution(sample: CyclicSample, pi: Permutation) -> list[float]:
+def decode_distribution(state: SparseState, pi: Permutation) -> list[float]:
     """Exact outcome distribution of the decoder over Z_m."""
-    return _decode_circuit(sample, pi).control_probabilities()
+    return _decode_circuit(state, pi).control_probabilities()

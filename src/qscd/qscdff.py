@@ -1,13 +1,12 @@
-"""The fixed-point-free coset-state primitive.
+"""The fixed-point-free scheme: the m = 2 case of the cyclic coset states.
 
-Samplers for the three single-register mixed states (the plus and minus
-two-point coset states for a hidden key pi in K_n, and the maximally mixed
-state iota), the sign-phase conversion between plus and minus, and the
-trapdoor test that decides plus/minus given pi.
-
-A mixed state is never held as a density matrix: each draw materializes one
-pure SparseState together with a provenance tag. Provenance exists only for
-test and orchestration code; distinguishers receive bare states.
+For a hidden key pi in K_n (a fixed-point-free involution, n = 2 mod 4) the
+cyclic symbol-0 and symbol-1 states of qscdcyc are the plus and minus
+two-point coset states, and the cyclic decoder is the trapdoor test that
+decides plus/minus given pi. This module adds what only m = 2 has: the
+maximally mixed state iota, and the key-free sign-phase conversion between
+plus and minus. It also holds the sample tuples and the distinguisher type
+that the reductions feed with draws of either scheme.
 """
 
 from __future__ import annotations
@@ -17,52 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .permgroup import (
-    Permutation,
-    identity,
-    is_ff_degree,
-    is_fpf_involution,
-    random_permutation,
-)
+from .permgroup import Permutation, is_ff_degree, random_permutation
+from .qscdcyc import MINUS, PLUS, Provenance, PureSample, decode_cyc, gen_cyc, key_modulus
 from .qstate import SparseState, basis_state
-
-PLUS = "plus"
-MINUS = "minus"
-IOTA = "iota"
-PHI = "phi"
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """Hidden tag recording which mixture a pure draw came from."""
-
-    kind: str
-    pi: Permutation | None = None
-    s: int | None = None
-
-    @classmethod
-    def plus(cls, pi: Permutation) -> "Provenance":
-        return cls(PLUS, pi)
-
-    @classmethod
-    def minus(cls, pi: Permutation) -> "Provenance":
-        return cls(MINUS, pi)
-
-    @classmethod
-    def iota(cls) -> "Provenance":
-        return cls(IOTA)
-
-    @classmethod
-    def phi(cls, pi: Permutation, s: int) -> "Provenance":
-        return cls(PHI, pi, s)
-
-
-@dataclass(frozen=True)
-class PureSample:
-    """One pure draw from a mixture; the state has no control register."""
-
-    state: SparseState
-    provenance: Provenance
 
 
 @dataclass(frozen=True)
@@ -96,39 +52,21 @@ Distinguisher = Callable[[Sequence[SparseState], np.random.Generator], int]
 
 
 def require_ff_key(pi: Permutation) -> None:
+    # Only the degree and the modulus: the cyclic primitive that every caller
+    # goes on to run checks that all cycles have that length.
     if not is_ff_degree(pi.n):
         raise ValueError(f"degree {pi.n} is not 2 mod 4")
-    if not is_fpf_involution(pi):
+    if key_modulus(pi) != 2:
         raise ValueError("key is not a fixed-point-free involution")
 
 
-def _uncompute_control(state: SparseState, pi: Permutation) -> SparseState:
-    # Subtract 1 mod m from the control exactly where the permutation
-    # register equals pi; legitimate because the generator knows pi.
-    out = {}
-    for (r, perm), amp in state.amps.items():
-        if perm == pi:
-            r = (r - 1) % state.m
-        out[(r, perm)] = amp
-    return SparseState(state.n, state.m, out)
-
-
 def gen_plus(pi: Permutation, rng: np.random.Generator) -> PureSample:
-    """Fresh draw from the plus mixture for key pi.
+    """Fresh draw from the plus mixture for key pi: the symbol-0 coset state.
 
-    Runs the exact generation circuit: start in |0>|id>, split the control,
-    apply the controlled key, uncompute the control against pi, then hide the
-    coset by a uniform left translation. The result is (|sigma> + |sigma pi>)
-    / sqrt(2) for a uniform sigma.
+    The result is (|sigma> + |sigma pi>) / sqrt(2) for a uniform sigma.
     """
     require_ff_key(pi)
-    state = basis_state(0, identity(pi.n), m=2)
-    state = state.fourier_control("forward")
-    state = state.controlled_power(pi)
-    state = _uncompute_control(state, pi)
-    sigma = random_permutation(pi.n, rng)
-    state = state.translate(sigma, "left")
-    return PureSample(state.drop_control(), Provenance.plus(pi))
+    return gen_cyc(pi, 0, 2, rng)
 
 
 def gen_iota(n: int, rng: np.random.Generator) -> PureSample:
@@ -156,26 +94,7 @@ def convert(sample: PureSample) -> PureSample:
     return PureSample(sample.state.phase_by_sign(), prov)
 
 
-def _test_circuit(state: SparseState, pi: Permutation) -> SparseState:
-    # The controlled-key test: split a fresh control, apply the controlled
-    # key, recombine. For a plus state the control ends in |0>, for a minus
-    # state in |1>; for m = 2 both Fourier directions are the Hadamard map.
-    attached = state.with_control(2)
-    attached = attached.fourier_control("forward")
-    attached = attached.controlled_power(pi)
-    return attached.fourier_control("forward")
-
-
-def distinguish(sample: PureSample | SparseState, pi: Permutation, rng: np.random.Generator) -> int:
-    """Trapdoor test: 1 (YES, plus) on control outcome 0, else 0 (NO, minus)."""
+def distinguish(state: SparseState, pi: Permutation, rng: np.random.Generator) -> int:
+    """Trapdoor test: 1 (YES, plus) on decoded symbol 0, else 0 (NO, minus)."""
     require_ff_key(pi)
-    state = getattr(sample, "state", sample)
-    outcome, _ = _test_circuit(state, pi).measure_control(rng)
-    return 1 if outcome == 0 else 0
-
-
-def distinguish_probabilities(sample: PureSample | SparseState, pi: Permutation) -> list[float]:
-    """Exact outcome distribution [P(control 0), P(control 1)] of the test."""
-    require_ff_key(pi)
-    state = getattr(sample, "state", sample)
-    return _test_circuit(state, pi).control_probabilities()
+    return 1 if decode_cyc(state, pi, rng) == 0 else 0

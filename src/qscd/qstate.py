@@ -127,13 +127,6 @@ class SparseState:
             raise ValueError("state already has a control register")
         return SparseState(self.n, m, dict(self.amps))
 
-    def drop_control(self) -> SparseState:
-        """Discard a control register holding one definite value."""
-        controls = {r for r, _ in self.amps}
-        if len(controls) != 1:
-            raise ValueError("control register is not definite, cannot drop it")
-        return SparseState(self.n, 1, {(0, perm): amp for (_, perm), amp in self.amps.items()})
-
     def control_probabilities(self) -> list[float]:
         """Born probabilities of the control outcomes 0..m-1."""
         probs = [0.0] * self.m

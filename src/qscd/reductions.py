@@ -10,21 +10,16 @@ empirical advantage estimator with Hoeffding confidence intervals.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .graphauto import Graph, PromiseInstance, coset_sample
 from .permgroup import Permutation, conjugate, random_permutation, sign
-from .qscdcyc import gen_cyc
+from .qscdcyc import MINUS, PLUS, PureSample, gen_cyc
 from .qscdff import (
-    MINUS,
-    PLUS,
     Distinguisher,
-    Provenance,
-    PureSample,
     SampleTuple,
     convert,
     distinguish,
@@ -131,14 +126,7 @@ def iota_source(n: int, k: int = 1) -> TupleSource:
 
 
 def cyc_source(pi: Permutation, s: int, m: int, k: int = 1) -> TupleSource:
-    def draw(rng: np.random.Generator) -> SampleTuple:
-        samples = []
-        for _ in range(k):
-            cyc = gen_cyc(pi, s, m, rng)
-            samples.append(PureSample(cyc.state, cyc.provenance))
-        return SampleTuple(tuple(samples))
-
-    return draw
+    return lambda rng: SampleTuple(tuple(gen_cyc(pi, s, m, rng) for _ in range(k)))
 
 
 def omniscient_distinguisher(pi: Permutation) -> Distinguisher:
@@ -179,8 +167,8 @@ def randomize_to_average(tup: SampleTuple, rng: np.random.Generator) -> SampleTu
     out = []
     for sample in tup.samples:
         prov = sample.provenance
-        if prov.kind in (PLUS, MINUS):
-            prov = Provenance(prov.kind, conjugate(prov.pi, tau))
+        if prov.pi is not None:
+            prov = replace(prov, pi=conjugate(prov.pi, tau))
         out.append(PureSample(sample.state.translate(tau, "right"), prov))
     return SampleTuple(tuple(out))
 
@@ -245,29 +233,17 @@ def estimate_advantage(
     trials: int,
     rng: np.random.Generator,
     confidence: float = 0.01,
-    jobs: int = 1,
 ) -> DistinguisherReport:
     """Empirical acceptance gap of a distinguisher between two tuple sources.
 
     Every trial runs on its own generator spawned from ``rng``, so the
-    aggregate is independent of trial order and of ``jobs``.
+    aggregate is independent of trial order.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     children = rng.spawn(2 * trials)
-
-    def run(t: int) -> tuple[int, int]:
-        gen_a, gen_b = children[2 * t], children[2 * t + 1]
-        return (
-            dist(source_a(gen_a).states(), gen_a),
-            dist(source_b(gen_b).states(), gen_b),
-        )
-
-    if jobs <= 1:
-        outcomes = [run(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, range(trials)))
-    acc0 = sum(a for a, _ in outcomes)
-    acc1 = sum(b for _, b in outcomes)
+    acc0 = acc1 = 0
+    for gen_a, gen_b in zip(children[0::2], children[1::2]):
+        acc0 += dist(source_a(gen_a).states(), gen_a)
+        acc1 += dist(source_b(gen_b).states(), gen_b)
     return DistinguisherReport(trials, trials, acc0, acc1, confidence)

@@ -8,8 +8,7 @@ produce byte-identical reports. Nothing time-dependent is printed.
 from __future__ import annotations
 
 import itertools
-
-from scipy import stats
+import math
 
 from .graphauto import (
     Graph,
@@ -23,6 +22,7 @@ from .graphauto import (
 from .permgroup import (
     Permutation,
     SecurityParam,
+    compose,
     conjugate,
     fpf_involutions,
     random_permutation,
@@ -30,8 +30,9 @@ from .permgroup import (
     sample_fpf_involution,
 )
 from .pkc import decrypt, encrypt_cyc, encrypt_ff, issue_key_copy, issue_key_series, keygen
-from .qscdcyc import CyclicSample, decode_cyc, decode_distribution, gen_cyc
-from .qscdff import Provenance, distinguish, distinguish_probabilities
+from .qscdcyc import decode_cyc, decode_distribution, gen_cyc
+from .qscdff import distinguish
+from .qstate import SparseState, states_equal
 from .reductions import (
     AttackParams,
     basis_measure_distinguisher,
@@ -101,7 +102,7 @@ def criterion_trapdoor(seed: int) -> tuple[bool, str]:
             kp = keygen(params, rng)
             bit = int(rng.integers(2))
             ct = encrypt_ff(bit, issue_key_copy(kp, rng))
-            probs = distinguish_probabilities(ct.state, kp.secret)
+            probs = decode_distribution(ct.state, kp.secret)
             worst = max(worst, probs[1 - bit])
             if decrypt(kp, ct, rng) != bit:
                 errors += 1
@@ -121,8 +122,7 @@ def criterion_multibit(seed: int) -> tuple[bool, str]:
             for _ in range(200):
                 kp = keygen(params, rng)
                 ct = encrypt_cyc(s, issue_key_series(kp, rng))
-                sample = CyclicSample(ct.state, n, m, Provenance(kind="phi"))
-                probs = decode_distribution(sample, kp.secret)
+                probs = decode_distribution(ct.state, kp.secret)
                 worst = max(worst, 1.0 - probs[s])
                 if decrypt(kp, ct, rng) != s:
                     errors += 1
@@ -132,7 +132,7 @@ def criterion_multibit(seed: int) -> tuple[bool, str]:
 
 
 def criterion_coincidence(seed: int) -> tuple[bool, str]:
-    """At m = 2 the cyclic decoder and the trapdoor test agree sample by sample."""
+    """At m = 2 the cyclic draws are the plus/minus states and pass the trapdoor test."""
     rng = derive_rng(seed, 3)
     params = SecurityParam.ff(6)
     agree = 0
@@ -140,15 +140,23 @@ def criterion_coincidence(seed: int) -> tuple[bool, str]:
         pi = sample_fpf_involution(params, rng)
         s = int(rng.integers(2))
         sample = gen_cyc(pi, s, 2, rng)
-        decoded = decode_cyc(sample, pi, rng)
+        # (|sigma> + (-1)^s |sigma pi>) / sqrt(2), from either support point.
+        sigma = next(iter(sample.state.amps))[1]
+        amp = 1 / math.sqrt(2)
+        two_point = SparseState(6, 1, {(0, sigma): amp, (0, compose(sigma, pi)): (-1) ** s * amp})
+        is_two_point = states_equal(sample.state, two_point, up_to_global_phase=True)
+        decoded = decode_cyc(sample.state, pi, rng)
         via_ff = 0 if distinguish(sample.state, pi, rng) == 1 else 1
-        if decoded == via_ff == s:
+        if is_two_point and decoded == via_ff == s:
             agree += 1
     return agree == 1000, f"agree={agree}/1000"
 
 
 def criterion_conjugation(seed: int) -> tuple[bool, str]:
     """Conjugation by uniform tau is exactly uniform over K_6."""
+    # Imported here: scipy.stats dominates the import time of the package.
+    from scipy import stats
+
     rng = derive_rng(seed, 4)
     k6 = fpf_involutions(6)
     pi0 = k6[0]

@@ -164,14 +164,20 @@ class TestAdvantage:
         )
         assert code == 0
 
-    def test_jobs_flag_preserves_output(self, capsys):
-        argv = [
-            "advantage", "--dist", "coin", "--n", "6", "--trials", "300", "--seed", "17",
-        ]
-        _, serial = run_cli(capsys, *argv)
-        _, threaded = run_cli(capsys, *argv, "--jobs", "3")
-        strip = lambda text: [l for l in text.splitlines() if not l.startswith("params=")]
-        assert strip(serial) == strip(threaded)
+    def test_omniscient_uses_the_key_file(self, tmp_path, capsys):
+        key = tmp_path / "key.txt"
+        run_cli(capsys, "keygen", "--mode", "ff", "--n", "6", "--seed", "99", "--out", str(key))
+        for seed in ("15", "16"):
+            code, out = run_cli(
+                capsys, "advantage", "--dist", "omniscient", "--key", str(key),
+                "--n", "6", "--trials", "400", "--seed", seed,
+            )
+            assert code == 0 and "advantage=1.000000" in out.splitlines()
+        code, out = run_cli(
+            capsys, "advantage", "--dist", "omniscient", "--key", str(key),
+            "--n", "10", "--trials", "10", "--seed", "15",
+        )
+        assert code == 2 and out.startswith("error:")
 
 
 class TestErrors:

@@ -364,8 +364,8 @@ class TestCosetSample:
         inst = planted_yes_instance()
         pi = inst.hidden_key()
         for _ in range(50):
-            assert distinguish(coset_sample(inst, "plus", rng), pi, rng) == 1
-            assert distinguish(coset_sample(inst, "minus", rng), pi, rng) == 0
+            assert distinguish(coset_sample(inst, "plus", rng).state, pi, rng) == 1
+            assert distinguish(coset_sample(inst, "minus", rng).state, pi, rng) == 0
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

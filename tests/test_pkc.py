@@ -8,6 +8,7 @@ from qscd.permgroup import (
     sample_fpf_involution,
 )
 from qscd.pkc import (
+    Ciphertext,
     KeyPair,
     adversary_view,
     decrypt,
@@ -60,7 +61,7 @@ class TestKeyCopies:
         rng = np.random.default_rng(93)
         kp = keygen(FF6, rng)
         copy = issue_key_copy(kp, rng)
-        assert distinguish(copy.sample, kp.secret, rng) == 1
+        assert distinguish(copy.sample.state, kp.secret, rng) == 1
 
     def test_cyc_copy_decodes_to_its_symbol(self):
         rng = np.random.default_rng(94)
@@ -68,7 +69,7 @@ class TestKeyCopies:
         for s in range(3):
             copy = issue_key_copy(kp, rng, s=s)
             assert copy.symbol == s
-            assert decode_cyc(copy.sample, kp.secret, rng) == s
+            assert decode_cyc(copy.sample.state, kp.secret, rng) == s
 
     def test_cyc_copy_requires_symbol(self):
         rng = np.random.default_rng(95)
@@ -124,6 +125,14 @@ class TestEncryptFF:
         with pytest.raises(ValueError):
             encrypt_ff(2, issue_key_copy(keygen(FF6, rng), rng))
 
+    def test_rejects_cyc_key_copy(self):
+        rng = np.random.default_rng(115)
+        for params in (CYC63, SecurityParam.cyc(6, 2)):
+            copy = issue_key_copy(keygen(params, rng), rng, s=0)
+            with pytest.raises(ValueError):
+                encrypt_ff(0, copy)
+            assert not copy.consumed
+
 
 class TestEncryptCyc:
     def test_roundtrip_every_symbol(self):
@@ -159,6 +168,13 @@ class TestEncryptCyc:
         with pytest.raises(ValueError):
             encrypt_cyc(3, issue_key_series(kp, rng))
 
+    def test_rejects_series_of_ff_copies(self):
+        rng = np.random.default_rng(116)
+        kp = keygen(FF6, rng)
+        for count in (1, 2, 3):
+            with pytest.raises(ValueError):
+                encrypt_cyc(0, [issue_key_copy(kp, rng) for _ in range(count)])
+
     def test_m2_scheme_matches_ff_scheme(self):
         # same hidden key and forced sigma=id on both paths: the two-symbol
         # cyclic ciphertexts coincide with the single-bit ones
@@ -188,6 +204,16 @@ class TestDecrypt:
         ct = encrypt_ff(0, issue_key_copy(kp_ff, rng))
         with pytest.raises(ValueError):
             decrypt(kp_cyc, ct, rng)
+
+    def test_modulus_mismatch(self):
+        rng = np.random.default_rng(117)
+        kp63 = keygen(CYC63, rng)
+        kp62 = keygen(SecurityParam.cyc(6, 2), rng)
+        ct = encrypt_cyc(0, issue_key_series(kp63, rng))
+        with pytest.raises(ValueError):
+            decrypt(kp62, ct, rng)
+        with pytest.raises(ValueError):
+            decrypt(kp63, Ciphertext(ct.state, ct.mode, 2), rng)
 
     def test_wrong_key_is_unreliable(self):
         rng = np.random.default_rng(108)

@@ -12,14 +12,15 @@ from qscd.permgroup import (
     sample_cyclic,
     sample_fpf_involution,
 )
-from qscd.qscdcyc import decode_cyc, decode_distribution, gen_cyc
+from qscd.qscdcyc import Provenance, PureSample, decode_cyc, decode_distribution, gen_cyc
 from qscd.qscdff import convert, distinguish, gen_plus
-from qscd.qstate import inner_product, states_equal
+from qscd.qstate import SparseState, inner_product, states_equal
 
 from oracles import StubRng
 
 PI33 = from_cycles(3, [(1, 2, 3)])
 PI63 = from_cycles(6, [(1, 2, 3), (4, 5, 6)])
+PI6 = from_cycles(6, [(1, 2), (3, 4), (5, 6)])
 
 
 class TestGenCyc:
@@ -65,17 +66,20 @@ class TestGenCyc:
 
 
 class TestM2Coincidence:
+    # Forced sigma = id: the plus state (|id> + |pi>) / sqrt(2), written out.
+    PLUS6 = SparseState(6, 1, {(0, identity(6)): 1 / math.sqrt(2), (0, PI6): 1 / math.sqrt(2)})
+
     def test_symbol_zero_matches_plus_generation(self):
-        pi = from_cycles(6, [(1, 2), (3, 4), (5, 6)])
-        cyc = gen_cyc(pi, 0, 2, StubRng())
-        plus = gen_plus(pi, StubRng())
-        assert states_equal(cyc.state, plus.state)
+        cyc = gen_cyc(PI6, 0, 2, StubRng())
+        assert states_equal(cyc.state, self.PLUS6)
+        assert states_equal(gen_plus(PI6, StubRng()).state, self.PLUS6)
+        assert cyc.provenance == Provenance.plus(PI6)
 
     def test_symbol_one_matches_converted_plus(self):
-        pi = from_cycles(6, [(1, 2), (3, 4), (5, 6)])
-        cyc = gen_cyc(pi, 1, 2, StubRng())
-        minus = convert(gen_plus(pi, StubRng()))
+        cyc = gen_cyc(PI6, 1, 2, StubRng())
+        minus = convert(PureSample(self.PLUS6, Provenance.plus(PI6)))
         assert states_equal(cyc.state, minus.state, up_to_global_phase=True)
+        assert cyc.provenance == minus.provenance
 
     def test_decoder_agrees_with_trapdoor_test(self):
         rng = np.random.default_rng(52)
@@ -84,7 +88,7 @@ class TestM2Coincidence:
             pi = sample_fpf_involution(params, rng)
             s = int(rng.integers(2))
             sample = gen_cyc(pi, s, 2, rng)
-            decoded = decode_cyc(sample, pi, rng)
+            decoded = decode_cyc(sample.state, pi, rng)
             via_ff = 0 if distinguish(sample.state, pi, rng) == 1 else 1
             assert decoded == via_ff == s
 
@@ -95,13 +99,13 @@ class TestDecode:
         for s in range(3):
             for _ in range(200):
                 sample = gen_cyc(PI63, s, 3, rng)
-                assert decode_cyc(sample, PI63, rng) == s
+                assert decode_cyc(sample.state, PI63, rng) == s
 
     def test_wrong_outcome_probability_negligible(self):
         rng = np.random.default_rng(54)
         for s in range(3):
             sample = gen_cyc(PI63, s, 3, rng)
-            probs = decode_distribution(sample, PI63)
+            probs = decode_distribution(sample.state, PI63)
             assert 1.0 - probs[s] < 1e-12
 
     def test_sampled_keys_roundtrip(self):
@@ -112,13 +116,13 @@ class TestDecode:
                 pi = sample_cyclic(params, rng)
                 assert perm_pow(pi, m) == identity(n)
                 s = int(rng.integers(m))
-                assert decode_cyc(gen_cyc(pi, s, m, rng), pi, rng) == s
+                assert decode_cyc(gen_cyc(pi, s, m, rng).state, pi, rng) == s
 
     def test_degree_mismatch(self):
         rng = np.random.default_rng(56)
         sample = gen_cyc(PI33, 0, 3, rng)
         with pytest.raises(ValueError):
-            decode_cyc(sample, PI63, rng)
+            decode_cyc(sample.state, PI63, rng)
 
 
 class TestStructure:

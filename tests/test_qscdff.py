@@ -11,17 +11,8 @@ from qscd.permgroup import (
     fpf_involutions,
     identity,
 )
-from qscd.qscdff import (
-    PLUS,
-    Provenance,
-    PureSample,
-    SampleTuple,
-    convert,
-    distinguish,
-    distinguish_probabilities,
-    gen_iota,
-    gen_plus,
-)
+from qscd.qscdcyc import PLUS, Provenance, PureSample, decode_distribution
+from qscd.qscdff import SampleTuple, convert, distinguish, gen_iota, gen_plus
 from qscd.qstate import SparseState, states_equal
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -61,8 +52,13 @@ class TestGenPlus:
         assert stats.chisquare(list(counts.values())).pvalue > 0.001
 
     def test_rejects_non_involution(self):
-        with pytest.raises(ValueError):
-            gen_plus(from_cycles(6, [(1, 2, 3)]), np.random.default_rng(0))
+        state = gen_plus(PI6, np.random.default_rng(0)).state
+        for cycles in ([(1, 2, 3)], [(1, 2), (3, 4, 5, 6)]):
+            key = from_cycles(6, cycles)
+            with pytest.raises(ValueError):
+                gen_plus(key, np.random.default_rng(0))
+            with pytest.raises(ValueError):
+                distinguish(state, key, np.random.default_rng(0))
 
     def test_rejects_degree_outside_admissible_set(self):
         with pytest.raises(ValueError):
@@ -119,33 +115,33 @@ class TestConvert:
 class TestDistinguish:
     def test_plus_always_yes(self):
         rng = np.random.default_rng(40)
-        assert all(distinguish(gen_plus(PI6, rng), PI6, rng) == 1 for _ in range(1000))
+        assert all(distinguish(gen_plus(PI6, rng).state, PI6, rng) == 1 for _ in range(1000))
 
     def test_minus_always_no(self):
         rng = np.random.default_rng(41)
         assert all(
-            distinguish(convert(gen_plus(PI6, rng)), PI6, rng) == 0 for _ in range(1000)
+            distinguish(convert(gen_plus(PI6, rng)).state, PI6, rng) == 0 for _ in range(1000)
         )
 
     def test_iota_is_a_coin(self):
         rng = np.random.default_rng(42)
-        hits = sum(distinguish(gen_iota(6, rng), PI6, rng) for _ in range(4000))
+        hits = sum(distinguish(gen_iota(6, rng).state, PI6, rng) for _ in range(4000))
         assert abs(hits / 4000 - 0.5) < 0.05
 
     def test_wrong_branch_probability_negligible(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
             plus = gen_plus(PI6, rng)
-            assert distinguish_probabilities(plus, PI6)[1] < 1e-12
-            assert distinguish_probabilities(convert(plus), PI6)[0] < 1e-12
+            assert decode_distribution(plus.state, PI6)[1] < 1e-12
+            assert decode_distribution(convert(plus).state, PI6)[0] < 1e-12
 
     def test_exhaustive_at_n2(self):
         rng = np.random.default_rng(44)
         pi = from_cycles(2, [(1, 2)])
         for sigma in (identity(2), pi):
             sample = handmade_plus(sigma, pi)
-            assert distinguish(sample, pi, rng) == 1
-            assert distinguish(convert(sample), pi, rng) == 0
+            assert distinguish(sample.state, pi, rng) == 1
+            assert distinguish(convert(sample).state, pi, rng) == 0
 
     def test_exhaustive_keys_at_n6(self):
         rng = np.random.default_rng(45)
@@ -153,8 +149,8 @@ class TestDistinguish:
             for _ in range(20):
                 sigma = Permutation(tuple(int(x) + 1 for x in rng.permutation(6)))
                 sample = handmade_plus(sigma, pi)
-                assert distinguish_probabilities(sample, pi)[1] < 1e-12
-                assert distinguish_probabilities(convert(sample), pi)[0] < 1e-12
+                assert decode_distribution(sample.state, pi)[1] < 1e-12
+                assert decode_distribution(convert(sample).state, pi)[0] < 1e-12
 
 
 class TestBlindness:

@@ -249,20 +249,15 @@ class TestUnitarity:
 
 
 class TestRegisters:
-    def test_with_control_then_drop(self):
+    def test_with_control_attaches_zero(self):
         state = basis_state(0, identity(6), 1)
         lifted = state.with_control(3)
         assert lifted.m == 3
-        assert states_equal(lifted.drop_control(), state)
+        assert lifted.amps == state.amps
 
     def test_with_control_rejects_existing(self):
         with pytest.raises(ValueError):
             basis_state(0, identity(3), 2).with_control(3)
-
-    def test_drop_control_requires_definite_value(self):
-        spread = basis_state(0, identity(3), 2).fourier_control("forward")
-        with pytest.raises(ValueError):
-            spread.drop_control()
 
 
 class TestSerialization:

@@ -186,16 +186,6 @@ class TestEstimateAdvantage:
         )
         assert report.advantage <= report.ci_halfwidth
 
-    def test_jobs_do_not_change_the_outcome(self):
-        dist = omniscient_distinguisher(PI6)
-        serial = estimate_advantage(
-            dist, plus_source(PI6), iota_source(6), 200, np.random.default_rng(85)
-        )
-        threaded = estimate_advantage(
-            dist, plus_source(PI6), iota_source(6), 200, np.random.default_rng(85), jobs=4
-        )
-        assert (serial.acc0, serial.acc1) == (threaded.acc0, threaded.acc1)
-
     def test_requires_at_least_one_trial(self):
         with pytest.raises(ValueError):
             estimate_advantage(
