@@ -187,6 +187,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_advantage(args) -> int:
+    if args.dist == "omniscient" and args.pair == "cyc":
+        raise ValueError("the omniscient distinguisher is the ff trapdoor test; it has no cyc form")
     rng = derive_rng(args.seed)
     if args.pair == "cyc":
         pi = sample_cyclic(SecurityParam.cyc(args.n, args.m), rng)

@@ -10,8 +10,11 @@ instance into coset-superposition draws over S_n.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import groupby, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -145,85 +148,117 @@ class AutGroup:
         ]
 
 
-def _refined_colors(adj: list[set[int]]) -> list[int]:
-    # Iterated partition refinement by neighbor-color multisets (degrees on
-    # the first round). Refinement only splits classes, so a stable class
-    # count means a stable partition.
-    n = len(adj)
-    colors = [0] * n
-    count = 1
-    while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v])))
-            for v in range(n)
-        ]
-        palette = {s: c for c, s in enumerate(sorted(set(sig)))}
-        new = [palette[s] for s in sig]
-        if len(palette) in (count, n):
-            return new
-        colors, count = new, len(palette)
+def _refined_cells(adj: list[set[int]]) -> tuple[list[set[int]], list[int]]:
+    # Coarsest equitable partition (cells, and each vertex's cell) from a
+    # worklist of splitters: a splitter re-signs only the cells next to it,
+    # and only their touched vertices move. Cells are numbered by (parent,
+    # neighbour count), never by vertex, so automorphisms fix every cell.
+    # A cell off the worklist that splits may leave its largest piece off.
+    cells = [set(range(len(adj)))]
+    colors = [0] * len(adj)
+    pending, queued = deque([0]), {0}
+    while pending:
+        s = pending.popleft()
+        queued.discard(s)
+        hits: dict[int, int] = {}
+        for u in cells[s]:
+            for w in adj[u]:
+                hits[w] = hits.get(w, 0) + 1
+        touched: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for w, k in hits.items():
+            touched[colors[w], k].append(w)
+        for c, keys in groupby(sorted(touched), key=itemgetter(0)):
+            moved = [touched[key] for key in keys]
+            if sum(map(len, moved)) < len(cells[c]):
+                cells[c].difference_update(*moved)
+            elif len(moved) > 1:
+                cells[c] = set(moved.pop(0))
+            else:
+                continue
+            pieces = [c]
+            for part in moved:
+                pieces.append(len(cells))
+                cells.append(set(part))
+                for w in part:
+                    colors[w] = pieces[-1]
+            if c not in queued:
+                pieces.remove(max(pieces, key=lambda p: len(cells[p])))
+            for p in pieces:
+                if p not in queued:
+                    queued.add(p)
+                    pending.append(p)
+    return cells, colors
 
 
-def automorphisms(g: Graph, node_limit: int = 40) -> AutGroup:
-    """Complete automorphism list by backtracking over the refined partition."""
+def iter_automorphisms(g: Graph, node_limit: int = 40) -> Iterator[Permutation]:
+    """Yield every automorphism of g once, in search order.
+
+    Backtracks with an explicit stack over the refined partition, breadth
+    first from a vertex of each component's smallest class, so that every
+    vertex after a root takes its candidates from the neighbours of its
+    anchor's image. A caller that needs only a few elements asks for no more.
+    """
     n = g.node_count
     if n > node_limit:
         raise ValueError(f"{n} nodes exceeds the configured limit {node_limit}")
     adj = g.adjacency()
-    colors = _refined_colors(adj)
-    members: dict[int, list[int]] = defaultdict(list)
-    for v in range(n):
-        members[colors[v]].append(v)
-    order = sorted(range(n), key=lambda v: (len(members[colors[v]]), colors[v], v))
-
+    members, colors = _refined_cells(adj)
+    order: list[int] = []
+    pos: dict[int, int] = {}
+    anchor = [-1] * n
+    roots = iter(sorted(range(n), key=lambda v: (len(members[colors[v]]), colors[v], v)))
+    for k in range(n):
+        if k == len(order):
+            order.append(next(v for v in roots if v not in pos))
+            pos[order[k]] = k
+        for w in sorted(adj[order[k]]):
+            if w not in pos:
+                pos[w], anchor[w] = len(order), order[k]
+                order.append(w)
+    # back[k]: the neighbours of order[k] that are mapped before it
+    back = [[u for u in adj[v] if pos[u] < k] for k, v in enumerate(order)]
     mapping = [-1] * n
-    target_used = [False] * n
-    assigned_targets: set[int] = set()
-    found: list[Permutation] = []
+    used: set[int] = set()
 
-    def extend(idx: int) -> None:
-        if idx == n:
-            found.append(Permutation(tuple(mapping[v] + 1 for v in range(n))))
-            return
-        v = order[idx]
-        assigned_nbrs = [u for u in adj[v] if mapping[u] != -1]
-        for w in members[colors[v]]:
-            if target_used[w]:
-                continue
-            if any(mapping[u] not in adj[w] for u in assigned_nbrs):
-                continue
-            if len(adj[w] & assigned_targets) != len(assigned_nbrs):
-                continue
-            mapping[v] = w
-            target_used[w] = True
-            assigned_targets.add(w)
-            extend(idx + 1)
-            mapping[v] = -1
-            target_used[w] = False
-            assigned_targets.discard(w)
+    def candidates(k: int) -> Iterator[int]:
+        v = order[k]
+        pool = members[colors[v]] if anchor[v] < 0 else adj[mapping[anchor[v]]]
+        return iter([
+            w for w in pool
+            if colors[w] == colors[v] and w not in used
+            and all(mapping[u] in adj[w] for u in back[k])
+            and len(adj[w] & used) == len(back[k])
+        ])
 
-    extend(0)
-    found.sort(key=lambda p: p.image)
-    return AutGroup(tuple(found))
+    stack = [candidates(0)]
+    while stack:
+        v = order[len(stack) - 1]
+        used.discard(mapping[v])
+        mapping[v] = w = next(stack[-1], -1)
+        if w < 0:
+            stack.pop()
+            continue
+        used.add(w)
+        if len(stack) == n:
+            yield Permutation(tuple(x + 1 for x in mapping))
+        else:
+            stack.append(candidates(len(stack)))
 
 
-def _attach_chain(g: Graph, node: int, chain_len: int, branch_pos: int, tail_len: int) -> Graph:
-    # Hang a path of chain_len new nodes on `node`, then a path of tail_len
-    # new nodes on the branch_pos-th chain node. New nodes are numbered after
-    # the existing ones in creation order.
-    if not 1 <= node <= g.node_count:
-        raise ValueError(f"node {node} out of range")
-    base = g.node_count
-    edges = set(g.edges)
-    prev = node
-    for k in range(1, chain_len + 1):
-        edges.add((prev, base + k))
-        prev = base + k
-    prev = base + branch_pos
-    for k in range(1, tail_len + 1):
-        edges.add((prev, base + chain_len + k))
-        prev = base + chain_len + k
-    return Graph(base + chain_len + tail_len, frozenset(edges))
+def automorphisms(g: Graph, node_limit: int = 40) -> AutGroup:
+    """Complete automorphism list, sorted by image."""
+    return AutGroup(tuple(sorted(iter_automorphisms(g, node_limit), key=lambda p: p.image)))
+
+
+def _hang_label(edges: set[tuple[int, int]], node: int, count: int, n: int, tail_len: int) -> int:
+    # Hang a chain of 2n+3 new nodes on `node`, then a tail of tail_len new
+    # nodes on the chain's (n+2)-nd node. New nodes are numbered from
+    # count + 1 in creation order; returns the new node count.
+    chain = [node, *range(count + 1, count + 2 * n + 4)]
+    tail = [count + n + 2, *range(count + 2 * n + 4, count + 2 * n + 4 + tail_len)]
+    edges.update(zip(chain, chain[1:]))
+    edges.update(zip(tail, tail[1:]))
+    return count + 2 * n + 3 + tail_len
 
 
 def attach_label(g: Graph, node: int, label_index: int, chain_bonus: int = 0) -> Graph:
@@ -237,8 +272,11 @@ def attach_label(g: Graph, node: int, label_index: int, chain_bonus: int = 0) ->
     """
     if label_index < 1:
         raise ValueError("label index must be >= 1")
-    n = g.node_count
-    return _attach_chain(g, node, 2 * n + 3, n + 2, label_index + chain_bonus)
+    if not 1 <= node <= g.node_count:
+        raise ValueError(f"node {node} out of range")
+    edges = set(g.edges)
+    count = _hang_label(edges, node, g.node_count, g.node_count, label_index + chain_bonus)
+    return Graph(count, frozenset(edges))
 
 
 def build_query(g: Graph, fixed: list[int], i: int, j: int) -> Graph:
@@ -286,17 +324,21 @@ def build_query(g: Graph, fixed: list[int], i: int, j: int) -> Graph:
         if tails:
             break
 
-    def labeled_copy(a_node: int, b_node: int) -> Graph:
-        h = g
+    # Both labeled copies go into one edge set: the second copy's nodes are
+    # numbered after all of the first copy's.
+    edges: set[tuple[int, int]] = set()
+    count = 0
+    for a_node, b_node in ((i, j), (j, i)):
+        shift = count
+        edges.update((u + shift, v + shift) for u, v in g.edges)
+        count += n
         for t, node in enumerate(fixed, start=1):
-            h = _attach_chain(h, node, 2 * n + 3, n + 2, t)
-        h = _attach_chain(h, a_node, 2 * n + 3, n + 2, tails[0])
-        return _attach_chain(h, b_node, 2 * n + 3, n + 2, tails[1])
-
-    out = disjoint_union(labeled_copy(i, j), labeled_copy(j, i))
-    if out.node_count % 4 != 2:
-        raise AssertionError(f"padding failed: {out.node_count} nodes is not 2 mod 4")
-    return out
+            count = _hang_label(edges, node + shift, count, n, t)
+        count = _hang_label(edges, a_node + shift, count, n, tails[0])
+        count = _hang_label(edges, b_node + shift, count, n, tails[1])
+    if count % 4 != 2:
+        raise AssertionError(f"padding failed: {count} nodes is not 2 mod 4")
+    return Graph(count, frozenset(edges))
 
 
 def unique_ga_ff_oracle(g: Graph, node_limit: int = 4000) -> int:
@@ -307,17 +349,20 @@ def unique_ga_ff_oracle(g: Graph, node_limit: int = 4000) -> int:
     the input is outside the promise, so callers that are supposed to query
     only promise-satisfying graphs get caught immediately.
     """
+    return len(_promise_group(g, node_limit)) - 1
+
+
+def _promise_group(g: Graph, node_limit: int) -> tuple[Permutation, ...]:
+    # The whole automorphism group, identity first, of a graph inside the
+    # promise. The search stops at a third element, which already breaks it.
     if not is_ff_degree(g.node_count):
         raise PromiseViolation(f"node count {g.node_count} is not 2 mod 4")
-    auts = automorphisms(g, node_limit=node_limit)
-    if len(auts) > 2:
-        raise PromiseViolation(f"{len(auts)} automorphisms; the promise allows at most 2")
-    if len(auts) == 2:
-        pi = auts.nontrivial()[0]
-        if not is_fpf_involution(pi):
-            raise PromiseViolation("nontrivial automorphism is not a fixed-point-free involution")
-        return 1
-    return 0
+    elements = sorted(islice(iter_automorphisms(g, node_limit), 3), key=lambda p: p.image)
+    if len(elements) > 2:
+        raise PromiseViolation("3 or more automorphisms; the promise allows at most 2")
+    if len(elements) == 2 and not is_fpf_involution(elements[1]):
+        raise PromiseViolation("nontrivial automorphism is not a fixed-point-free involution")
+    return tuple(elements)
 
 
 def koebler_reduce(g: Graph, oracle=None) -> int:
@@ -348,8 +393,8 @@ class PromiseInstance:
     """A promise-satisfying graph, optionally with a planted automorphism.
 
     With ``certified`` set, the planted permutation is checked cheaply and
-    brute-force search is skipped; otherwise the full automorphism list is
-    computed and the promise verified.
+    the search is skipped; otherwise the search runs until it has the whole
+    group or a third element, and the promise is verified.
     """
 
     graph: Graph
@@ -373,12 +418,7 @@ class PromiseInstance:
                 raise PromiseViolation("planted permutation is not an automorphism")
             self._elements = (identity(n), pi)
         else:
-            auts = automorphisms(self.graph, node_limit=self.node_limit)
-            if len(auts) > 2:
-                raise PromiseViolation(f"{len(auts)} automorphisms; the promise allows at most 2")
-            if len(auts) == 2 and not is_fpf_involution(auts.nontrivial()[0]):
-                raise PromiseViolation("nontrivial automorphism is not a fixed-point-free involution")
-            self._elements = auts.elements
+            self._elements = _promise_group(self.graph, self.node_limit)
         return self._elements
 
     def is_yes(self) -> bool:

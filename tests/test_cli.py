@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 from qscd.cli import run
@@ -98,6 +99,15 @@ class TestGraphCommands:
         code, out = run_cli(capsys, "reduce-ga", "--graph", rigid)
         assert code == 0 and out.strip().splitlines()[-1] == "NO"
 
+    def test_reduce_ga_on_fourteen_node_path(self, tmp_path, capsys):
+        # the first query has 1106 nodes, more than a search that recursed
+        # once per node could take
+        path = Graph(14, frozenset((i, i + 1) for i in range(1, 14)))
+        code, out = run_cli(capsys, "reduce-ga", "--graph", write_graph(tmp_path / "p14.txt", path))
+        lines = out.strip().splitlines()
+        assert code == 0 and lines[-1] == "YES"
+        assert lines[0] == "query index=1 nodes=1106 answer=NO"
+
 
 class TestAttack:
     def test_omniscient_accepts_planted_yes(self, tmp_path, capsys):
@@ -132,6 +142,15 @@ class TestAttack:
             capsys, "attack", "--graph", k3, "--dist", "coin", "--seed", "13"
         )
         assert code == 3 and "promise-violation" in out
+
+    def test_edgeless_graph_is_refused_at_once(self, tmp_path, capsys):
+        # 10! and 14! automorphisms: the check stops at the third
+        for n in (10, 14):
+            graph = write_graph(tmp_path / f"empty{n}.txt", Graph(n, frozenset()))
+            start = time.perf_counter()
+            code, out = run_cli(capsys, "attack", "--graph", graph, "--dist", "coin", "--seed", "13")
+            assert time.perf_counter() - start < 1.0
+            assert code == 3 and out.startswith("promise-violation:")
 
 
 class TestAdvantage:
@@ -176,6 +195,16 @@ class TestAdvantage:
         code, out = run_cli(
             capsys, "advantage", "--dist", "omniscient", "--key", str(key),
             "--n", "10", "--trials", "10", "--seed", "15",
+        )
+        assert code == 2 and out.startswith("error:")
+
+    def test_omniscient_refuses_cyc_pair(self, tmp_path, capsys):
+        # the omniscient test is the ff trapdoor test; it has no cyclic form
+        key = tmp_path / "key.txt"
+        run_cli(capsys, "keygen", "--mode", "ff", "--n", "6", "--seed", "3", "--out", str(key))
+        code, out = run_cli(
+            capsys, "advantage", "--dist", "omniscient", "--key", str(key), "--pair", "cyc",
+            "--n", "6", "--m", "3", "--trials", "200", "--seed", "3",
         )
         assert code == 2 and out.startswith("error:")
 

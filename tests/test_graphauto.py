@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,11 @@ from qscd.permgroup import (
 from qscd.selftest import RIGID6, RIGID7A, RIGID7B, planted_no_instance, planted_yes_instance
 
 from oracles import brute_automorphisms, has_nontrivial_automorphism
+
+
+def path(n):
+    return Graph(n, frozenset((i, i + 1) for i in range(1, n)))
+
 
 K2 = Graph(2, frozenset({(1, 2)}))
 K3 = Graph(3, frozenset({(1, 2), (1, 3), (2, 3)}))
@@ -105,11 +111,34 @@ class TestAutomorphisms:
         assert {p.image for p in auts} == {(1, 2), (2, 1)}
 
     def test_matches_brute_force_on_small_graphs(self):
-        for n in (3, 4):
+        # every labelled graph on up to 5 nodes (1024 of them on 5), as the
+        # same list in the same order
+        for n in (1, 2, 3, 4, 5):
             for g in all_graphs(n):
-                got = {p.image for p in automorphisms(g)}
-                want = {p.image for p in brute_automorphisms(n, g.edges)}
+                got = [p.image for p in automorphisms(g)]
+                want = sorted(p.image for p in brute_automorphisms(n, g.edges))
                 assert got == want
+
+    def test_matches_networkx_on_path_queries(self):
+        # the first query of the 8- and 13-node path scans (398 and 962
+        # nodes, rigid) and the 8-node path's YES query, against VF2
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        for n, fixed, i, j in [(8, list(range(1, 7)), 7, 8), (13, list(range(1, 12)), 12, 13), (8, [], 1, 8)]:
+            q = build_query(path(n), fixed, i, j)
+            nxg = nx.Graph(list(q.edges))
+            nxg.add_nodes_from(range(1, q.node_count + 1))
+            want = sorted(
+                tuple(m[v] for v in range(1, q.node_count + 1))
+                for m in GraphMatcher(nxg, nxg).isomorphisms_iter()
+            )
+            assert [p.image for p in automorphisms(q, node_limit=4000)] == want
+
+    def test_long_path_needs_no_recursion(self):
+        auts = automorphisms(path(3000), node_limit=4000)
+        assert len(auts) == 2
+        assert auts.nontrivial()[0].image == tuple(range(3000, 0, -1))
 
     def test_rigid_witness_is_smallest(self):
         # the frozen 6-node witness is rigid (checked against the full S_6
@@ -181,6 +210,51 @@ class TestAttachLabel:
             attach_label(K2, 1, 0)
 
 
+def chain_by_chain_query(n, base_edges, fixed, i, j):
+    """(node count, edges) of a query, built one chain at a time.
+
+    The construction build_query used before it collected one edge set:
+    every gadget made a new graph from the last one, and the second labeled
+    copy was shifted past the first by a disjoint union.
+    """
+
+    def attach_chain(count, edges, node, chain_len, branch_pos, tail_len):
+        edges = set(edges)
+        prev = node
+        for k in range(1, chain_len + 1):
+            edges.add((prev, count + k))
+            prev = count + k
+        prev = count + branch_pos
+        for k in range(1, tail_len + 1):
+            edges.add((prev, count + chain_len + k))
+            prev = count + chain_len + k
+        return count + chain_len + tail_len, edges
+
+    k = len(fixed)
+    base_total = n + sum(2 * n + t + 3 for t in range(1, k + 1)) + 2 * (2 * n + 3) + (2 * k + 3)
+    tails = None
+    for ca in range(6):
+        for cb in range(6):
+            a, b = k + 1 + ca, k + 2 + cb
+            if (base_total + ca + cb) % 2 == 1 and a != b and a != n + 1 and b != n + 1:
+                tails = (a, b)
+                break
+        if tails:
+            break
+
+    def labeled_copy(a_node, b_node):
+        count, edges = n, set(base_edges)
+        for t, node in enumerate(fixed, start=1):
+            count, edges = attach_chain(count, edges, node, 2 * n + 3, n + 2, t)
+        count, edges = attach_chain(count, edges, a_node, 2 * n + 3, n + 2, tails[0])
+        return attach_chain(count, edges, b_node, 2 * n + 3, n + 2, tails[1])
+
+    count_a, edges_a = labeled_copy(i, j)
+    count_b, edges_b = labeled_copy(j, i)
+    edges = edges_a | {(u + count_a, v + count_a) for u, v in edges_b}
+    return count_a + count_b, {(min(u, v), max(u, v)) for u, v in edges}
+
+
 class TestBuildQuery:
     def test_node_count_always_admissible(self):
         for n in range(2, 7):
@@ -217,6 +291,16 @@ class TestBuildQuery:
         assert len(auts) == 2
         assert is_fpf_involution(auts.nontrivial()[0])
 
+    def test_matches_chain_by_chain_construction(self):
+        # every query of the path scans on 2..8 nodes, against the earlier
+        # construction that built a new graph for every chain
+        for n in range(2, 9):
+            for i in range(n, 0, -1):
+                for j in range(i + 1, n + 1):
+                    count, edges = chain_by_chain_query(n, path(n).edges, list(range(1, i)), i, j)
+                    q = build_query(path(n), list(range(1, i)), i, j)
+                    assert (q.node_count, q.edges) == (count, edges)
+
     def test_rejects_degenerate_arguments(self):
         with pytest.raises(ValueError):
             build_query(K3, [], 1, 1)
@@ -245,6 +329,15 @@ class TestOracle:
     def test_promise_violation_on_bad_node_count(self):
         with pytest.raises(PromiseViolation):
             unique_ga_ff_oracle(Graph(4, frozenset()))
+
+    def test_search_stops_at_a_third_automorphism(self):
+        # the edgeless 14-node graph has 14! automorphisms; three suffice
+        edgeless = Graph(14, frozenset())
+        for check in (unique_ga_ff_oracle, lambda g: PromiseInstance(g).aut_elements()):
+            start = time.perf_counter()
+            with pytest.raises(PromiseViolation, match="the promise allows at most 2"):
+                check(edgeless)
+            assert time.perf_counter() - start < 1.0
 
     def test_promise_violation_on_fixed_point_automorphism(self):
         # path 1-2-3 next to a rigid 7-node graph: 10 nodes, and the unique
