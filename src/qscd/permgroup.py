@@ -10,7 +10,9 @@ n = 2, 6, 10, ...; for those degrees every element of K_n is odd.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +24,8 @@ CYC = "cyc"
 class Permutation:
     """Immutable permutation of {1..n}, stored as the tuple of images.
 
-    ``image[i-1]`` is where point ``i`` maps.
+    ``image[i-1]`` is where point ``i`` maps. Only the constructor checks for a
+    bijection (see ``_trusted``); cycle type and powers are cached on the instance.
     """
 
     image: tuple[int, ...]
@@ -46,9 +49,32 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({list(self.image)})"
 
+    @cached_property
+    def _cycle_type(self) -> tuple[int, ...]:
+        seen, lengths = set(), []
+        for start in self.image:
+            length, point = 0, start
+            while point not in seen:
+                seen.add(point)
+                length, point = length + 1, self.image[point - 1]
+            if length:
+                lengths.append(length)
+        return tuple(sorted(lengths))
+
+    @cached_property
+    def _powers(self) -> list[Permutation]:
+        return [identity(self.n)]
+
+
+def _trusted(image: tuple[int, ...]) -> Permutation:
+    """Permutation on an image of plain ints that is a bijection by construction."""
+    perm = object.__new__(Permutation)
+    object.__setattr__(perm, "image", image)
+    return perm
+
 
 def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
+    return _trusted(tuple(range(1, n + 1)))
 
 
 def is_identity(sigma: Permutation) -> bool:
@@ -61,6 +87,8 @@ def from_cycles(n: int, cycles: list[tuple[int, ...]]) -> Permutation:
     seen: set[int] = set()
     for cycle in cycles:
         for point in cycle:
+            if not 1 <= point <= n:
+                raise ValueError(f"point {point} is not in 1..{n}")
             if point in seen:
                 raise ValueError(f"point {point} appears in two cycles")
             seen.add(point)
@@ -69,58 +97,41 @@ def from_cycles(n: int, cycles: list[tuple[int, ...]]) -> Permutation:
     return Permutation(tuple(image))
 
 
-def cycles(sigma: Permutation) -> list[tuple[int, ...]]:
-    """Nontrivial cycles, each starting at its smallest point, sorted."""
-    out = []
-    seen = [False] * sigma.n
-    for start in range(1, sigma.n + 1):
-        if seen[start - 1]:
-            continue
-        cycle = [start]
-        seen[start - 1] = True
-        point = sigma(start)
-        while point != start:
-            cycle.append(point)
-            seen[point - 1] = True
-            point = sigma(point)
-        if len(cycle) > 1:
-            out.append(tuple(cycle))
-    return out
-
-
 def cycle_type(sigma: Permutation) -> tuple[int, ...]:
-    """Sorted cycle lengths including fixed points."""
-    lengths = [len(c) for c in cycles(sigma)]
-    lengths.extend([1] * (sigma.n - sum(lengths)))
-    return tuple(sorted(lengths))
-
-
-def _check_same_degree(a: Permutation, b: Permutation) -> None:
-    if a.n != b.n:
-        raise ValueError(f"degree mismatch: {a.n} vs {b.n}")
+    """Sorted cycle lengths including fixed points (cached on sigma)."""
+    return sigma._cycle_type
 
 
 def compose(sigma: Permutation, tau: Permutation) -> Permutation:
     """(sigma tau)(i) = sigma(tau(i)); right-multiplying sigma by pi is compose(sigma, pi)."""
-    _check_same_degree(sigma, tau)
-    return Permutation(tuple(sigma.image[t - 1] for t in tau.image))
+    image = sigma.image
+    if len(image) != len(tau.image):
+        raise ValueError(f"degree mismatch: {sigma.n} vs {tau.n}")
+    return _trusted(tuple([image[t - 1] for t in tau.image]))
 
 
 def inverse(sigma: Permutation) -> Permutation:
     image = [0] * sigma.n
     for i, t in enumerate(sigma.image, start=1):
         image[t - 1] = i
-    return Permutation(tuple(image))
+    return _trusted(tuple(image))
+
+
+def powers(sigma: Permutation, count: int) -> list[Permutation]:
+    """The table sigma^0, sigma^1, ... cached on sigma, extended to at least
+    count entries, each power composed once. Do not modify it."""
+    table = sigma._powers
+    while len(table) < count:
+        table.append(compose(table[-1], sigma))
+    return table
 
 
 def perm_pow(sigma: Permutation, r: int) -> Permutation:
     """sigma composed with itself r times (r >= 0)."""
     if r < 0:
         raise ValueError("negative power not supported")
-    out = identity(sigma.n)
-    for _ in range(r):
-        out = compose(out, sigma)
-    return out
+    r %= math.lcm(*cycle_type(sigma))
+    return powers(sigma, r + 1)[r]
 
 
 def sign(sigma: Permutation) -> int:
@@ -130,7 +141,6 @@ def sign(sigma: Permutation) -> int:
 
 def conjugate(pi: Permutation, tau: Permutation) -> Permutation:
     """tau^-1 pi tau; preserves cycle type, so maps K_n into K_n."""
-    _check_same_degree(pi, tau)
     return compose(compose(inverse(tau), pi), tau)
 
 
@@ -185,7 +195,7 @@ class SecurityParam:
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    return Permutation(tuple(int(x) + 1 for x in rng.permutation(n)))
+    return _trusted(tuple((rng.permutation(n) + 1).tolist()))
 
 
 def sample_fpf_involution(param: SecurityParam, rng: np.random.Generator) -> Permutation:
@@ -204,7 +214,7 @@ def sample_fpf_involution(param: SecurityParam, rng: np.random.Generator) -> Per
         b = unmatched.pop(int(rng.integers(len(unmatched))))
         image[a - 1] = b
         image[b - 1] = a
-    return Permutation(tuple(image))
+    return _trusted(tuple(image))
 
 
 def sample_cyclic(param: SecurityParam, rng: np.random.Generator) -> Permutation:
@@ -216,13 +226,13 @@ def sample_cyclic(param: SecurityParam, rng: np.random.Generator) -> Permutation
     """
     if param.kind != CYC:
         raise ValueError("sample_cyclic needs a cyc parameter")
-    points = [int(x) + 1 for x in rng.permutation(param.n)]
+    points = (rng.permutation(param.n) + 1).tolist()
     image = [0] * param.n
     for start in range(0, param.n, param.m):
         block = points[start:start + param.m]
         for a, b in zip(block, block[1:] + block[:1]):
             image[a - 1] = b
-    return Permutation(tuple(image))
+    return _trusted(tuple(image))
 
 
 def fpf_involutions(n: int) -> list[Permutation]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permgroup import Permutation, is_cyclic_class, perm_pow, random_permutation
+from .permgroup import Permutation, is_cyclic_class, powers, random_permutation
 from .qstate import SparseState
 
 PLUS = "plus"
@@ -97,8 +97,8 @@ def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> PureSa
         raise ValueError(f"symbol {s} out of range for modulus {m}")
     scale = 1.0 / math.sqrt(m)
     amps = {
-        (0, perm_pow(pi, t)): scale * cmath.exp(2j * math.pi * s * t / m)
-        for t in range(m)
+        (0, power): scale * cmath.exp(2j * math.pi * s * t / m)
+        for t, power in enumerate(powers(pi, m)[:m])
     }
     state = SparseState(pi.n, 1, amps)
     sigma = random_permutation(pi.n, rng)

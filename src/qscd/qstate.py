@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .permgroup import (
     compose,
     format_permutation,
     parse_permutation,
-    perm_pow,
+    powers,
     sign,
 )
 
@@ -52,18 +55,21 @@ class SparseState:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 and m >= 1")
-        pruned: dict[BasisVector, complex] = {}
-        for (control, perm), amp in self.amps.items():
+        # The copy reuses the stored hashes; editing in place keeps the order.
+        amps = dict(self.amps)
+        for key, amp in self.amps.items():
+            control, perm = key
             if not 0 <= control < self.m:
                 raise ValueError(f"control {control} out of range for modulus {self.m}")
-            if perm.n != self.n:
+            if len(perm.image) != self.n:
                 raise ValueError(f"degree mismatch: state {self.n}, entry {perm.n}")
-            amp = complex(amp)
-            if abs(amp) >= PRUNE_TOL:
-                pruned[(control, perm)] = amp
-        object.__setattr__(self, "amps", pruned)
+            if type(amp) is not complex:
+                amp = amps[key] = complex(amp)
+            if abs(amp) < PRUNE_TOL:  # NaN is kept, and fails the norm check
+                del amps[key]
+        object.__setattr__(self, "amps", amps)
         norm = self.norm()
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} not 1 within {NORM_TOL}")
 
     def norm(self) -> float:
@@ -80,23 +86,27 @@ class SparseState:
         """
         if direction not in ("forward", "inverse"):
             raise ValueError(f"unknown direction {direction!r}")
-        sgn = 1 if direction == "forward" else -1
-        roots = [cmath.exp(sgn * 2j * math.pi * k / self.m) for k in range(self.m)]
-        scale = 1.0 / math.sqrt(self.m)
-        out: dict[BasisVector, complex] = {}
+        rows, scale = _fourier_table(self.m, direction)
+        # Grouped by permutation; each amplitude sums its terms in stored order.
+        groups: dict[tuple[int, ...], tuple[Permutation, list]] = {}
         for (r, perm), amp in self.amps.items():
+            groups.setdefault(perm.image, (perm, []))[1].append((rows[r], amp))
+        out: dict[BasisVector, complex] = {}
+        for perm, terms in groups.values():
             for r2 in range(self.m):
-                key = (r2, perm)
-                out[key] = out.get(key, 0j) + amp * roots[(r * r2) % self.m] * scale
+                total = 0j
+                for row, amp in terms:
+                    total = total + amp * row[r2] * scale
+                out[(r2, perm)] = total
         return SparseState(self.n, self.m, out)
 
     def controlled_power(self, pi: Permutation) -> SparseState:
         """|r>|sigma> -> |r>|sigma pi^r>."""
         if pi.n != self.n:
             raise ValueError(f"degree mismatch: state {self.n}, pi {pi.n}")
-        powers = [perm_pow(pi, r) for r in range(self.m)]
+        table = powers(pi, self.m)
         out = {
-            (r, compose(perm, powers[r])): amp
+            (r, compose(perm, table[r])): amp
             for (r, perm), amp in self.amps.items()
         }
         return SparseState(self.n, self.m, out)
@@ -136,8 +146,8 @@ class SparseState:
 
     def measure_control(self, rng: np.random.Generator) -> tuple[int, SparseState]:
         """Measure the control register; returns (outcome, collapsed state)."""
-        probs = np.array(self.control_probabilities())
-        outcome = int(rng.choice(self.m, p=probs / probs.sum()))
+        probs = self.control_probabilities()
+        outcome = _born_draw(probs, rng)
         weight = math.sqrt(probs[outcome])
         out = {
             key: amp / weight
@@ -149,9 +159,7 @@ class SparseState:
     def measure_full(self, rng: np.random.Generator) -> tuple[int, Permutation]:
         """Full computational-basis measurement with Born probabilities."""
         keys = sorted(self.amps, key=lambda k: (k[0], k[1].image))
-        probs = np.array([abs(self.amps[k]) ** 2 for k in keys])
-        idx = int(rng.choice(len(keys), p=probs / probs.sum()))
-        return keys[idx]
+        return keys[_born_draw([abs(self.amps[k]) ** 2 for k in keys], rng)]
 
     def to_text(self) -> str:
         """Serialize; one ``control re im n: i1 ... in`` line per entry."""
@@ -164,6 +172,8 @@ class SparseState:
     @classmethod
     def from_text(cls, text: str) -> SparseState:
         lines = [line for line in text.splitlines() if line.strip()]
+        if not lines:
+            raise ValueError("empty state text: no QSTATE header")
         header = lines[0].split()
         if len(header) != 4 or header[0] != "QSTATE":
             raise ValueError(f"bad state header: {lines[0]!r}")
@@ -176,8 +186,28 @@ class SparseState:
             key = (int(control_s), parse_permutation(perm_s))
             if key in amps:
                 raise ValueError(f"duplicate entry for {key}")
-            amps[key] = complex(float(re_s), float(im_s))
+            amps[key] = amp = complex(float(re_s), float(im_s))
+            if not cmath.isfinite(amp):
+                raise ValueError(f"amplitude is not finite: {line!r}")
         return cls(n, m, amps)
+
+
+@cache
+def _fourier_table(m: int, direction: str) -> tuple[tuple[tuple[complex, ...], ...], float]:
+    """Rows w^(r r') for r, r' in Z_m, and the scale 1/sqrt(m)."""
+    sgn = 1 if direction == "forward" else -1
+    rows = tuple(
+        tuple(cmath.exp(sgn * 2j * math.pi * (r * r2 % m) / m) for r2 in range(m)) for r in range(m)
+    )
+    return rows, 1.0 / math.sqrt(m)
+
+
+def _born_draw(weights: list[float], rng: np.random.Generator) -> int:
+    """Index drawn by weight exactly as ``rng.choice(len(w), p=w / w.sum())`` draws
+    it: numpy's pairwise total, the normalized cumsum, one ``rng.random()``."""
+    total = float(np.add.reduce(weights))
+    cdf = list(accumulate([w / total for w in weights]))
+    return bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
 def basis_state(control: int, sigma: Permutation, m: int) -> SparseState:

@@ -55,6 +55,28 @@ class TestKeyFlow:
         )
         assert code == 0 and "decrypted=2" in out
 
+    def test_malformed_ciphertexts_exit_2(self, tmp_path, capsys):
+        key = tmp_path / "key.txt"
+        ct = tmp_path / "ct.txt"
+        run_cli(capsys, "keygen", "--mode", "ff", "--n", "6", "--seed", "1", "--out", str(key))
+        run_cli(
+            capsys, "encrypt", "--key", str(key), "--message", "1", "--seed", "2",
+            "--out", str(ct),
+        )
+        head, state_header, *entries = ct.read_text().splitlines()
+        nan_entry = "0 nan 0 6: 1 2 3 4 5 6"
+        bad = {
+            "empty": f"{head}\n",
+            "nan": "\n".join([head, state_header.replace(" 2", " 3"), *entries, nan_entry]) + "\n",
+        }
+        for name, text in bad.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text)
+            code, out = run_cli(
+                capsys, "decrypt", "--key", str(key), "--ciphertext", str(path), "--seed", "3"
+            )
+            assert code == 2 and out.startswith("error:"), (name, out)
+
 
 class TestDemo:
     def test_ff_transcript_ends_with_match(self, capsys):

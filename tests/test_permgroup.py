@@ -16,10 +16,13 @@ from qscd.permgroup import (
     from_cycles,
     identity,
     inverse,
+    is_cyclic_class,
     is_ff_degree,
     is_fpf_involution,
     parse_permutation,
     perm_pow,
+    powers,
+    random_permutation,
     sample_cyclic,
     sample_fpf_involution,
     sign,
@@ -112,6 +115,74 @@ class TestSign:
     @given(perms6)
     def test_inverse_same_sign(self, sigma):
         assert sign(sigma) == sign(inverse(sigma))
+
+
+class TestTrustedResults:
+    """Results built without re-validation are still plain, valid permutations."""
+
+    def plain(self, p):
+        return type(p.image) is tuple and all(type(x) is int for x in p.image)
+
+    def test_images_are_plain_ints(self):
+        rng = np.random.default_rng(30)
+        sigma = random_permutation(7, rng)
+        tau = random_permutation(7, rng)
+        made = [
+            sigma,
+            compose(sigma, tau),
+            inverse(sigma),
+            identity(7),
+            conjugate(sigma, tau),
+            perm_pow(sigma, 3),
+            sample_fpf_involution(SecurityParam.ff(6), rng),
+            sample_cyclic(SecurityParam.cyc(6, 3), rng),
+        ]
+        for p in made:
+            assert self.plain(p), p
+            assert sorted(p.image) == list(range(1, p.n + 1))
+            assert p == Permutation(p.image)
+            assert repr(p) == "Permutation([" + ", ".join(str(x) for x in p.image) + "])"
+
+    def test_public_constructors_still_validate(self):
+        with pytest.raises(ValueError):
+            Permutation((1, 1))
+        with pytest.raises(ValueError):
+            compose(identity(3), from_cycles(4, [(1, 2)]))
+        with pytest.raises(ValueError):
+            from_cycles(3, [(1, 4)])
+        with pytest.raises(ValueError):
+            from_cycles(3, [(0, 1)])
+        with pytest.raises(ValueError):
+            parse_permutation("2: 2 2")
+
+    def test_cached_data_leaves_eq_hash_repr_alone(self):
+        pi = from_cycles(6, [(1, 2, 3), (4, 5, 6)])
+        fresh = Permutation(pi.image)
+        before = (hash(pi), repr(pi))
+        assert is_cyclic_class(pi, 3) and sign(pi) == 0 and cycle_type(pi) == (3, 3)
+        assert perm_pow(pi, 2) == from_cycles(6, [(1, 3, 2), (4, 6, 5)])
+        assert "_powers" in vars(pi) and "_cycle_type" in vars(pi)
+        assert "_powers" not in vars(fresh)
+        assert pi == fresh and fresh == pi
+        assert (hash(pi), repr(pi)) == before == (hash(fresh), repr(fresh))
+        assert {pi: 1}[fresh] == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(perms6, st.integers(0, 40))
+    def test_powers_match_repeated_composition(self, sigma, count):
+        # Composition on plain tuples, independent of the cached table.
+        expected, image = [], tuple(range(1, 7))
+        for _ in range(count):
+            expected.append(image)
+            image = tuple(image[t - 1] for t in sigma.image)
+        assert [p.image for p in powers(sigma, count)[:count]] == expected
+        assert [perm_pow(sigma, r).image for r in range(count)] == expected
+
+    def test_power_table_stops_at_the_order(self):
+        pi = from_cycles(6, [(1, 2, 3), (4, 5)])
+        assert perm_pow(pi, 6 * 10**9 + 1) == pi
+        assert len(vars(pi)["_powers"]) <= 6
+        assert perm_pow(identity(4), 12345) == identity(4)
 
 
 class TestSecurityParam:

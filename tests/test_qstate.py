@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qscd.permgroup import Permutation, compose, conjugate, from_cycles, identity
-from qscd.qstate import SparseState, basis_state, inner_product, states_equal
+from qscd.qstate import SparseState, _born_draw, basis_state, inner_product, states_equal
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -287,3 +289,142 @@ class TestSerialization:
     def test_rejects_entry_count_mismatch(self):
         with pytest.raises(ValueError):
             SparseState.from_text("QSTATE 2 1 2\n0 1 0 2: 1 2\n")
+
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\n"])
+    def test_rejects_empty_text(self, text):
+        with pytest.raises(ValueError, match="empty"):
+            SparseState.from_text(text)
+
+    @pytest.mark.parametrize("re_s, im_s", [("nan", "0"), ("0", "nan"), ("inf", "0"), ("0", "-inf")])
+    def test_rejects_non_finite_amplitudes(self, re_s, im_s):
+        # Without the check a NaN entry would be pruned and the rest accepted.
+        text = f"QSTATE 2 1 2\n0 1 0 2: 1 2\n0 {re_s} {im_s} 2: 2 1\n"
+        with pytest.raises(ValueError, match="not finite"):
+            SparseState.from_text(text)
+
+
+class TestNonFiniteAmplitudes:
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, float("nan"))])
+    def test_constructor_refuses(self, bad):
+        with pytest.raises(ValueError, match="norm"):
+            SparseState(2, 1, {(0, identity(2)): 1.0, (0, Permutation((2, 1))): bad})
+
+
+class TestBornDraw:
+    """_born_draw must draw exactly as Generator.choice with p = w / w.sum()."""
+
+    def test_matches_generator_choice(self):
+        # Lengths from 8 up, where numpy sums pairwise rather than in order,
+        # included; zero weights and weights of very different scales too.
+        # The two generators must stay in step after every draw.
+        for seed in range(2000):
+            weights_rng = np.random.default_rng([seed, 1])
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            for length in range(1, 41):
+                weights = weights_rng.random(length) ** 3 * 10.0 ** weights_rng.integers(-6, 6)
+                if length > 1 and seed % 5 == 0:
+                    weights[weights_rng.integers(length)] = 0.0
+                got = _born_draw(weights.tolist(), ours)
+                want = int(numpys.choice(length, p=weights / weights.sum()))
+                assert got == want, (seed, length)
+                assert ours.random() == numpys.random(), (seed, length)
+
+    def test_boundaries_match_numpy_arithmetic(self):
+        # A uniform draw that lands exactly on a cumulative boundary tells
+        # cumulative sums apart that differ in the last bit.
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        for seed in range(100):
+            weights_rng = np.random.default_rng([seed, 2])
+            for length in range(1, 41):
+                weights = weights_rng.random(length) ** 3
+                cdf = (weights / weights.sum()).cumsum()
+                cdf /= cdf[-1]
+                for u in cdf:
+                    want = int(cdf.searchsorted(u, side="right"))
+                    assert _born_draw(weights.tolist(), Fixed(float(u))) == want, (seed, length)
+
+
+# Random small states over n = 6 with a control register over Z_m.
+@st.composite
+def small_states(draw, ms=(2, 3, 6)):
+    m = draw(st.sampled_from(ms))
+    images = draw(st.lists(st.permutations(range(1, 7)), min_size=1, max_size=6, unique_by=tuple))
+    amps = {}
+    for image in images:
+        control = draw(st.integers(0, m - 1))
+        size = draw(st.floats(0.05, 1.0))
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        amps[(control, Permutation(tuple(image)))] = size * cmath.exp(1j * angle)
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return SparseState(6, m, {k: a / norm for k, a in amps.items()})
+
+
+KEYS6 = {2: PI6, 3: from_cycles(6, [(1, 2, 3), (4, 5, 6)]), 6: from_cycles(6, [(1, 3, 5, 2, 4, 6)])}
+
+
+def operations(state):
+    """Every state operation applied to the state, by name."""
+    tau = from_cycles(6, [(1, 4, 2), (3, 6)])
+    moved = {
+        "forward": state.fourier_control("forward"),
+        "inverse": state.fourier_control("inverse"),
+        "controlled key": state.controlled_power(KEYS6[state.m]),
+        "controlled other": state.controlled_power(tau),
+        "sign": state.phase_by_sign(),
+        "left": state.translate(tau, "left"),
+        "right": state.translate(tau, "right"),
+        "collapse": state.measure_control(np.random.default_rng(0))[1],
+    }
+    return moved
+
+
+class TestStateProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(small_states())
+    def test_inverse_fourier_undoes_forward(self, state):
+        back = state.fourier_control("forward").fourier_control("inverse")
+        assert states_equal(back, state)
+        back = state.fourier_control("inverse").fourier_control("forward")
+        assert states_equal(back, state)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_states())
+    def test_operations_preserve_norm(self, state):
+        for name, moved in operations(state).items():
+            assert abs(moved.norm() - 1.0) <= 1e-9, name
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_states())
+    def test_support_grows_at_most_m_fold(self, state):
+        for name, moved in operations(state).items():
+            assert len(moved.amps) <= state.m * len(state.amps), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_states())
+    def test_fourier_matches_entrywise_sum(self, state):
+        # Reference: one entry at a time, each term added as it comes.
+        m, scale = state.m, 1.0 / math.sqrt(state.m)
+        for direction, sgn in (("forward", 1), ("inverse", -1)):
+            roots = [cmath.exp(sgn * 2j * math.pi * k / m) for k in range(m)]
+            out = {}
+            for (r, perm), amp in state.amps.items():
+                for r2 in range(m):
+                    out[(r2, perm)] = out.get((r2, perm), 0j) + amp * roots[r * r2 % m] * scale
+            want = SparseState(state.n, m, out)
+            got = state.fourier_control(direction)
+            assert list(got.amps.items()) == list(want.amps.items())
+            assert got.to_text() == want.to_text()
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_states(ms=(1, 2, 3, 6)))
+    def test_text_roundtrip_is_exact(self, state):
+        back = SparseState.from_text(state.to_text())
+        assert (back.n, back.m) == (state.n, state.m)
+        assert back.amps == state.amps
+        assert back.to_text() == state.to_text()
