@@ -2,7 +2,9 @@
 
 Every randomized subcommand requires --seed, and identical (argv, seed)
 produce byte-identical output. Exit codes: 0 success, 2 usage error,
-3 promise violation, 4 tolerance or roundtrip failure.
+3 promise violation, 4 tolerance or roundtrip failure, 5 internal error
+(any other exception inside a command, such as MemoryError), reported as
+one ``internal-error: <Type>: <message>`` line.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PROMISE = 3
 EXIT_TOLERANCE = 4
+EXIT_INTERNAL = 5
 
 
 def _params_from_args(args) -> SecurityParam:
@@ -266,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed(p)
     p.set_defaults(func=cmd_demo)
 
-    p = sub.add_parser("ga", help="brute-force automorphism-existence decision")
+    p = sub.add_parser("ga", help="automorphism count and existence decision by refinement search")
     p.add_argument("--graph", required=True, help="graph file: 'n m' then 'u v' lines")
     p.add_argument("--limit", type=int, default=40, help="node limit for the search")
     p.set_defaults(func=cmd_ga)
@@ -324,6 +327,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}")
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal-error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -10,11 +10,10 @@ instance into coset-superposition draws over S_n.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import groupby, islice
-from operator import itemgetter
+from itertools import islice
 
 import numpy as np
 
@@ -63,6 +62,14 @@ class Graph:
             adj[u - 1].add(v - 1)
             adj[v - 1].add(u - 1)
         return adj
+
+
+def _trusted_graph(node_count: int, edges: frozenset[tuple[int, int]]) -> Graph:
+    """Graph whose edges are in range and canonical (u < v) by construction."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "node_count", node_count)
+    object.__setattr__(g, "edges", edges)
+    return g
 
 
 def apply_perm(sigma: Permutation, g: Graph) -> Graph:
@@ -164,17 +171,30 @@ def _refined_cells(adj: list[set[int]]) -> tuple[list[set[int]], list[int]]:
         for u in cells[s]:
             for w in adj[u]:
                 hits[w] = hits.get(w, 0) + 1
-        touched: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for w, k in hits.items():
-            touched[colors[w], k].append(w)
-        for c, keys in groupby(sorted(touched), key=itemgetter(0)):
-            moved = [touched[key] for key in keys]
-            if sum(map(len, moved)) < len(cells[c]):
-                cells[c].difference_update(*moved)
-            elif len(moved) > 1:
-                cells[c] = set(moved.pop(0))
+        touched: dict[int, list[int]] = {}
+        for w in hits:
+            c = colors[w]
+            if c in touched:
+                touched[c].append(w)
             else:
-                continue
+                touched[c] = [w]
+        for c in sorted(touched):
+            ws = touched[c]
+            counts = {hits[w] for w in ws}
+            if len(counts) == 1:
+                if len(ws) == len(cells[c]):
+                    continue
+                moved = [ws]
+            else:
+                by_count: dict[int, list[int]] = {k: [] for k in sorted(counts)}
+                for w in ws:
+                    by_count[hits[w]].append(w)
+                moved = list(by_count.values())
+            # untouched vertices keep c; else the smallest count keeps it
+            if len(ws) < len(cells[c]):
+                cells[c].difference_update(ws)
+            else:
+                cells[c] = set(moved.pop(0))
             pieces = [c]
             for part in moved:
                 pieces.append(len(cells))
@@ -182,7 +202,8 @@ def _refined_cells(adj: list[set[int]]) -> tuple[list[set[int]], list[int]]:
                 for w in part:
                     colors[w] = pieces[-1]
             if c not in queued:
-                pieces.remove(max(pieces, key=lambda p: len(cells[p])))
+                sizes = [len(cells[p]) for p in pieces]
+                del pieces[sizes.index(max(sizes))]
             for p in pieces:
                 if p not in queued:
                     queued.add(p)
@@ -197,12 +218,19 @@ def iter_automorphisms(g: Graph, node_limit: int = 40) -> Iterator[Permutation]:
     first from a vertex of each component's smallest class, so that every
     vertex after a root takes its candidates from the neighbours of its
     anchor's image. A caller that needs only a few elements asks for no more.
+
+    A discrete refinement, one vertex per cell, yields the identity alone
+    without a search: cells are numbered by parent cell and neighbour count,
+    never by vertex name, so every automorphism fixes every cell.
     """
     n = g.node_count
     if n > node_limit:
         raise ValueError(f"{n} nodes exceeds the configured limit {node_limit}")
     adj = g.adjacency()
     members, colors = _refined_cells(adj)
+    if len(members) == n:
+        yield identity(n)
+        return
     order: list[int] = []
     pos: dict[int, int] = {}
     anchor = [-1] * n
@@ -338,7 +366,7 @@ def build_query(g: Graph, fixed: list[int], i: int, j: int) -> Graph:
         count = _hang_label(edges, b_node + shift, count, n, tails[1])
     if count % 4 != 2:
         raise AssertionError(f"padding failed: {count} nodes is not 2 mod 4")
-    return Graph(count, frozenset(edges))
+    return _trusted_graph(count, frozenset(edges))
 
 
 def unique_ga_ff_oracle(g: Graph, node_limit: int = 4000) -> int:

@@ -30,6 +30,9 @@ from .qstate import SparseState
 
 TupleSource = Callable[[np.random.Generator], SampleTuple]
 
+# Trials whose generators estimate_advantage spawns at once.
+SPAWN_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class DistinguisherReport:
@@ -237,13 +240,16 @@ def estimate_advantage(
     """Empirical acceptance gap of a distinguisher between two tuple sources.
 
     Every trial runs on its own generator spawned from ``rng``, so the
-    aggregate is independent of trial order.
+    aggregate is independent of trial order. The generators are spawned
+    SPAWN_CHUNK trials at a time, which gives the same children as one
+    spawn of all of them while memory stays flat in the trial count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    children = rng.spawn(2 * trials)
     acc0 = acc1 = 0
-    for gen_a, gen_b in zip(children[0::2], children[1::2]):
-        acc0 += dist(source_a(gen_a).states(), gen_a)
-        acc1 += dist(source_b(gen_b).states(), gen_b)
+    for start in range(0, trials, SPAWN_CHUNK):
+        children = rng.spawn(2 * min(SPAWN_CHUNK, trials - start))
+        for gen_a, gen_b in zip(children[0::2], children[1::2]):
+            acc0 += dist(source_a(gen_a).states(), gen_a)
+            acc1 += dist(source_b(gen_b).states(), gen_b)
     return DistinguisherReport(trials, trials, acc0, acc1, confidence)

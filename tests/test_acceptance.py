@@ -7,6 +7,8 @@ selftest command and this module exercise identical code.
 
 import time
 
+import pytest
+
 from qscd.selftest import (
     criterion_attack,
     criterion_blindness,
@@ -21,6 +23,9 @@ from qscd.selftest import (
 )
 
 SEED = 20260810
+# Further seeds for criteria 1-9 at the same thresholds, in the slow mark,
+# which the default run deselects: pytest -m slow
+EXTRA_SEEDS = (1, 2, 3)
 
 
 def report(number: int, name: str, ok: bool, detail: str, elapsed: float | None = None) -> None:
@@ -82,3 +87,25 @@ def test_criterion_10_selftest_determinism():
     report(10, "selftest-determinism", ok, f"bytes={len(first)} identical={first == second}")
     assert ok_first and ok_second
     assert first == second
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", EXTRA_SEEDS)
+@pytest.mark.parametrize(
+    "number, fn",
+    [
+        (1, criterion_trapdoor),
+        (2, criterion_multibit),
+        (3, criterion_coincidence),
+        (4, criterion_conjugation),
+        (5, criterion_koebler),
+        (6, criterion_labels),
+        (7, criterion_attack),
+        (8, criterion_hybrid),
+        (9, criterion_blindness),
+    ],
+)
+def test_criterion_on_extra_seed(number, fn, seed):
+    ok, detail = fn(seed)
+    report(number, f"seed-{seed}", ok, detail)
+    assert ok, detail

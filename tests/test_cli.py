@@ -1,6 +1,7 @@
 import time
 from pathlib import Path
 
+from qscd import cli
 from qscd.cli import run
 from qscd.graphauto import Graph, format_graph
 from qscd.pkc import KeyPair, format_key
@@ -238,6 +239,19 @@ class TestErrors:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert run(["ga", "--graph", "/nonexistent/g.txt"]) == 2
+
+    def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        graph = write_graph(tmp_path / "g.txt", RIGID6)
+        for exc in (RuntimeError("search state lost"), MemoryError()):
+
+            def failing(args, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli, "cmd_ga", failing)
+            assert run(["ga", "--graph", graph]) == 5
+            captured = capsys.readouterr()
+            assert captured.out.splitlines() == [f"internal-error: {type(exc).__name__}: {exc}"]
+            assert captured.err == ""
 
     def test_bad_parameters(self, capsys):
         code, out = run_cli(

@@ -1,10 +1,14 @@
 import itertools
 import time
+from collections import defaultdict, deque
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
 from qscd.graphauto import (
+    _refined_cells,
     Graph,
     PromiseInstance,
     PromiseViolation,
@@ -17,6 +21,7 @@ from qscd.graphauto import (
     disjoint_union,
     format_graph,
     is_connected,
+    iter_automorphisms,
     koebler_reduce,
     parse_graph,
     unique_ga_ff_oracle,
@@ -179,6 +184,100 @@ class TestAutomorphisms:
         assert len(auts) == 6
         assert len(auts.pointwise_stabilizer(1)) == 2
         assert len(auts.pointwise_stabilizer(2)) == 1
+
+
+def scan_queries(g):
+    """Every query of koebler_reduce's full scan of g (an oracle that never says YES)."""
+    queries = []
+    koebler_reduce(g, oracle=lambda q: queries.append(q) or 0)
+    return queries
+
+
+@pytest.fixture(scope="module")
+def scanned_queries():
+    # the scans of the paths on 2..14 nodes and of every graph on up to 4 nodes
+    bases = [path(n) for n in range(2, 15)]
+    bases.extend(g for n in range(1, 5) for g in all_graphs(n))
+    return [q for g in bases for q in scan_queries(g)]
+
+
+def refined_cells_reference(adj):
+    """The splitter loop as it was, grouping each step through a sorted list."""
+    cells = [set(range(len(adj)))]
+    colors = [0] * len(adj)
+    pending, queued = deque([0]), {0}
+    while pending:
+        s = pending.popleft()
+        queued.discard(s)
+        hits: dict[int, int] = {}
+        for u in cells[s]:
+            for w in adj[u]:
+                hits[w] = hits.get(w, 0) + 1
+        touched: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for w, k in hits.items():
+            touched[colors[w], k].append(w)
+        for c, keys in groupby(sorted(touched), key=itemgetter(0)):
+            moved = [touched[key] for key in keys]
+            if sum(map(len, moved)) < len(cells[c]):
+                cells[c].difference_update(*moved)
+            elif len(moved) > 1:
+                cells[c] = set(moved.pop(0))
+            else:
+                continue
+            pieces = [c]
+            for part in moved:
+                pieces.append(len(cells))
+                cells.append(set(part))
+                for w in part:
+                    colors[w] = pieces[-1]
+            if c not in queued:
+                pieces.remove(max(pieces, key=lambda p: len(cells[p])))
+            for p in pieces:
+                if p not in queued:
+                    queued.add(p)
+                    pending.append(p)
+    return cells, colors
+
+
+# The Frucht graph: cubic, so refinement leaves one cell, and rigid.
+FRUCHT = Graph(12, frozenset({
+    (1, 2), (1, 7), (1, 8), (2, 3), (2, 8), (3, 4), (3, 9), (4, 5), (4, 10),
+    (5, 6), (5, 10), (6, 7), (6, 11), (7, 11), (8, 12), (9, 10), (9, 12), (11, 12),
+}))
+
+
+class TestRefinement:
+    def test_matches_reference_loop_on_scan_queries(self, scanned_queries):
+        # n(n-1)/2 queries a scan: 455 for the paths, 410 for the small graphs
+        assert len(scanned_queries) == 865
+        for q in scanned_queries:
+            adj = q.adjacency()
+            assert _refined_cells(adj) == refined_cells_reference(adj)
+
+    def test_single_cell_rigid_graph_is_still_searched(self):
+        cells, _ = _refined_cells(FRUCHT.adjacency())
+        assert len(cells) == 1
+        assert [p.image for p in iter_automorphisms(FRUCHT)] == [identity(12).image]
+
+    def test_discrete_refinement_means_rigid(self):
+        # every graph on 1..5 nodes (only the 1-node one refines to single
+        # vertices, as every other one has a symmetry), every 97th graph on 6
+        # nodes and the frozen 6- and 7-node witnesses, against brute force
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+        graphs.extend(itertools.islice(all_graphs(6), 0, None, 97))
+        graphs.extend((RIGID6, RIGID7A, RIGID7B))
+        discrete = 0
+        for g in graphs:
+            cells, _ = _refined_cells(g.adjacency())
+            if len(cells) == g.node_count:
+                discrete += 1
+                assert len(brute_automorphisms(g.node_count, g.edges)) == 1
+                assert [p.image for p in iter_automorphisms(g)] == [identity(g.node_count).image]
+        assert discrete > 10
+
+    def test_query_graphs_equal_public_construction(self, scanned_queries):
+        for q in scanned_queries:
+            assert Graph(q.node_count, q.edges) == q
 
 
 class TestAttachLabel:

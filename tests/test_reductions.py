@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qscd.permgroup import from_cycles, fpf_involutions
 from qscd.qscdff import SampleTuple, gen_plus
 from qscd.qstate import states_equal
 from qscd.reductions import (
+    SPAWN_CHUNK,
     AttackParams,
     DistinguisherReport,
     basis_measure_distinguisher,
@@ -191,3 +193,38 @@ class TestEstimateAdvantage:
             estimate_advantage(
                 coin_distinguisher(), plus_source(PI6), iota_source(6), 0, np.random.default_rng(0)
             )
+
+    def test_chunked_spawn_matches_one_spawn(self):
+        # the loop as it was with every trial generator spawned at once
+        def one_spawn(dist, source_a, source_b, trials, rng):
+            children = rng.spawn(2 * trials)
+            acc0 = acc1 = 0
+            for gen_a, gen_b in zip(children[0::2], children[1::2]):
+                acc0 += dist(source_a(gen_a).states(), gen_a)
+                acc1 += dist(source_b(gen_b).states(), gen_b)
+            return DistinguisherReport(trials, trials, acc0, acc1)
+
+        trials = 2 * SPAWN_CHUNK + 37
+        for dist in (coin_distinguisher(), basis_measure_distinguisher()):
+            rng, ref_rng = np.random.default_rng(85), np.random.default_rng(85)
+            got = estimate_advantage(dist, plus_source(PI6), iota_source(6), trials, rng)
+            want = one_spawn(dist, plus_source(PI6), iota_source(6), trials, ref_rng)
+            assert got == want
+            assert rng.random() == ref_rng.random()
+            assert rng.spawn(1)[0].random() == ref_rng.spawn(1)[0].random()
+
+    def test_memory_is_flat_in_the_trial_count(self):
+        tup = plus_source(PI6)(np.random.default_rng(0))
+        peaks = []
+        for trials in (1000, 4000):
+            tracemalloc.start()
+            try:
+                estimate_advantage(
+                    coin_distinguisher(), lambda rng: tup, lambda rng: tup, trials,
+                    np.random.default_rng(86),
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one spawn of every generator peaks about 4x higher at 4000 trials
+        assert peaks[1] < 1.5 * peaks[0]
