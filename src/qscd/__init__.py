@@ -32,8 +32,8 @@ from .graphauto import (
     Graph,
     PromiseInstance,
     PromiseViolation,
-    automorphisms,
     coset_sample,
+    group_order,
     koebler_reduce,
     unique_ga_ff_oracle,
 )

@@ -11,7 +11,7 @@ instance into coset-superposition draws over S_n.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -132,29 +132,6 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-@dataclass(frozen=True)
-class AutGroup:
-    """Explicit list of automorphisms, identity included."""
-
-    elements: tuple[Permutation, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def nontrivial(self) -> list[Permutation]:
-        return [p for p in self.elements if not is_identity(p)]
-
-    def pointwise_stabilizer(self, upto: int) -> list[Permutation]:
-        """Elements fixing 1..upto pointwise."""
-        return [
-            p for p in self.elements
-            if all(p(x) == x for x in range(1, upto + 1))
-        ]
-
-
 def _refined_cells(adj: list[set[int]]) -> tuple[list[set[int]], list[int]]:
     # Coarsest equitable partition (cells, and each vertex's cell) from a
     # worklist of splitters: a splitter re-signs only the cells next to it,
@@ -211,26 +188,22 @@ def _refined_cells(adj: list[set[int]]) -> tuple[list[set[int]], list[int]]:
     return cells, colors
 
 
-def iter_automorphisms(g: Graph, node_limit: int = 40) -> Iterator[Permutation]:
-    """Yield every automorphism of g once, in search order.
-
-    Backtracks with an explicit stack over the refined partition, breadth
-    first from a vertex of each component's smallest class, so that every
-    vertex after a root takes its candidates from the neighbours of its
-    anchor's image. A caller that needs only a few elements asks for no more.
-
-    A discrete refinement, one vertex per cell, yields the identity alone
-    without a search: cells are numbered by parent cell and neighbour count,
-    never by vertex name, so every automorphism fixes every cell.
-    """
+def _search(g: Graph, node_limit: int):
+    """Refine g and fix its search order; return (order, backtrack), where
+    ``backtrack(pinned)`` yields once, in search order, each automorphism
+    mapping order[k] to pinned[k] for every k < len(pinned). The order runs
+    breadth first from a vertex of each component's smallest class, so each
+    later vertex takes its candidates from the neighbours of its anchor's
+    image. A discrete refinement leaves the order empty and yields the
+    identity alone: cells are numbered by parent cell and neighbour count,
+    never by vertex name, so automorphisms fix every cell."""
     n = g.node_count
     if n > node_limit:
         raise ValueError(f"{n} nodes exceeds the configured limit {node_limit}")
     adj = g.adjacency()
     members, colors = _refined_cells(adj)
     if len(members) == n:
-        yield identity(n)
-        return
+        return [], lambda pinned=(): iter([identity(n)])
     order: list[int] = []
     pos: dict[int, int] = {}
     anchor = [-1] * n
@@ -245,37 +218,61 @@ def iter_automorphisms(g: Graph, node_limit: int = 40) -> Iterator[Permutation]:
                 order.append(w)
     # back[k]: the neighbours of order[k] that are mapped before it
     back = [[u for u in adj[v] if pos[u] < k] for k, v in enumerate(order)]
-    mapping = [-1] * n
-    used: set[int] = set()
 
-    def candidates(k: int) -> Iterator[int]:
-        v = order[k]
-        pool = members[colors[v]] if anchor[v] < 0 else adj[mapping[anchor[v]]]
-        return iter([
-            w for w in pool
-            if colors[w] == colors[v] and w not in used
-            and all(mapping[u] in adj[w] for u in back[k])
-            and len(adj[w] & used) == len(back[k])
-        ])
+    def backtrack(pinned: Sequence[int] = ()) -> Iterator[Permutation]:
+        mapping, used = [-1] * n, set()
 
-    stack = [candidates(0)]
-    while stack:
-        v = order[len(stack) - 1]
-        used.discard(mapping[v])
-        mapping[v] = w = next(stack[-1], -1)
-        if w < 0:
-            stack.pop()
-            continue
-        used.add(w)
-        if len(stack) == n:
-            yield Permutation(tuple(x + 1 for x in mapping))
-        else:
-            stack.append(candidates(len(stack)))
+        def candidates(k: int) -> Iterator[int]:
+            v = order[k]
+            pool = members[colors[v]] if anchor[v] < 0 else adj[mapping[anchor[v]]]
+            if k < len(pinned):
+                pool = (pinned[k],)
+            return iter([
+                w for w in pool
+                if colors[w] == colors[v] and w not in used
+                and all(mapping[u] in adj[w] for u in back[k])
+                and len(adj[w] & used) == len(back[k])
+            ])
+
+        stack = [candidates(0)]
+        while stack:
+            v = order[len(stack) - 1]
+            used.discard(mapping[v])
+            mapping[v] = w = next(stack[-1], -1)
+            if w < 0:
+                stack.pop()
+                continue
+            used.add(w)
+            if len(stack) == n:
+                yield Permutation(tuple(x + 1 for x in mapping))
+            else:
+                stack.append(candidates(len(stack)))
+
+    return order, backtrack
 
 
-def automorphisms(g: Graph, node_limit: int = 40) -> AutGroup:
+def iter_automorphisms(g: Graph, node_limit: int = 40) -> Iterator[Permutation]:
+    """Yield every automorphism of g once, in search order; callers may stop early."""
+    return _search(g, node_limit)[1]()
+
+
+def automorphisms(g: Graph, node_limit: int = 40) -> list[Permutation]:
     """Complete automorphism list, sorted by image."""
-    return AutGroup(tuple(sorted(iter_automorphisms(g, node_limit), key=lambda p: p.image)))
+    return sorted(iter_automorphisms(g, node_limit), key=lambda p: p.image)
+
+
+def group_order(g: Graph, node_limit: int = 40) -> int:
+    """|Aut(g)|, never listed: the product over k of the orbit size of order[k]
+    under the automorphisms fixing order[:k]. Each w in order[k:] costs one
+    search pinned to (*order[:k], w), stopped at its first automorphism. The
+    product ends at the first k whose stabilizer is the identity alone."""
+    order, backtrack = _search(g, node_limit)
+    total = 1
+    for k in range(len(order)):
+        if len(list(islice(backtrack(order[:k]), 2))) < 2:
+            break
+        total *= sum(next(backtrack([*order[:k], w]), None) is not None for w in order[k:])
+    return total
 
 
 def _hang_label(edges: set[tuple[int, int]], node: int, count: int, n: int, tail_len: int) -> int:
@@ -289,12 +286,12 @@ def _hang_label(edges: set[tuple[int, int]], node: int, count: int, n: int, tail
     return count + 2 * n + 3 + tail_len
 
 
-def attach_label(g: Graph, node: int, label_index: int, chain_bonus: int = 0) -> Graph:
+def attach_label(g: Graph, node: int, label_index: int) -> Graph:
     """Node-distinguishing gadget: a chain of 2n+3 new nodes hung on `node`
-    plus a tail of label_index (+ chain_bonus) nodes hung on the chain's
-    (n+2)-nd node, n being the current node count.
+    plus a tail of label_index nodes hung on the chain's (n+2)-nd node, n
+    being the current node count.
 
-    Adds exactly 2n + label_index + chain_bonus + 3 nodes. Distinct indices
+    Adds exactly 2n + label_index + 3 nodes. Distinct indices
     give distinct gadget sizes, which pins each labeled node under any
     automorphism without creating new ones.
     """
@@ -303,7 +300,7 @@ def attach_label(g: Graph, node: int, label_index: int, chain_bonus: int = 0) ->
     if not 1 <= node <= g.node_count:
         raise ValueError(f"node {node} out of range")
     edges = set(g.edges)
-    count = _hang_label(edges, node, g.node_count, g.node_count, label_index + chain_bonus)
+    count = _hang_label(edges, node, g.node_count, g.node_count, label_index)
     return Graph(count, frozenset(edges))
 
 

@@ -194,6 +194,8 @@ def ga_attack(
     instead: one challenge draw (plus on one side, minus on the other)
     followed by that many plus draws standing in for encryption-key copies.
     """
+    if l_key_copies is not None and l_key_copies < 0:
+        raise ValueError("need l >= 0")
     inst = g if isinstance(g, PromiseInstance) else PromiseInstance(g)
 
     def make_tuple(mode: str) -> SampleTuple:

@@ -1,3 +1,4 @@
+import math
 import time
 from pathlib import Path
 
@@ -109,6 +110,21 @@ class TestGraphCommands:
         code, out = run_cli(capsys, "ga", "--graph", rigid)
         assert code == 0 and out.strip().splitlines()[-1] == "NO"
 
+    def test_ga_counts_edgeless_graphs_up_to_the_limit(self, tmp_path, capsys):
+        # 10! and 40! elements, counted without listing them
+        ten = write_graph(tmp_path / "empty10.txt", Graph(10, frozenset()))
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "ga", "--graph", ten)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out == "nodes=10 edges=0 automorphisms=3628800\nYES\n"
+        forty = write_graph(tmp_path / "empty40.txt", Graph(40, frozenset()))
+        code, out = run_cli(capsys, "ga", "--graph", forty)
+        assert code == 0
+        assert out.splitlines()[0] == f"nodes=40 edges=0 automorphisms={math.factorial(40)}"
+        over = write_graph(tmp_path / "empty41.txt", Graph(41, frozenset()))
+        code, out = run_cli(capsys, "ga", "--graph", over)
+        assert code == 2 and out.startswith("error:")
+
     def test_reduce_ga_on_single_edge(self, tmp_path, capsys):
         k2 = write_graph(tmp_path / "k2.txt", Graph(2, frozenset({(1, 2)})))
         code, out = run_cli(capsys, "reduce-ga", "--graph", k2)
@@ -165,6 +181,13 @@ class TestAttack:
             capsys, "attack", "--graph", k3, "--dist", "coin", "--seed", "13"
         )
         assert code == 3 and "promise-violation" in out
+
+    def test_negative_key_copies_is_usage_error(self, tmp_path, capsys):
+        graph = write_graph(tmp_path / "yes.txt", planted_yes_instance().graph)
+        code, out = run_cli(
+            capsys, "attack", "--graph", graph, "--dist", "coin", "--l", "-1", "--seed", "11"
+        )
+        assert code == 2 and out == "error: need l >= 0\n"
 
     def test_edgeless_graph_is_refused_at_once(self, tmp_path, capsys):
         # 10! and 14! automorphisms: the check stops at the third
