@@ -18,15 +18,8 @@ from .permgroup import (
     sample_fpf_involution,
     sign,
 )
-from .qscdcyc import PureSample, decode_cyc, gen_cyc
-from .qscdff import (
-    Distinguisher,
-    SampleTuple,
-    convert,
-    distinguish,
-    gen_iota,
-    gen_plus,
-)
+from .qscdcyc import decode_cyc, gen_cyc
+from .qscdff import Distinguisher, convert, distinguish, gen_iota, gen_plus
 from .qstate import SparseState, basis_state, states_equal
 from .graphauto import (
     Graph,

@@ -112,7 +112,7 @@ def cmd_demo(args) -> int:
     if params.kind == FF:
         message = int(rng.integers(2))
         copy = issue_key_copy(kp, rng)
-        print(f"step=key-copy support={len(copy.sample.state.amps)}")
+        print(f"step=key-copy support={len(copy.state.amps)}")
         ct = encrypt_ff(message, copy)
     else:
         message = int(rng.integers(params.m))
@@ -190,14 +190,26 @@ def cmd_attack(args) -> int:
 
 
 def cmd_advantage(args) -> int:
-    if args.dist == "omniscient" and args.pair == "cyc":
-        raise ValueError("the omniscient distinguisher is the ff trapdoor test; it has no cyc form")
+    if args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
     rng = derive_rng(args.seed)
     if args.pair == "cyc":
-        pi = sample_cyclic(SecurityParam.cyc(args.n, args.m), rng)
-        source_a = cyc_source(pi, args.s0, args.m, args.k)
-        source_b = cyc_source(pi, args.s1, args.m, args.k)
+        if args.dist == "omniscient":
+            raise ValueError(
+                "the omniscient distinguisher is the ff trapdoor test; it has no cyc form"
+            )
+        m = 3 if args.m is None else args.m
+        s0 = 0 if args.s0 is None else args.s0
+        s1 = 1 if args.s1 is None else args.s1
+        if s0 == s1:
+            raise ValueError(f"--s0 and --s1 are both {s0}; the cyc pair needs two symbols")
+        pi = sample_cyclic(SecurityParam.cyc(args.n, m), rng)
+        source_a = cyc_source(pi, s0, m, args.k)
+        source_b = cyc_source(pi, s1, m, args.k)
     else:
+        given = [f"--{name}" for name in ("m", "s0", "s1") if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} apply only to --pair cyc")
         ff_params = SecurityParam.ff(args.n)
         if args.key is None:
             pi = sample_fpf_involution(ff_params, rng)
@@ -296,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", choices=["omniscient", "coin", "basis-measure"], required=True)
     p.add_argument("--pair", choices=["ff", "plus-iota", "cyc"], default="ff")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=3, help="cycle length for the cyc pair")
-    p.add_argument("--s0", type=int, default=0)
-    p.add_argument("--s1", type=int, default=1)
+    p.add_argument("--m", type=int, help="cycle length for the cyc pair (default 3)")
+    p.add_argument("--s0", type=int, help="first symbol of the cyc pair (default 0)")
+    p.add_argument("--s1", type=int, help="second symbol of the cyc pair (default 1)")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--confidence", type=float, default=0.01)

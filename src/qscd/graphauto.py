@@ -27,8 +27,11 @@ from .permgroup import (
     random_permutation,
     sign,
 )
-from .qscdcyc import MINUS, PLUS, Provenance, PureSample
 from .qstate import SparseState
+
+# The sign modes of coset_sample.
+PLUS = "plus"
+MINUS = "minus"
 
 
 class PromiseViolation(Exception):
@@ -454,7 +457,7 @@ class PromiseInstance:
         return elements[1] if len(elements) == 2 else None
 
 
-def coset_sample(inst: PromiseInstance, sign_mode: str, rng: np.random.Generator) -> PureSample:
+def coset_sample(inst: PromiseInstance, sign_mode: str, rng: np.random.Generator) -> SparseState:
     """One coset-superposition draw from a promise instance.
 
     Simulates preparing the uniform relabeling superposition entangled with
@@ -477,10 +480,4 @@ def coset_sample(inst: PromiseInstance, sign_mode: str, rng: np.random.Generator
         if sign_mode == MINUS and sign(perm):
             amp = -amp
         amps[(0, perm)] = amp
-    state = SparseState(n, 1, amps)
-    if inst.is_yes():
-        key = inst.hidden_key()
-        prov = Provenance.plus(key) if sign_mode == PLUS else Provenance.minus(key)
-    else:
-        prov = Provenance.iota()
-    return PureSample(state, prov)
+    return SparseState(n, 1, amps)

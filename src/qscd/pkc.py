@@ -29,7 +29,7 @@ from .permgroup import (
     sample_cyclic,
     sample_fpf_involution,
 )
-from .qscdcyc import PureSample, decode_cyc, gen_cyc
+from .qscdcyc import decode_cyc, gen_cyc
 from .qscdff import convert, gen_plus
 from .qstate import SparseState
 
@@ -52,7 +52,7 @@ class KeyPair:
 class KeyCopy:
     """A single-use encryption-key state; ``symbol`` is the public series label."""
 
-    sample: PureSample
+    state: SparseState
     symbol: int | None = None
     consumed: bool = False
 
@@ -88,11 +88,11 @@ def issue_key_series(kp: KeyPair, rng: np.random.Generator) -> list[KeyCopy]:
     return [issue_key_copy(kp, rng, s=s) for s in range(kp.params.m)]
 
 
-def _consume(copy: KeyCopy) -> PureSample:
+def _consume(copy: KeyCopy) -> SparseState:
     if copy.consumed:
         raise ValueError("key copy already consumed")
     copy.consumed = True
-    return copy.sample
+    return copy.state
 
 
 def encrypt_ff(bit: int, key_copy: KeyCopy) -> Ciphertext:
@@ -101,10 +101,10 @@ def encrypt_ff(bit: int, key_copy: KeyCopy) -> Ciphertext:
         raise ValueError(f"message bit must be 0 or 1, got {bit}")
     if key_copy.symbol is not None:
         raise ValueError("not a single-bit key copy")
-    sample = _consume(key_copy)
+    state = _consume(key_copy)
     if bit == 1:
-        sample = convert(sample)
-    return Ciphertext(sample.state, FF, 2)
+        state = convert(state)
+    return Ciphertext(state, FF, 2)
 
 
 def encrypt_cyc(s: int, key_copies: list[KeyCopy]) -> Ciphertext:
@@ -113,17 +113,17 @@ def encrypt_cyc(s: int, key_copies: list[KeyCopy]) -> Ciphertext:
     if not copies:
         raise ValueError("need a full multi-bit key series")
     # Every copy is a coset state of the key's cyclic group, spanning m points.
-    m = len(copies[0].sample.state.amps)
+    m = len(copies[0].state.amps)
     if [c.symbol for c in copies] != list(range(m)):
         raise ValueError("key series must carry symbols 0..m-1 in order")
     if not 0 <= s < m:
         raise ValueError(f"symbol {s} out of range for modulus {m}")
     chosen = None
     for copy in copies:
-        sample = _consume(copy)
+        state = _consume(copy)
         if copy.symbol == s:
-            chosen = sample
-    return Ciphertext(chosen.state, CYC, m)
+            chosen = state
+    return Ciphertext(chosen, CYC, m)
 
 
 def decrypt(kp: KeyPair, c: Ciphertext, rng: np.random.Generator) -> int:
@@ -137,7 +137,7 @@ def decrypt(kp: KeyPair, c: Ciphertext, rng: np.random.Generator) -> int:
 
 def adversary_view(
     kp: KeyPair, c: Ciphertext, l: int, rng: np.random.Generator
-) -> tuple[Ciphertext, list[PureSample]]:
+) -> tuple[Ciphertext, list[SparseState]]:
     """What an interceptor holds: the ciphertext plus l fresh key copies.
 
     In multi-bit mode each of the l requests yields the full public series,
@@ -145,7 +145,7 @@ def adversary_view(
     """
     if l < 0:
         raise ValueError("need l >= 0")
-    copies: list[PureSample] = []
+    copies: list[SparseState] = []
     for _ in range(l):
         if kp.params.kind == FF:
             copies.append(gen_plus(kp.secret, rng))

@@ -12,26 +12,20 @@ only homomorphism from S_n onto a cyclic group (its kernel must be a normal
 subgroup, and for n > 4 those are just the trivial group, the alternating
 group, and S_n itself), so there is no analogous phase trick onto Z_m.
 
-A mixed state is never held as a density matrix: each draw materializes one
-pure SparseState together with a provenance tag. Provenance exists only for
-test and orchestration code; distinguishers and decoders receive bare states.
+A mixed state is never held as a density matrix: each draw is one pure
+SparseState, and nothing else. Which key and symbol it came from is known
+only to the caller that drew it, as the paper's adversary sees only states.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .permgroup import Permutation, is_cyclic_class, powers, random_permutation
 from .qstate import SparseState
-
-PLUS = "plus"
-MINUS = "minus"
-IOTA = "iota"
-PHI = "phi"
 
 
 def key_modulus(pi: Permutation) -> int:
@@ -42,42 +36,6 @@ def key_modulus(pi: Permutation) -> int:
     return length
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Hidden tag recording which mixture a pure draw came from."""
-
-    kind: str
-    pi: Permutation | None = None
-    s: int | None = None
-
-    @classmethod
-    def plus(cls, pi: Permutation) -> "Provenance":
-        return cls(PLUS, pi, 0)
-
-    @classmethod
-    def minus(cls, pi: Permutation) -> "Provenance":
-        return cls(MINUS, pi, 1)
-
-    @classmethod
-    def iota(cls) -> "Provenance":
-        return cls(IOTA)
-
-    @classmethod
-    def phi(cls, pi: Permutation, s: int) -> "Provenance":
-        """Symbol s under key pi; at m = 2 symbols 0 and 1 are plus and minus."""
-        if key_modulus(pi) == 2:
-            return cls.minus(pi) if s else cls.plus(pi)
-        return cls(PHI, pi, s)
-
-
-@dataclass(frozen=True)
-class PureSample:
-    """One pure draw from a mixture; the state has no control register."""
-
-    state: SparseState
-    provenance: Provenance
-
-
 def require_cyclic_key(pi: Permutation, m: int) -> None:
     if m < 2:
         raise ValueError(f"cyclic order must be >= 2, got {m}")
@@ -85,7 +43,7 @@ def require_cyclic_key(pi: Permutation, m: int) -> None:
         raise ValueError(f"key is not a product of disjoint {m}-cycles")
 
 
-def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> PureSample:
+def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> SparseState:
     """Fresh draw encoding symbol s under key pi in K_n^m.
 
     Builds the Fourier superposition over the cyclic group {id, pi, ...,
@@ -100,10 +58,8 @@ def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> PureSa
         (0, power): scale * cmath.exp(2j * math.pi * s * t / m)
         for t, power in enumerate(powers(pi, m)[:m])
     }
-    state = SparseState(pi.n, 1, amps)
     sigma = random_permutation(pi.n, rng)
-    state = state.translate(sigma, "left")
-    return PureSample(state, Provenance.phi(pi, s))
+    return SparseState(pi.n, 1, amps).translate(sigma, "left")
 
 
 def _decode_circuit(state: SparseState, pi: Permutation) -> SparseState:

@@ -5,47 +5,19 @@ cyclic symbol-0 and symbol-1 states of qscdcyc are the plus and minus
 two-point coset states, and the cyclic decoder is the trapdoor test that
 decides plus/minus given pi. This module adds what only m = 2 has: the
 maximally mixed state iota, and the key-free sign-phase conversion between
-plus and minus. It also holds the sample tuples and the distinguisher type
-that the reductions feed with draws of either scheme.
+plus and minus. It also holds the distinguisher type that the reductions
+feed with tuples of bare states drawn from either scheme.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .permgroup import Permutation, is_ff_degree, random_permutation
-from .qscdcyc import MINUS, PLUS, Provenance, PureSample, decode_cyc, gen_cyc, key_modulus
+from .qscdcyc import decode_cyc, gen_cyc, key_modulus
 from .qstate import SparseState, basis_state
-
-
-@dataclass(frozen=True)
-class SampleTuple:
-    """An ordered tuple of draws sharing one hidden key (or all iota)."""
-
-    samples: tuple[PureSample, ...]
-
-    def __post_init__(self):
-        if not self.samples:
-            raise ValueError("need at least one sample")
-        degrees = {s.state.n for s in self.samples}
-        if len(degrees) != 1:
-            raise ValueError(f"samples of mixed degree: {degrees}")
-
-    @property
-    def k(self) -> int:
-        return len(self.samples)
-
-    @property
-    def n(self) -> int:
-        return self.samples[0].state.n
-
-    def states(self) -> list[SparseState]:
-        """What a distinguisher is allowed to see."""
-        return [s.state for s in self.samples]
-
 
 # A distinguisher maps the visible states plus an RNG handle to a bit.
 Distinguisher = Callable[[Sequence[SparseState], np.random.Generator], int]
@@ -60,7 +32,7 @@ def require_ff_key(pi: Permutation) -> None:
         raise ValueError("key is not a fixed-point-free involution")
 
 
-def gen_plus(pi: Permutation, rng: np.random.Generator) -> PureSample:
+def gen_plus(pi: Permutation, rng: np.random.Generator) -> SparseState:
     """Fresh draw from the plus mixture for key pi: the symbol-0 coset state.
 
     The result is (|sigma> + |sigma pi>) / sqrt(2) for a uniform sigma.
@@ -69,29 +41,24 @@ def gen_plus(pi: Permutation, rng: np.random.Generator) -> PureSample:
     return gen_cyc(pi, 0, 2, rng)
 
 
-def gen_iota(n: int, rng: np.random.Generator) -> PureSample:
+def gen_iota(n: int, rng: np.random.Generator) -> SparseState:
     """Fresh draw from the maximally mixed state: |sigma> for uniform sigma."""
     if n < 1:
         raise ValueError("degree must be positive")
     sigma = random_permutation(n, rng)
-    return PureSample(basis_state(0, sigma, m=1), Provenance.iota())
+    return basis_state(0, sigma, m=1)
 
 
-def convert(sample: PureSample) -> PureSample:
+def convert(state: SparseState) -> SparseState:
     """Sign-phase flip: maps plus draws to minus draws and fixes iota.
 
     Works without the key: multiplying each basis amplitude by (-1)^parity
     flips the relative phase of a two-point coset state because the hidden
     involution is odd, so the two support points have opposite parity.
     """
-    if not is_ff_degree(sample.state.n):
-        raise ValueError(f"degree {sample.state.n} is not 2 mod 4")
-    prov = sample.provenance
-    if prov.kind == PLUS:
-        prov = Provenance.minus(prov.pi)
-    elif prov.kind == MINUS:
-        prov = Provenance.plus(prov.pi)
-    return PureSample(sample.state.phase_by_sign(), prov)
+    if not is_ff_degree(state.n):
+        raise ValueError(f"degree {state.n} is not 2 mod 4")
+    return state.phase_by_sign()
 
 
 def distinguish(state: SparseState, pi: Permutation, rng: np.random.Generator) -> int:

@@ -75,9 +75,6 @@ class SparseState:
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
 
-    def support(self) -> set[BasisVector]:
-        return set(self.amps)
-
     def fourier_control(self, direction: str) -> SparseState:
         """Fourier map on the control register.
 

@@ -1,34 +1,27 @@
 """Security reductions as executable transformations over distinguishers.
 
-Everything here operates on the oracle abstraction: a distinguisher sees
-only the bare states of a tuple and an RNG handle, never the hidden
-provenance. The module provides the worst-to-average randomization, the
-search-to-distinction attack pipeline, the plus-vs-iota hybrid, and an
+Everything here operates on the oracle abstraction: a source draws a tuple
+of bare states, and a distinguisher sees that tuple and an RNG handle, never
+the key behind it. The module provides the worst-to-average randomization,
+the search-to-distinction attack pipeline, the plus-vs-iota hybrid, and an
 empirical advantage estimator with Hoeffding confidence intervals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphauto import Graph, PromiseInstance, coset_sample
-from .permgroup import Permutation, conjugate, random_permutation, sign
-from .qscdcyc import MINUS, PLUS, PureSample, gen_cyc
-from .qscdff import (
-    Distinguisher,
-    SampleTuple,
-    convert,
-    distinguish,
-    gen_iota,
-    gen_plus,
-)
+from .graphauto import MINUS, PLUS, Graph, PromiseInstance, coset_sample
+from .permgroup import Permutation, random_permutation, sign
+from .qscdcyc import gen_cyc
+from .qscdff import Distinguisher, convert, distinguish, gen_iota, gen_plus
 from .qstate import SparseState
 
-TupleSource = Callable[[np.random.Generator], SampleTuple]
+TupleSource = Callable[[np.random.Generator], tuple[SparseState, ...]]
 
 # Trials whose generators estimate_advantage spawns at once.
 SPAWN_CHUNK = 256
@@ -117,19 +110,19 @@ class AttackParams:
 
 
 def plus_source(pi: Permutation, k: int = 1) -> TupleSource:
-    return lambda rng: SampleTuple(tuple(gen_plus(pi, rng) for _ in range(k)))
+    return lambda rng: tuple(gen_plus(pi, rng) for _ in range(k))
 
 
 def minus_source(pi: Permutation, k: int = 1) -> TupleSource:
-    return lambda rng: SampleTuple(tuple(convert(gen_plus(pi, rng)) for _ in range(k)))
+    return lambda rng: tuple(convert(gen_plus(pi, rng)) for _ in range(k))
 
 
 def iota_source(n: int, k: int = 1) -> TupleSource:
-    return lambda rng: SampleTuple(tuple(gen_iota(n, rng) for _ in range(k)))
+    return lambda rng: tuple(gen_iota(n, rng) for _ in range(k))
 
 
 def cyc_source(pi: Permutation, s: int, m: int, k: int = 1) -> TupleSource:
-    return lambda rng: SampleTuple(tuple(gen_cyc(pi, s, m, rng) for _ in range(k)))
+    return lambda rng: tuple(gen_cyc(pi, s, m, rng) for _ in range(k))
 
 
 def omniscient_distinguisher(pi: Permutation) -> Distinguisher:
@@ -158,22 +151,18 @@ def basis_measure_distinguisher() -> Distinguisher:
     return run
 
 
-def randomize_to_average(tup: SampleTuple, rng: np.random.Generator) -> SampleTuple:
+def randomize_to_average(
+    states: Sequence[SparseState], rng: np.random.Generator
+) -> tuple[SparseState, ...]:
     """Rerandomize one fixed hidden key into a uniform one.
 
-    Draws a single uniform tau and right-translates every sample by it,
+    Draws a single uniform tau and right-translates every state by it,
     which conjugates the hidden key by tau without touching support sizes or
     amplitude magnitudes. Over uniform tau the conjugate is uniform over the
     whole key class.
     """
-    tau = random_permutation(tup.n, rng)
-    out = []
-    for sample in tup.samples:
-        prov = sample.provenance
-        if prov.pi is not None:
-            prov = replace(prov, pi=conjugate(prov.pi, tau))
-        out.append(PureSample(sample.state.translate(tau, "right"), prov))
-    return SampleTuple(tuple(out))
+    tau = random_permutation(states[0].n, rng)
+    return tuple(state.translate(tau, "right") for state in states)
 
 
 def ga_attack(
@@ -198,16 +187,15 @@ def ga_attack(
         raise ValueError("need l >= 0")
     inst = g if isinstance(g, PromiseInstance) else PromiseInstance(g)
 
-    def make_tuple(mode: str) -> SampleTuple:
+    def make_tuple(mode: str) -> list[SparseState]:
         if l_key_copies is None:
-            draws = [coset_sample(inst, mode, rng) for _ in range(params.k)]
-        else:
-            draws = [coset_sample(inst, mode, rng)]
-            draws.extend(coset_sample(inst, PLUS, rng) for _ in range(l_key_copies))
-        return SampleTuple(tuple(draws))
+            return [coset_sample(inst, mode, rng) for _ in range(params.k)]
+        draws = [coset_sample(inst, mode, rng)]
+        draws.extend(coset_sample(inst, PLUS, rng) for _ in range(l_key_copies))
+        return draws
 
-    r_plus = sum(dist(make_tuple(PLUS).states(), rng) for _ in range(params.tuples_per_side))
-    r_minus = sum(dist(make_tuple(MINUS).states(), rng) for _ in range(params.tuples_per_side))
+    r_plus = sum(dist(make_tuple(PLUS), rng) for _ in range(params.tuples_per_side))
+    r_minus = sum(dist(make_tuple(MINUS), rng) for _ in range(params.tuples_per_side))
     return 1 if abs(r_plus - r_minus) >= params.threshold else 0
 
 
@@ -225,7 +213,7 @@ def hybrid_to_iota(dist: Distinguisher) -> Distinguisher:
     def hybrid(states: Sequence[SparseState], rng: np.random.Generator) -> int:
         if rng.integers(2) == 0:
             return dist(states, rng)
-        converted = [state.phase_by_sign() for state in states]
+        converted = [convert(state) for state in states]
         return 1 - dist(converted, rng)
 
     return hybrid
@@ -252,6 +240,6 @@ def estimate_advantage(
     for start in range(0, trials, SPAWN_CHUNK):
         children = rng.spawn(2 * min(SPAWN_CHUNK, trials - start))
         for gen_a, gen_b in zip(children[0::2], children[1::2]):
-            acc0 += dist(source_a(gen_a).states(), gen_a)
-            acc1 += dist(source_b(gen_b).states(), gen_b)
+            acc0 += dist(source_a(gen_a), gen_a)
+            acc1 += dist(source_b(gen_b), gen_b)
     return DistinguisherReport(trials, trials, acc0, acc1, confidence)

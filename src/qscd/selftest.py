@@ -139,14 +139,14 @@ def criterion_coincidence(seed: int) -> tuple[bool, str]:
     for _ in range(1000):
         pi = sample_fpf_involution(params, rng)
         s = int(rng.integers(2))
-        sample = gen_cyc(pi, s, 2, rng)
+        state = gen_cyc(pi, s, 2, rng)
         # (|sigma> + (-1)^s |sigma pi>) / sqrt(2), from either support point.
-        sigma = next(iter(sample.state.amps))[1]
+        sigma = next(iter(state.amps))[1]
         amp = 1 / math.sqrt(2)
         two_point = SparseState(6, 1, {(0, sigma): amp, (0, compose(sigma, pi)): (-1) ** s * amp})
-        is_two_point = states_equal(sample.state, two_point, up_to_global_phase=True)
-        decoded = decode_cyc(sample.state, pi, rng)
-        via_ff = 0 if distinguish(sample.state, pi, rng) == 1 else 1
+        is_two_point = states_equal(state, two_point, up_to_global_phase=True)
+        decoded = decode_cyc(state, pi, rng)
+        via_ff = 0 if distinguish(state, pi, rng) == 1 else 1
         if is_two_point and decoded == via_ff == s:
             agree += 1
     return agree == 1000, f"agree={agree}/1000"

@@ -53,6 +53,19 @@ def brute_automorphisms(n: int, edges: frozenset[tuple[int, int]]) -> list[Permu
     return out
 
 
+def two_point_key(state) -> tuple[int, ...]:
+    """The hidden key of a two-point draw with support {a, b}, as a^-1 b.
+
+    For a key in K_n the order of a and b does not matter: the key is its
+    own inverse.
+    """
+    (_, a), (_, b) = state.amps
+    a_inv = [0] * len(a.image)
+    for i, t in enumerate(a.image, start=1):
+        a_inv[t - 1] = i
+    return tuple(a_inv[t - 1] for t in b.image)
+
+
 def has_nontrivial_automorphism(n: int, edges: frozenset[tuple[int, int]]) -> bool:
     return len(brute_automorphisms(n, edges)) > 1
 

@@ -2,6 +2,8 @@ import math
 import time
 from pathlib import Path
 
+import pytest
+
 from qscd import cli
 from qscd.cli import run
 from qscd.graphauto import Graph, format_graph
@@ -253,6 +255,26 @@ class TestAdvantage:
             "--n", "6", "--m", "3", "--trials", "200", "--seed", "3",
         )
         assert code == 2 and out.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--k", "0"],
+            ["--pair", "cyc", "--k", "-1"],
+            ["--m", "3"],
+            ["--pair", "plus-iota", "--s0", "2"],
+            ["--s1", "0"],
+            ["--pair", "cyc", "--s0", "1", "--s1", "1"],
+            ["--pair", "cyc", "--m", "4", "--s1", "0"],
+        ],
+    )
+    def test_refuses_arguments_it_cannot_use(self, capsys, extra):
+        code, out = run_cli(
+            capsys, "advantage", "--dist", "basis-measure", "--n", "6",
+            "--trials", "10", "--seed", "1", *extra,
+        )
+        assert code == 2
+        assert len(out.splitlines()) == 1 and out.startswith("error:"), out
 
 
 class TestErrors:

@@ -61,7 +61,7 @@ class TestKeyCopies:
         rng = np.random.default_rng(93)
         kp = keygen(FF6, rng)
         copy = issue_key_copy(kp, rng)
-        assert distinguish(copy.sample.state, kp.secret, rng) == 1
+        assert distinguish(copy.state, kp.secret, rng) == 1
 
     def test_cyc_copy_decodes_to_its_symbol(self):
         rng = np.random.default_rng(94)
@@ -69,7 +69,7 @@ class TestKeyCopies:
         for s in range(3):
             copy = issue_key_copy(kp, rng, s=s)
             assert copy.symbol == s
-            assert decode_cyc(copy.sample.state, kp.secret, rng) == s
+            assert decode_cyc(copy.state, kp.secret, rng) == s
 
     def test_cyc_copy_requires_symbol(self):
         rng = np.random.default_rng(95)
@@ -86,8 +86,8 @@ class TestKeyCopies:
         rng = np.random.default_rng(97)
         kp = keygen(FF6, rng)
         same = sum(
-            set(issue_key_copy(kp, rng).sample.state.amps)
-            == set(issue_key_copy(kp, rng).sample.state.amps)
+            set(issue_key_copy(kp, rng).state.amps)
+            == set(issue_key_copy(kp, rng).state.amps)
             for _ in range(100)
         )
         assert same <= 2
@@ -99,7 +99,7 @@ class TestEncryptFF:
         kp = keygen(FF6, rng)
         copy = issue_key_copy(kp, rng)
         ct = encrypt_ff(0, copy)
-        assert ct.state.amps == copy.sample.state.amps
+        assert ct.state.amps == copy.state.amps
 
     def test_bit_one_flips_exactly_one_sign(self):
         rng = np.random.default_rng(99)
@@ -109,7 +109,7 @@ class TestEncryptFF:
         flipped = [
             key
             for key, amp in ct.state.amps.items()
-            if (copy.sample.state.amps[key] - amp) != 0
+            if (copy.state.amps[key] - amp) != 0
         ]
         assert len(flipped) == 1
 
@@ -146,7 +146,7 @@ class TestEncryptCyc:
         rng = np.random.default_rng(103)
         kp = keygen(CYC63, rng)
         series = issue_key_series(kp, rng)
-        chosen = series[1].sample.state
+        chosen = series[1].state
         ct = encrypt_cyc(1, series)
         assert ct.state.amps == chosen.amps
 
@@ -259,7 +259,7 @@ class TestAdversaryView:
             for _ in range(trials):
                 ct = encrypt_ff(bit, issue_key_copy(kp, rng))
                 view_ct, copies = adversary_view(kp, ct, 3, rng)
-                states = [view_ct.state] + [c.state for c in copies]
+                states = [view_ct.state, *copies]
                 acc[bit] += dist(states, rng)
         assert abs(acc[0] - acc[1]) / trials < 0.06
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from qscd.permgroup import from_cycles, fpf_involutions
-from qscd.qscdff import SampleTuple, gen_plus
+from qscd.qscdff import gen_plus
 from qscd.qstate import states_equal
 from qscd.reductions import (
     SPAWN_CHUNK,
@@ -26,7 +26,7 @@ from qscd.reductions import (
 )
 from qscd.selftest import planted_no_instance, planted_yes_instance
 
-from oracles import StubRng
+from oracles import StubRng, brute_fpf_involutions, two_point_key
 
 PI6 = from_cycles(6, [(1, 2), (3, 4), (5, 6)])
 PARAMS = AttackParams(k=1, p=1, tuples_per_side=32, threshold=16)
@@ -73,36 +73,39 @@ class TestAttackParams:
 
 
 class TestRandomizeToAverage:
+    # The hidden key of a two-point draw is read from its support alone.
+
     def test_identity_translation_is_a_no_op(self):
         rng = np.random.default_rng(70)
-        tup = SampleTuple(tuple(gen_plus(PI6, rng) for _ in range(3)))
-        moved = randomize_to_average(tup, StubRng())
-        for before, after in zip(tup.samples, moved.samples):
-            assert states_equal(before.state, after.state)
-            assert after.provenance.pi == PI6
+        states = tuple(gen_plus(PI6, rng) for _ in range(3))
+        moved = randomize_to_average(states, StubRng())
+        for before, after in zip(states, moved):
+            assert states_equal(before, after)
+            assert two_point_key(after) == PI6.image
 
     def test_preserves_sample_structure(self):
         rng = np.random.default_rng(71)
-        tup = SampleTuple(tuple(gen_plus(PI6, rng) for _ in range(2)))
-        moved = randomize_to_average(tup, rng)
-        for sample in moved.samples:
-            assert len(sample.state.amps) == 2
-            for amp in sample.state.amps.values():
+        states = tuple(gen_plus(PI6, rng) for _ in range(2))
+        moved = randomize_to_average(states, rng)
+        for state in moved:
+            assert len(state.amps) == 2
+            for amp in state.amps.values():
                 assert abs(amp) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
     def test_shared_tau_conjugates_every_sample_alike(self):
         rng = np.random.default_rng(72)
-        tup = SampleTuple(tuple(gen_plus(PI6, rng) for _ in range(4)))
-        moved = randomize_to_average(tup, rng)
-        keys = {s.provenance.pi for s in moved.samples}
+        states = tuple(gen_plus(PI6, rng) for _ in range(4))
+        moved = randomize_to_average(states, rng)
+        keys = {two_point_key(state) for state in moved}
         assert len(keys) == 1
+        assert keys <= brute_fpf_involutions(6)
 
     def test_hidden_key_lands_uniform_on_k6(self):
         rng = np.random.default_rng(73)
         cells = {p.image: 0 for p in fpf_involutions(6)}
         for _ in range(15000):
-            tup = SampleTuple((gen_plus(PI6, rng),))
-            cells[randomize_to_average(tup, rng).samples[0].provenance.pi.image] += 1
+            (moved,) = randomize_to_average((gen_plus(PI6, rng),), rng)
+            cells[two_point_key(moved)] += 1
         assert stats.chisquare(list(cells.values())).pvalue > 0.001
 
 
@@ -200,8 +203,8 @@ class TestEstimateAdvantage:
             children = rng.spawn(2 * trials)
             acc0 = acc1 = 0
             for gen_a, gen_b in zip(children[0::2], children[1::2]):
-                acc0 += dist(source_a(gen_a).states(), gen_a)
-                acc1 += dist(source_b(gen_b).states(), gen_b)
+                acc0 += dist(source_a(gen_a), gen_a)
+                acc1 += dist(source_b(gen_b), gen_b)
             return DistinguisherReport(trials, trials, acc0, acc1)
 
         trials = 2 * SPAWN_CHUNK + 37
