@@ -23,6 +23,7 @@ from .graphauto import (
 )
 from .permgroup import (
     FF,
+    Permutation,
     SecurityParam,
     format_permutation,
     sample_cyclic,
@@ -154,23 +155,27 @@ def cmd_reduce_ga(args) -> int:
     return EXIT_OK
 
 
-def _named_distinguisher(name: str, key_path: str | None):
+def _named_distinguisher(name: str, secret: Permutation | None):
     if name == "coin":
         return coin_distinguisher()
     if name == "basis-measure":
         return basis_measure_distinguisher()
-    if key_path is None:
+    if secret is None:
         raise ValueError("the omniscient distinguisher needs --key")
-    return omniscient_distinguisher(parse_key(Path(key_path).read_text()).secret)
+    return omniscient_distinguisher(secret)
+
+
+def _read_secret(path: str | None) -> Permutation | None:
+    return None if path is None else parse_key(Path(path).read_text()).secret
 
 
 def cmd_attack(args) -> int:
     g = parse_graph(Path(args.graph).read_text())
-    planted = None
-    if args.planted_key:
-        planted = parse_key(Path(args.planted_key).read_text()).secret
+    if args.key is not None and args.dist != "omniscient":
+        raise ValueError(f"--key holds the omniscient trapdoor; --dist {args.dist} uses no key")
+    planted = _read_secret(args.planted_key)
     inst = PromiseInstance(g, certified=planted)
-    dist = _named_distinguisher(args.dist, args.key or args.planted_key)
+    dist = _named_distinguisher(args.dist, _read_secret(args.key) or planted)
     params = AttackParams(
         k=args.k, p=args.p, tuples_per_side=args.tuples, threshold=args.threshold
     )
@@ -193,6 +198,7 @@ def cmd_advantage(args) -> int:
     if args.k < 1:
         raise ValueError(f"--k must be at least 1, got {args.k}")
     rng = derive_rng(args.seed)
+    secret = None
     if args.pair == "cyc":
         if args.dist == "omniscient":
             raise ValueError(
@@ -203,6 +209,8 @@ def cmd_advantage(args) -> int:
         s1 = 1 if args.s1 is None else args.s1
         if s0 == s1:
             raise ValueError(f"--s0 and --s1 are both {s0}; the cyc pair needs two symbols")
+        if args.key is not None:
+            raise ValueError("--key holds an ff key; the cyc pair samples its own cyclic key")
         pi = sample_cyclic(SecurityParam.cyc(args.n, m), rng)
         source_a = cyc_source(pi, s0, m, args.k)
         source_b = cyc_source(pi, s1, m, args.k)
@@ -220,13 +228,13 @@ def cmd_advantage(args) -> int:
                     f"--key holds a {kp.params.kind} key of degree {kp.params.n}, "
                     f"not an ff key of degree {args.n}"
                 )
-            pi = kp.secret
+            pi = secret = kp.secret
         source_a = plus_source(pi, args.k)
         if args.pair == "plus-iota":
             source_b = iota_source(args.n, args.k)
         else:
             source_b = minus_source(pi, args.k)
-    dist = _named_distinguisher(args.dist, args.key)
+    dist = _named_distinguisher(args.dist, secret)
     report = estimate_advantage(
         dist, source_a, source_b, args.trials, rng, confidence=args.confidence
     )
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--dist", choices=["omniscient", "coin", "basis-measure"], required=True)
     p.add_argument("--key", help="key file holding the omniscient trapdoor")
-    p.add_argument("--planted-key", help="key file with a certified automorphism of the instance")
+    p.add_argument("--planted-key", help="key file: a planted automorphism, checked by the search")
     p.add_argument("--k", type=int, default=1, help="samples per tuple")
     p.add_argument("--tuples", type=int, default=32, help="tuples per side")
     p.add_argument("--threshold", type=int, default=16, help="acceptance-count gap for YES")

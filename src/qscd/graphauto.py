@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -21,9 +22,8 @@ from .permgroup import (
     Permutation,
     compose,
     identity,
+    is_cyclic_class,
     is_ff_degree,
-    is_fpf_involution,
-    is_identity,
     random_permutation,
     sign,
 )
@@ -73,13 +73,6 @@ def _trusted_graph(node_count: int, edges: frozenset[tuple[int, int]]) -> Graph:
     object.__setattr__(g, "node_count", node_count)
     object.__setattr__(g, "edges", edges)
     return g
-
-
-def apply_perm(sigma: Permutation, g: Graph) -> Graph:
-    """Relabel nodes: edge {u, v} becomes {sigma(u), sigma(v)}."""
-    if sigma.n != g.node_count:
-        raise ValueError(f"degree mismatch: perm {sigma.n}, graph {g.node_count}")
-    return Graph(g.node_count, frozenset((sigma(u), sigma(v)) for u, v in g.edges))
 
 
 def complement(g: Graph) -> Graph:
@@ -380,7 +373,7 @@ def unique_ga_ff_oracle(g: Graph, node_limit: int = 4000) -> int:
     return len(_promise_group(g, node_limit)) - 1
 
 
-def _promise_group(g: Graph, node_limit: int) -> tuple[Permutation, ...]:
+def _promise_group(g: Graph, node_limit: int = 4000) -> tuple[Permutation, ...]:
     # The whole automorphism group, identity first, of a graph inside the
     # promise. The search stops at a third element, which already breaks it.
     if not is_ff_degree(g.node_count):
@@ -388,7 +381,7 @@ def _promise_group(g: Graph, node_limit: int) -> tuple[Permutation, ...]:
     elements = sorted(islice(iter_automorphisms(g, node_limit), 3), key=lambda p: p.image)
     if len(elements) > 2:
         raise PromiseViolation("3 or more automorphisms; the promise allows at most 2")
-    if len(elements) == 2 and not is_fpf_involution(elements[1]):
+    if len(elements) == 2 and not is_cyclic_class(elements[1], 2):
         raise PromiseViolation("nontrivial automorphism is not a fixed-point-free involution")
     return tuple(elements)
 
@@ -418,36 +411,25 @@ def koebler_reduce(g: Graph, oracle=None) -> int:
 
 @dataclass
 class PromiseInstance:
-    """A promise-satisfying graph, optionally with a planted automorphism.
+    """A graph for the promise problem, optionally with a planted key.
 
-    With ``certified`` set, the planted permutation is checked cheaply and
-    the search is skipped; otherwise the search runs until it has the whole
-    group or a third element, and the promise is verified.
+    The search always runs, until it has the whole group or a third element,
+    and verifies the promise. A ``certified`` key must be the nontrivial
+    automorphism it finds; any other planted key is a PromiseViolation.
     """
 
     graph: Graph
     certified: Permutation | None = None
-    node_limit: int = 4000
-    _elements: tuple[Permutation, ...] | None = field(default=None, repr=False, compare=False)
 
     def aut_elements(self) -> tuple[Permutation, ...]:
-        if self._elements is not None:
-            return self._elements
-        n = self.graph.node_count
-        if not is_ff_degree(n):
-            raise PromiseViolation(f"node count {n} is not 2 mod 4")
-        if self.certified is not None:
-            pi = self.certified
-            if is_identity(pi):
-                raise PromiseViolation("planted automorphism is trivial")
-            if not is_fpf_involution(pi):
-                raise PromiseViolation("planted automorphism is not a fixed-point-free involution")
-            if apply_perm(pi, self.graph) != self.graph:
-                raise PromiseViolation("planted permutation is not an automorphism")
-            self._elements = (identity(n), pi)
-        else:
-            self._elements = _promise_group(self.graph, self.node_limit)
         return self._elements
+
+    @cached_property
+    def _elements(self) -> tuple[Permutation, ...]:
+        elements = _promise_group(self.graph)
+        if self.certified is not None and elements[1:] != (self.certified,):
+            raise PromiseViolation("planted key is not the automorphism the search found")
+        return elements
 
     def is_yes(self) -> bool:
         return len(self.aut_elements()) == 2

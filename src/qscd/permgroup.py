@@ -1,8 +1,8 @@
 """Exact arithmetic over the symmetric group S_n and its special key classes.
 
 Points are 1-based throughout: a permutation of degree n acts on {1,...,n}.
-The two key classes are K_n (fixed-point-free involutions, i.e. products of
-n/2 disjoint transpositions) and K_n^m (disjoint n/m cycles of length m).
+The key class K_n^m holds the products of n/m disjoint m-cycles; its m = 2
+case K_n = K_n^2 holds the fixed-point-free involutions.
 Admissible degrees for the fixed-point-free setting are n = 2(2k+1), i.e.
 n = 2, 6, 10, ...; for those degrees every element of K_n is odd.
 """
@@ -77,10 +77,6 @@ def identity(n: int) -> Permutation:
     return _trusted(tuple(range(1, n + 1)))
 
 
-def is_identity(sigma: Permutation) -> bool:
-    return all(sigma.image[i] == i + 1 for i in range(sigma.n))
-
-
 def from_cycles(n: int, cycles: list[tuple[int, ...]]) -> Permutation:
     """Permutation of degree n from disjoint cycles, e.g. [(1, 2, 3)]."""
     image = list(range(1, n + 1))
@@ -149,13 +145,8 @@ def is_ff_degree(n: int) -> bool:
     return n >= 2 and n % 4 == 2
 
 
-def is_fpf_involution(sigma: Permutation) -> bool:
-    """Membership in K_n: order two and no fixed point."""
-    return all(l == 2 for l in cycle_type(sigma))
-
-
 def is_cyclic_class(sigma: Permutation, m: int) -> bool:
-    """Membership in K_n^m: disjoint n/m cycles, all of length m."""
+    """Membership in K_n^m: disjoint n/m cycles, all of length m (K_n is m = 2)."""
     return all(l == m for l in cycle_type(sigma))
 
 
@@ -199,11 +190,12 @@ def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
 
 
 def sample_fpf_involution(param: SecurityParam, rng: np.random.Generator) -> Permutation:
-    """Uniform element of K_n via a random perfect matching.
+    """Uniform element of K_n = K_n^2 via a random perfect matching.
 
     Repeatedly pairs the smallest unmatched point with a uniformly random
     other unmatched point, which hits every perfect matching with equal
-    probability.
+    probability. ``sample_cyclic`` at m = 2 is as uniform but draws otherwise;
+    this sampler stays so that every seed keeps its ff key.
     """
     if param.kind != FF:
         raise ValueError("sample_fpf_involution needs an ff parameter")
@@ -235,40 +227,25 @@ def sample_cyclic(param: SecurityParam, rng: np.random.Generator) -> Permutation
     return _trusted(tuple(image))
 
 
-def fpf_involutions(n: int) -> list[Permutation]:
-    """All of K_n, enumerated by recursive matching (desk scale)."""
-    if n % 2 != 0:
-        return []
-
-    def match(points: tuple[int, ...]) -> list[list[tuple[int, int]]]:
-        if not points:
-            return [[]]
-        a = points[0]
-        out = []
-        for idx in range(1, len(points)):
-            b = points[idx]
-            rest = points[1:idx] + points[idx + 1:]
-            for tail in match(rest):
-                out.append([(a, b)] + tail)
-        return out
-
-    result = []
-    for pairs in match(tuple(range(1, n + 1))):
-        image = list(range(1, n + 1))
-        for a, b in pairs:
-            image[a - 1] = b
-            image[b - 1] = a
-        result.append(Permutation(tuple(image)))
-    return result
-
-
 def cyclic_class(n: int, m: int) -> list[Permutation]:
-    """All of K_n^m by filtering S_n on cycle type. Factorial scan: small n only."""
-    out = []
-    for images in itertools.permutations(range(1, n + 1)):
-        p = Permutation(images)
-        if is_cyclic_class(p, m):
-            out.append(p)
+    """All of K_n^m (K_n is m = 2), cycle by cycle: the smallest free point a
+    opens (a b_1 ... b_{m-1}) for every ordered choice of m - 1 free points, in
+    increasing order; each cycle is listed once, from its smallest point."""
+    out: list[Permutation] = []
+    image = list(range(1, n + 1))
+
+    def extend(free: tuple[int, ...]) -> None:
+        if not free:
+            out.append(_trusted(tuple(image)))
+            return
+        a, rest = free[0], free[1:]
+        for chosen in itertools.permutations(rest, m - 1):
+            cycle = (a, *chosen)
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                image[x - 1] = y
+            extend(tuple(p for p in rest if p not in chosen))
+
+    extend(tuple(range(1, n + 1)))
     return out
 
 

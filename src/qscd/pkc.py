@@ -24,7 +24,6 @@ from .permgroup import (
     SecurityParam,
     format_permutation,
     is_cyclic_class,
-    is_fpf_involution,
     parse_permutation,
     sample_cyclic,
     sample_fpf_involution,
@@ -42,10 +41,8 @@ class KeyPair:
     def __post_init__(self):
         if self.secret.n != self.params.n:
             raise ValueError("secret degree does not match parameters")
-        if self.params.kind == FF and not is_fpf_involution(self.secret):
-            raise ValueError("ff secret must be a fixed-point-free involution")
-        if self.params.kind == CYC and not is_cyclic_class(self.secret, self.params.m):
-            raise ValueError(f"cyc secret must be a product of disjoint {self.params.m}-cycles")
+        if not is_cyclic_class(self.secret, self.params.m):
+            raise ValueError(f"secret must be a product of disjoint {self.params.m}-cycles")
 
 
 @dataclass
@@ -148,9 +145,9 @@ def adversary_view(
     copies: list[SparseState] = []
     for _ in range(l):
         if kp.params.kind == FF:
-            copies.append(gen_plus(kp.secret, rng))
+            copies.append(issue_key_copy(kp, rng).state)
         else:
-            copies.extend(gen_cyc(kp.secret, s, kp.params.m, rng) for s in range(kp.params.m))
+            copies.extend(copy.state for copy in issue_key_series(kp, rng))
     return c, copies
 
 

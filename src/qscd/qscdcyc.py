@@ -24,16 +24,8 @@ import math
 
 import numpy as np
 
-from .permgroup import Permutation, is_cyclic_class, powers, random_permutation
+from .permgroup import Permutation, cycle_type, is_cyclic_class, powers, random_permutation
 from .qstate import SparseState
-
-
-def key_modulus(pi: Permutation) -> int:
-    """The m of a key in K_n^m: the length of the cycle through point 1."""
-    length, point = 1, pi(1)
-    while point != 1:
-        length, point = length + 1, pi(point)
-    return length
 
 
 def require_cyclic_key(pi: Permutation, m: int) -> None:
@@ -65,7 +57,7 @@ def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> Sparse
 def _decode_circuit(state: SparseState, pi: Permutation) -> SparseState:
     # Attach a control over Z_m, split it, apply the controlled key and
     # recombine: a symbol-s draw leaves the control in |s>.
-    m = key_modulus(pi)
+    m = cycle_type(pi)[0]
     require_cyclic_key(pi, m)
     if pi.n != state.n:
         raise ValueError(f"degree mismatch: state {state.n}, key {pi.n}")

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .permgroup import Permutation, is_ff_degree, random_permutation
-from .qscdcyc import decode_cyc, gen_cyc, key_modulus
+from .permgroup import Permutation, is_cyclic_class, is_ff_degree, random_permutation
+from .qscdcyc import decode_cyc, gen_cyc
 from .qstate import SparseState, basis_state
 
 # A distinguisher maps the visible states plus an RNG handle to a bit.
@@ -24,11 +24,9 @@ Distinguisher = Callable[[Sequence[SparseState], np.random.Generator], int]
 
 
 def require_ff_key(pi: Permutation) -> None:
-    # Only the degree and the modulus: the cyclic primitive that every caller
-    # goes on to run checks that all cycles have that length.
     if not is_ff_degree(pi.n):
         raise ValueError(f"degree {pi.n} is not 2 mod 4")
-    if key_modulus(pi) != 2:
+    if not is_cyclic_class(pi, 2):
         raise ValueError("key is not a fixed-point-free involution")
 
 

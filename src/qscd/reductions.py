@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphauto import MINUS, PLUS, Graph, PromiseInstance, coset_sample
+from .graphauto import MINUS, PLUS, PromiseInstance, coset_sample
 from .permgroup import Permutation, random_permutation, sign
 from .qscdcyc import gen_cyc
 from .qscdff import Distinguisher, convert, distinguish, gen_iota, gen_plus
@@ -100,7 +100,8 @@ class AttackParams:
 
     @classmethod
     def from_polynomial(cls, n: int, p: int, k: int = 1) -> "AttackParams":
-        return cls(k=k, p=p, tuples_per_side=8 * p * p * n, threshold=4 * p * n)
+        nominal = cls(k=k, p=p, tuples_per_side=2, threshold=1)  # the formulas read only p
+        return cls(k, p, nominal.formula_tuples(n), nominal.formula_threshold(n))
 
     def formula_tuples(self, n: int) -> int:
         return 8 * self.p * self.p * n
@@ -166,7 +167,7 @@ def randomize_to_average(
 
 
 def ga_attack(
-    g: Graph | PromiseInstance,
+    inst: PromiseInstance,
     dist: Distinguisher,
     params: AttackParams,
     rng: np.random.Generator,
@@ -185,7 +186,6 @@ def ga_attack(
     """
     if l_key_copies is not None and l_key_copies < 0:
         raise ValueError("need l >= 0")
-    inst = g if isinstance(g, PromiseInstance) else PromiseInstance(g)
 
     def make_tuple(mode: str) -> list[SparseState]:
         if l_key_copies is None:

@@ -24,7 +24,7 @@ from .permgroup import (
     SecurityParam,
     compose,
     conjugate,
-    fpf_involutions,
+    cyclic_class,
     random_permutation,
     sample_cyclic,
     sample_fpf_involution,
@@ -158,7 +158,7 @@ def criterion_conjugation(seed: int) -> tuple[bool, str]:
     from scipy import stats
 
     rng = derive_rng(seed, 4)
-    k6 = fpf_involutions(6)
+    k6 = cyclic_class(6, 2)
     pi0 = k6[0]
     counts = {p.image: 0 for p in k6}
     for images in itertools.permutations(range(1, 7)):

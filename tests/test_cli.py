@@ -184,6 +184,29 @@ class TestAttack:
         )
         assert code == 3 and "promise-violation" in out
 
+    def test_planted_key_is_checked_against_the_search(self, tmp_path, capsys):
+        # the 6-cycle has 12 automorphisms, so no planted key makes it a YES
+        c6 = write_graph(tmp_path / "c6.txt", Graph(6, frozenset((i, i % 6 + 1) for i in range(1, 7))))
+        key = tmp_path / "rotation.txt"
+        key.write_text("FF 6\n6: 4 5 6 1 2 3\n")
+        code, out = run_cli(
+            capsys, "attack", "--graph", c6, "--dist", "omniscient",
+            "--planted-key", str(key), "--seed", "1",
+        )
+        assert code == 3
+        assert len(out.splitlines()) == 1 and out.startswith("promise-violation:"), out
+
+    def test_key_without_omniscient_is_usage_error(self, tmp_path, capsys):
+        graph = write_graph(tmp_path / "yes.txt", planted_yes_instance().graph)
+        key = tmp_path / "key.txt"
+        key.write_text(format_key(KeyPair(planted_yes_instance().hidden_key(), SecurityParam.ff(14))))
+        for path in (str(key), str(tmp_path / "missing.txt")):
+            code, out = run_cli(
+                capsys, "attack", "--graph", graph, "--dist", "coin", "--key", path, "--seed", "1"
+            )
+            assert code == 2
+            assert len(out.splitlines()) == 1 and out.startswith("error: --key"), out
+
     def test_negative_key_copies_is_usage_error(self, tmp_path, capsys):
         graph = write_graph(tmp_path / "yes.txt", planted_yes_instance().graph)
         code, out = run_cli(
@@ -255,6 +278,17 @@ class TestAdvantage:
             "--n", "6", "--m", "3", "--trials", "200", "--seed", "3",
         )
         assert code == 2 and out.startswith("error:")
+
+    def test_cyc_pair_refuses_a_key(self, tmp_path, capsys):
+        key = tmp_path / "key.txt"
+        run_cli(capsys, "keygen", "--mode", "ff", "--n", "6", "--seed", "3", "--out", str(key))
+        for path in (str(key), str(tmp_path / "missing.txt")):
+            code, out = run_cli(
+                capsys, "advantage", "--dist", "coin", "--pair", "cyc", "--n", "6",
+                "--trials", "20", "--seed", "1", "--key", path,
+            )
+            assert code == 2
+            assert len(out.splitlines()) == 1 and out.startswith("error: --key"), out
 
     @pytest.mark.parametrize(
         "extra",

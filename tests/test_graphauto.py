@@ -12,7 +12,6 @@ from qscd.graphauto import (
     Graph,
     PromiseInstance,
     PromiseViolation,
-    apply_perm,
     attach_label,
     automorphisms,
     build_query,
@@ -33,8 +32,7 @@ from qscd.permgroup import (
     from_cycles,
     identity,
     inverse,
-    is_fpf_involution,
-    is_identity,
+    is_cyclic_class,
     sign,
 )
 from qscd.selftest import RIGID6, RIGID7A, RIGID7B, planted_no_instance, planted_yes_instance
@@ -90,26 +88,6 @@ class TestGraph:
             auts = {p.image for p in brute_automorphisms(4, g.edges)}
             auts_c = {p.image for p in brute_automorphisms(4, complement(g).edges)}
             assert auts == auts_c
-
-
-class TestApplyPerm:
-    def test_identity(self):
-        assert apply_perm(identity(3), P3) == P3
-
-    def test_automorphism_fixes_graph(self):
-        assert apply_perm(from_cycles(3, [(1, 3)]), P3) == P3
-
-    def test_action_composes(self):
-        rng = np.random.default_rng(60)
-        g = Graph(5, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3)}))
-        for _ in range(20):
-            a = Permutation(tuple(int(x) + 1 for x in rng.permutation(5)))
-            b = Permutation(tuple(int(x) + 1 for x in rng.permutation(5)))
-            assert apply_perm(compose(a, b), g) == apply_perm(a, apply_perm(b, g))
-
-    def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_perm(identity(4), P3)
 
 
 class TestAutomorphisms:
@@ -169,7 +147,7 @@ class TestAutomorphisms:
     def test_long_path_needs_no_recursion(self):
         auts = automorphisms(path(3000), node_limit=4000)
         assert len(auts) == 2
-        assert [p for p in auts if not is_identity(p)][0].image == tuple(range(3000, 0, -1))
+        assert [p for p in auts if p != identity(p.n)][0].image == tuple(range(3000, 0, -1))
 
     def test_rigid_witness_is_smallest(self):
         # the frozen 6-node witness is rigid (checked against the full S_6
@@ -188,8 +166,8 @@ class TestAutomorphisms:
         doubled = disjoint_union(RIGID7A, RIGID7A)
         auts = automorphisms(doubled)
         assert len(auts) == 2
-        swap = [p for p in auts if not is_identity(p)][0]
-        assert is_fpf_involution(swap)
+        swap = [p for p in auts if p != identity(p.n)][0]
+        assert is_cyclic_class(swap, 2)
 
     def test_closure_under_compose_and_inverse(self):
         for g in (K3, P3, disjoint_union(RIGID7A, RIGID7A)):
@@ -392,8 +370,8 @@ class TestBuildQuery:
             q = build_query(g, [], i, j)
             auts = automorphisms(q, node_limit=200)
             assert len(auts) == 2
-            swap = [p for p in auts if not is_identity(p)][0]
-            assert is_fpf_involution(swap)
+            swap = [p for p in auts if p != identity(p.n)][0]
+            assert is_cyclic_class(swap, 2)
 
     def test_no_instance_is_rigid(self):
         # no automorphism of either base exchanges these target pairs
@@ -411,7 +389,7 @@ class TestBuildQuery:
         q = build_query(K3, [1], 2, 3)
         auts = automorphisms(q, node_limit=200)
         assert len(auts) == 2
-        assert is_fpf_involution([p for p in auts if not is_identity(p)][0])
+        assert is_cyclic_class([p for p in auts if p != identity(p.n)][0], 2)
 
     def test_matches_chain_by_chain_construction(self):
         # every query of the path scans on 2..8 nodes, against the earlier
@@ -528,6 +506,16 @@ class TestPromiseInstance:
         )
         with pytest.raises(PromiseViolation):
             not_auto.aut_elements()
+
+    def test_certified_key_is_checked_against_the_search(self):
+        # the 6-cycle has 12 automorphisms; its rotation by 3 lies in K_6
+        c6 = Graph(6, frozenset((i, i % 6 + 1) for i in range(1, 7)))
+        rotation = from_cycles(6, [(1, 4), (2, 5), (3, 6)])
+        with pytest.raises(PromiseViolation, match="at most 2"):
+            PromiseInstance(c6, certified=rotation).aut_elements()
+        swap = planted_yes_instance().certified
+        with pytest.raises(PromiseViolation, match="planted key"):
+            PromiseInstance(planted_no_instance().graph, certified=swap).aut_elements()
 
     def test_computed_no_instance(self):
         inst = planted_no_instance()

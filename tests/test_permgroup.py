@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,11 @@ from qscd.permgroup import (
     cycle_type,
     cyclic_class,
     format_permutation,
-    fpf_involutions,
     from_cycles,
     identity,
     inverse,
     is_cyclic_class,
     is_ff_degree,
-    is_fpf_involution,
     parse_permutation,
     perm_pow,
     powers,
@@ -63,7 +63,7 @@ class TestCompose:
         assert compose(left, right) == from_cycles(3, [(1, 2, 3)])
 
     def test_key_class_elements_square_to_identity(self):
-        for pi in fpf_involutions(6):
+        for pi in cyclic_class(6, 2):
             assert compose(pi, pi) == identity(6)
 
     def test_degree_mismatch(self):
@@ -89,7 +89,7 @@ class TestInverse:
         assert compose(sigma, inverse(sigma)) == identity(6)
 
     def test_key_class_self_inverse(self):
-        for pi in fpf_involutions(6):
+        for pi in cyclic_class(6, 2):
             assert inverse(pi) == pi
 
 
@@ -284,18 +284,34 @@ class TestConjugate:
 
 class TestEnumerators:
     def test_fpf_involutions_match_brute_force(self):
-        assert {p.image for p in fpf_involutions(6)} == brute_fpf_involutions(6)
-        assert {p.image for p in fpf_involutions(4)} == brute_fpf_involutions(4)
+        # K_n is the m = 2 class
+        for n in (4, 6):
+            assert {p.image for p in cyclic_class(n, 2)} == brute_fpf_involutions(n)
 
     def test_cyclic_class_matches_brute_force(self):
-        assert {p.image for p in cyclic_class(3, 3)} == brute_cyclic_class(3, 3)
-        assert {p.image for p in cyclic_class(4, 2)} == brute_cyclic_class(4, 2)
+        for n, m in [(4, 2), (6, 2), (3, 3), (6, 3)]:
+            images = [p.image for p in cyclic_class(n, m)]
+            assert len(images) == len(set(images))
+            assert set(images) == brute_cyclic_class(n, m)
+
+    def test_cyclic_class_sizes(self):
+        # n! / (m^(n/m) (n/m)!) elements; scanning S_10 for K_10 would take minutes
+        for n, m in [(8, 4), (9, 3), (10, 2)]:
+            keys = cyclic_class(n, m)
+            want = math.factorial(n) // (m ** (n // m) * math.factorial(n // m))
+            assert len({p.image for p in keys}) == len(keys) == want
+            assert all(cycle_type(p) == (m,) * (n // m) for p in keys)
+        assert cyclic_class(5, 2) == []
+
+    def test_cyclic_class_starts_at_the_smallest_cycles(self):
+        assert cyclic_class(6, 2)[0] == from_cycles(6, [(1, 2), (3, 4), (5, 6)])
+        assert cyclic_class(6, 3)[0] == from_cycles(6, [(1, 2, 3), (4, 5, 6)])
 
     def test_k10_samples_are_odd(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             pi = sample_fpf_involution(SecurityParam.ff(10), rng)
-            assert is_fpf_involution(pi) and sign(pi) == 1
+            assert is_cyclic_class(pi, 2) and sign(pi) == 1
 
 
 class TestTextFormat:

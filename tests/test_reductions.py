@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qscd.permgroup import from_cycles, fpf_involutions
+from qscd.permgroup import cyclic_class, from_cycles
 from qscd.qscdff import gen_plus
 from qscd.qstate import states_equal
 from qscd.reductions import (
@@ -102,7 +102,7 @@ class TestRandomizeToAverage:
 
     def test_hidden_key_lands_uniform_on_k6(self):
         rng = np.random.default_rng(73)
-        cells = {p.image: 0 for p in fpf_involutions(6)}
+        cells = {p.image: 0 for p in cyclic_class(6, 2)}
         for _ in range(15000):
             (moved,) = randomize_to_average((gen_plus(PI6, rng),), rng)
             cells[two_point_key(moved)] += 1
