@@ -65,15 +65,17 @@ EXIT_INTERNAL = 5
 
 def _params_from_args(args) -> SecurityParam:
     if args.mode == "ff":
+        if args.m is not None:
+            raise ValueError("--m applies only to --mode cyc")
         return SecurityParam.ff(args.n)
-    return SecurityParam.cyc(args.n, args.m)
+    return SecurityParam.cyc(args.n, 2 if args.m is None else args.m)
 
 
 def cmd_keygen(args) -> int:
     params = _params_from_args(args)
     kp = keygen(params, derive_rng(args.seed))
     Path(args.out).write_text(format_key(kp))
-    extra = f" m={args.m}" if args.mode == "cyc" else ""
+    extra = f" m={params.m}" if args.mode == "cyc" else ""
     print(f"mode={args.mode} n={args.n}{extra} seed={args.seed}")
     print(f"secret={format_permutation(kp.secret)}")
     print(f"written={args.out}")
@@ -106,7 +108,7 @@ def cmd_decrypt(args) -> int:
 def cmd_demo(args) -> int:
     params = _params_from_args(args)
     rng = derive_rng(args.seed)
-    extra = f" m={args.m}" if args.mode == "cyc" else ""
+    extra = f" m={params.m}" if args.mode == "cyc" else ""
     print(f"mode={args.mode} n={args.n}{extra} seed={args.seed}")
     kp = keygen(params, rng)
     print(f"step=keygen secret={format_permutation(kp.secret)}")
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="sample a key pair and write the key file")
     p.add_argument("--mode", choices=["ff", "cyc"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=2, help="cycle length for cyc mode")
+    p.add_argument("--m", type=int, help="cycle length for cyc mode (default 2)")
     p.add_argument("--out", required=True)
     add_seed(p)
     p.set_defaults(func=cmd_keygen)
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="full key-transmission and message-transmission transcript")
     p.add_argument("--mode", choices=["ff", "cyc"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=int, help="cycle length for cyc mode (default 2)")
     add_seed(p)
     p.set_defaults(func=cmd_demo)
 

@@ -25,13 +25,8 @@ from .permgroup import (
     is_cyclic_class,
     is_ff_degree,
     random_permutation,
-    sign,
 )
 from .qstate import SparseState
-
-# The sign modes of coset_sample.
-PLUS = "plus"
-MINUS = "minus"
 
 
 class PromiseViolation(Exception):
@@ -261,7 +256,13 @@ def group_order(g: Graph, node_limit: int = 40) -> int:
     """|Aut(g)|, never listed: the product over k of the orbit size of order[k]
     under the automorphisms fixing order[:k]. Each w in order[k:] costs one
     search pinned to (*order[:k], w), stopped at its first automorphism. The
-    product ends at the first k whose stabilizer is the identity alone."""
+    product ends at the first k whose stabilizer is the identity alone. A
+    graph and its complement share their group, so the sparser one is
+    searched. An oversized graph goes to the search, which refuses it,
+    without being complemented."""
+    n = g.node_count
+    if n <= node_limit and 4 * len(g.edges) > n * (n - 1):
+        g = complement(g)
     order, backtrack = _search(g, node_limit)
     total = 1
     for k in range(len(order)):
@@ -431,35 +432,23 @@ class PromiseInstance:
             raise PromiseViolation("planted key is not the automorphism the search found")
         return elements
 
-    def is_yes(self) -> bool:
-        return len(self.aut_elements()) == 2
-
     def hidden_key(self) -> Permutation | None:
         elements = self.aut_elements()
         return elements[1] if len(elements) == 2 else None
 
 
-def coset_sample(inst: PromiseInstance, sign_mode: str, rng: np.random.Generator) -> SparseState:
+def coset_sample(inst: PromiseInstance, rng: np.random.Generator) -> SparseState:
     """One coset-superposition draw from a promise instance.
 
     Simulates preparing the uniform relabeling superposition entangled with
     the relabeled graph and discarding the graph register: the survivor is
     (1/sqrt(|Aut|)) sum over alpha in Aut(g) of |sigma alpha> for a uniform
-    sigma. The minus variant flips the sign of odd-permutation amplitudes
-    first. YES instances therefore yield plus/minus draws for the hidden
-    key; NO instances yield iota draws either way.
+    sigma, all with one sign. YES instances therefore yield plus draws for
+    the hidden key, which ``qscdff.convert`` turns into minus draws; NO
+    instances yield iota draws.
     """
-    if sign_mode not in (PLUS, MINUS):
-        raise ValueError(f"sign mode must be {PLUS!r} or {MINUS!r}")
     elements = inst.aut_elements()
     n = inst.graph.node_count
     sigma = random_permutation(n, rng)
-    scale = 1.0 / np.sqrt(len(elements))
-    amps = {}
-    for alpha in elements:
-        perm = compose(sigma, alpha)
-        amp = complex(scale)
-        if sign_mode == MINUS and sign(perm):
-            amp = -amp
-        amps[(0, perm)] = amp
-    return SparseState(n, 1, amps)
+    scale = complex(1.0 / np.sqrt(len(elements)))
+    return SparseState(n, 1, {(0, compose(sigma, alpha)): scale for alpha in elements})

@@ -163,6 +163,8 @@ class SecurityParam:
     m: int = 2
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"degree must be >= 1, got {self.n}")
         if self.kind == FF:
             if not is_ff_degree(self.n):
                 raise ValueError(f"ff degree must be 2 mod 4, got {self.n}")

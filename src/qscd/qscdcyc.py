@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .permgroup import Permutation, cycle_type, is_cyclic_class, powers, random_permutation
+from .permgroup import Permutation, compose, cycle_type, is_cyclic_class, powers, random_permutation
 from .qstate import SparseState
 
 
@@ -38,20 +38,19 @@ def require_cyclic_key(pi: Permutation, m: int) -> None:
 def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> SparseState:
     """Fresh draw encoding symbol s under key pi in K_n^m.
 
-    Builds the Fourier superposition over the cyclic group {id, pi, ...,
-    pi^(m-1)} by direct evaluation, then hides the coset with a uniform left
-    translation.
+    Draws the hiding translation sigma, then builds the coset superposition
+    {|sigma pi^t> : w^(st) / sqrt(m)} over t in Z_m as one state.
     """
     require_cyclic_key(pi, m)
     if not 0 <= s < m:
         raise ValueError(f"symbol {s} out of range for modulus {m}")
+    sigma = random_permutation(pi.n, rng)
     scale = 1.0 / math.sqrt(m)
     amps = {
-        (0, power): scale * cmath.exp(2j * math.pi * s * t / m)
+        (0, compose(sigma, power)): scale * cmath.exp(2j * math.pi * s * t / m)
         for t, power in enumerate(powers(pi, m)[:m])
     }
-    sigma = random_permutation(pi.n, rng)
-    return SparseState(pi.n, 1, amps).translate(sigma, "left")
+    return SparseState(pi.n, 1, amps)
 
 
 def _decode_circuit(state: SparseState, pi: Permutation) -> SparseState:

@@ -116,16 +116,11 @@ class SparseState:
         }
         return SparseState(self.n, self.m, out)
 
-    def translate(self, tau: Permutation, side: str) -> SparseState:
-        """Multiply the permutation register by tau from the given side."""
+    def translate(self, tau: Permutation) -> SparseState:
+        """Right translation: |r>|sigma> -> |r>|sigma tau>."""
         if tau.n != self.n:
             raise ValueError(f"degree mismatch: state {self.n}, tau {tau.n}")
-        if side == "left":
-            out = {(r, compose(tau, perm)): amp for (r, perm), amp in self.amps.items()}
-        elif side == "right":
-            out = {(r, compose(perm, tau)): amp for (r, perm), amp in self.amps.items()}
-        else:
-            raise ValueError(f"unknown side {side!r}")
+        out = {(r, compose(perm, tau)): amp for (r, perm), amp in self.amps.items()}
         return SparseState(self.n, self.m, out)
 
     def with_control(self, m: int) -> SparseState:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphauto import MINUS, PLUS, PromiseInstance, coset_sample
+from .graphauto import PromiseInstance, coset_sample
 from .permgroup import Permutation, random_permutation, sign
 from .qscdcyc import gen_cyc
 from .qscdff import Distinguisher, convert, distinguish, gen_iota, gen_plus
@@ -98,11 +98,6 @@ class AttackParams:
         if not 0 < self.threshold < self.tuples_per_side:
             raise ValueError("need 0 < threshold < tuples_per_side")
 
-    @classmethod
-    def from_polynomial(cls, n: int, p: int, k: int = 1) -> "AttackParams":
-        nominal = cls(k=k, p=p, tuples_per_side=2, threshold=1)  # the formulas read only p
-        return cls(k, p, nominal.formula_tuples(n), nominal.formula_threshold(n))
-
     def formula_tuples(self, n: int) -> int:
         return 8 * self.p * self.p * n
 
@@ -163,7 +158,7 @@ def randomize_to_average(
     whole key class.
     """
     tau = random_permutation(states[0].n, rng)
-    return tuple(state.translate(tau, "right") for state in states)
+    return tuple(state.translate(tau) for state in states)
 
 
 def ga_attack(
@@ -175,27 +170,27 @@ def ga_attack(
 ) -> int:
     """Decide a promise instance by feeding coset draws to a distinguisher.
 
-    Builds tuples_per_side tuples of plus draws and as many of minus draws,
-    counts the distinguisher's acceptances on each side, and answers YES
-    when the counts differ by at least the threshold. On a NO instance both
-    sides are iota draws, so the counts concentrate together.
-
-    With ``l_key_copies`` set, tuples take the intercepted-message shape
-    instead: one challenge draw (plus on one side, minus on the other)
-    followed by that many plus draws standing in for encryption-key copies.
+    A tuple holds k challenge draws, or, with ``l_key_copies`` set, one
+    challenge followed by that many plus draws standing in for
+    encryption-key copies. The minus side sends its challenges through
+    ``convert``. Answers YES when the acceptance counts over
+    tuples_per_side tuples a side differ by at least the threshold. On a
+    NO instance every draw is iota, which ``convert`` fixes up to a global
+    sign, so the counts concentrate together.
     """
     if l_key_copies is not None and l_key_copies < 0:
         raise ValueError("need l >= 0")
+    challenges = params.k if l_key_copies is None else 1
+    size = challenges + (l_key_copies or 0)
 
-    def make_tuple(mode: str) -> list[SparseState]:
-        if l_key_copies is None:
-            return [coset_sample(inst, mode, rng) for _ in range(params.k)]
-        draws = [coset_sample(inst, mode, rng)]
-        draws.extend(coset_sample(inst, PLUS, rng) for _ in range(l_key_copies))
+    def make_tuple(minus: bool) -> list[SparseState]:
+        draws = [coset_sample(inst, rng) for _ in range(size)]
+        if minus:
+            draws[:challenges] = [convert(draw) for draw in draws[:challenges]]
         return draws
 
-    r_plus = sum(dist(make_tuple(PLUS), rng) for _ in range(params.tuples_per_side))
-    r_minus = sum(dist(make_tuple(MINUS), rng) for _ in range(params.tuples_per_side))
+    r_plus = sum(dist(make_tuple(False), rng) for _ in range(params.tuples_per_side))
+    r_minus = sum(dist(make_tuple(True), rng) for _ in range(params.tuples_per_side))
     return 1 if abs(r_plus - r_minus) >= params.threshold else 0
 
 

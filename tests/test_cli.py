@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -123,6 +126,12 @@ class TestGraphCommands:
         code, out = run_cli(capsys, "ga", "--graph", forty)
         assert code == 0
         assert out.splitlines()[0] == f"nodes=40 edges=0 automorphisms={math.factorial(40)}"
+        complete = Graph(40, frozenset((u, v) for u in range(1, 41) for v in range(u + 1, 41)))
+        code, out = run_cli(
+            capsys, "ga", "--graph", write_graph(tmp_path / "complete40.txt", complete)
+        )
+        assert code == 0
+        assert out.splitlines()[0] == f"nodes=40 edges=780 automorphisms={math.factorial(40)}"
         over = write_graph(tmp_path / "empty41.txt", Graph(41, frozenset()))
         code, out = run_cli(capsys, "ga", "--graph", over)
         assert code == 2 and out.startswith("error:")
@@ -337,3 +346,54 @@ class TestErrors:
             capsys, "keygen", "--mode", "ff", "--n", "4", "--seed", "1", "--out", "/tmp/x"
         )
         assert code == 2 and "error:" in out
+
+    def test_nonpositive_degree_is_refused(self, tmp_path, capsys):
+        key = tmp_path / "k0.txt"
+        code, out = run_cli(
+            capsys, "keygen", "--mode", "cyc", "--n", "0", "--m", "2", "--seed", "1",
+            "--out", str(key),
+        )
+        assert code == 2 and out == "error: degree must be >= 1, got 0\n"
+        assert not key.exists()
+        key.write_text("CYC 0 2\n0: \n")  # what keygen wrote before
+        code, out = run_cli(
+            capsys, "encrypt", "--key", str(key), "--message", "0", "--seed", "1",
+            "--out", str(tmp_path / "ct.txt"),
+        )
+        assert code == 2 and out == "error: degree must be >= 1, got 0\n"
+        code, out = run_cli(capsys, "demo", "--mode", "cyc", "--n", "0", "--m", "2", "--seed", "1")
+        assert code == 2 and out == "error: degree must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["keygen", "--mode", "ff", "--n", "6", "--m", "3", "--out", "unwritten.txt"],
+            ["keygen", "--mode", "ff", "--n", "6", "--m", "2", "--out", "unwritten.txt"],
+            ["demo", "--mode", "ff", "--n", "6", "--m", "5"],
+        ],
+    )
+    def test_m_is_refused_in_ff_mode(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(capsys, *argv, "--seed", "1")
+        assert code == 2 and out == "error: --m applies only to --mode cyc\n"
+        assert not (tmp_path / "unwritten.txt").exists()
+
+    def test_cyc_mode_defaults_m_to_2(self, tmp_path, capsys):
+        for argv in (["keygen", "--out", str(tmp_path / "k.txt")], ["demo"]):
+            argv += ["--mode", "cyc", "--n", "6", "--seed", "3"]
+            code, out = run_cli(capsys, *argv)
+            _, explicit = run_cli(capsys, *argv, "--m", "2")
+            assert code == 0 and out == explicit
+            assert out.startswith("mode=cyc n=6 m=2 seed=3\n")
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.stats costs about a second of every CLI start; qscd imports it
+    # lazily, in the one selftest criterion that needs it
+    probe = "import sys, qscd; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout == "[]\n"

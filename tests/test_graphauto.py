@@ -35,6 +35,7 @@ from qscd.permgroup import (
     is_cyclic_class,
     sign,
 )
+from qscd.qscdff import convert, distinguish
 from qscd.selftest import RIGID6, RIGID7A, RIGID7B, planted_no_instance, planted_yes_instance
 
 from oracles import brute_automorphisms, has_nontrivial_automorphism
@@ -495,7 +496,6 @@ class TestKoeblerReduce:
 class TestPromiseInstance:
     def test_certified_key_verified(self):
         inst = planted_yes_instance()
-        assert inst.is_yes()
         assert inst.hidden_key() is not None
         bad = PromiseInstance(disjoint_union(RIGID7A, RIGID7A), certified=identity(14))
         with pytest.raises(PromiseViolation):
@@ -519,7 +519,6 @@ class TestPromiseInstance:
 
     def test_computed_no_instance(self):
         inst = planted_no_instance()
-        assert not inst.is_yes()
         assert inst.hidden_key() is None
 
     def test_rejects_violating_graph(self):
@@ -532,16 +531,17 @@ class TestCosetSample:
     def test_no_instance_yields_singletons(self):
         rng = np.random.default_rng(62)
         inst = planted_no_instance()
-        for mode in ("plus", "minus"):
-            sample = coset_sample(inst, mode, rng)
+        for _ in range(10):
+            sample = coset_sample(inst, rng)
             assert len(sample.amps) == 1
+            assert list(sample.amps.values()) == [1.0]
 
     def test_yes_plus_is_a_two_point_coset(self):
         rng = np.random.default_rng(63)
         inst = planted_yes_instance()
         pi = inst.hidden_key()
         for _ in range(50):
-            sample = coset_sample(inst, "plus", rng)
+            sample = coset_sample(inst, rng)
             perms = list(perm for _, perm in sample.amps)
             assert len(perms) == 2
             assert compose(perms[0], pi) in perms
@@ -552,23 +552,17 @@ class TestCosetSample:
         rng = np.random.default_rng(64)
         inst = planted_yes_instance()
         for _ in range(50):
-            sample = coset_sample(inst, "minus", rng)
+            sample = convert(coset_sample(inst, rng))
             for (_, perm), amp in sample.amps.items():
                 expected = -1.0 if sign(perm) else 1.0
                 assert amp.real == pytest.approx(expected / np.sqrt(2), abs=1e-9)
 
     def test_yes_draws_behave_like_generated_coset_states(self):
         # same trapdoor behavior as the direct generator: plus draws always
-        # pass the controlled-key test, minus draws always fail it
-        from qscd.qscdff import distinguish
-
+        # pass the controlled-key test, converted draws always fail it
         rng = np.random.default_rng(65)
         inst = planted_yes_instance()
         pi = inst.hidden_key()
         for _ in range(50):
-            assert distinguish(coset_sample(inst, "plus", rng), pi, rng) == 1
-            assert distinguish(coset_sample(inst, "minus", rng), pi, rng) == 0
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            coset_sample(planted_yes_instance(), "sideways", np.random.default_rng(0))
+            assert distinguish(coset_sample(inst, rng), pi, rng) == 1
+            assert distinguish(convert(coset_sample(inst, rng)), pi, rng) == 0

@@ -190,7 +190,7 @@ class TestSecurityParam:
         assert [n for n in range(1, 15) if is_ff_degree(n)] == [2, 6, 10, 14]
 
     def test_ff_rejects_bad_degree(self):
-        for n in (1, 4, 8, 12):
+        for n in (1, 4, 8, 12, -2):  # -2 is 2 mod 4
             with pytest.raises(ValueError):
                 SecurityParam.ff(n)
 
@@ -200,6 +200,9 @@ class TestSecurityParam:
             SecurityParam.cyc(6, 4)
         with pytest.raises(ValueError):
             SecurityParam.cyc(6, 1)
+        for n, m in ((0, 2), (-6, 3)):  # divisible, but no degree
+            with pytest.raises(ValueError, match="degree must be >= 1"):
+                SecurityParam.cyc(n, m)
 
 
 class TestSampleFpfInvolution:

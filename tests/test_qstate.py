@@ -143,30 +143,25 @@ class TestTranslate:
     def test_identity_translation(self):
         rng = np.random.default_rng(13)
         state = random_state(rng)
-        assert states_equal(state.translate(identity(4), "left"), state)
-        assert states_equal(state.translate(identity(4), "right"), state)
+        assert states_equal(state.translate(identity(4)), state)
 
     def test_right_translation_conjugates_the_coset(self):
         rng = np.random.default_rng(14)
         sigma = Permutation(tuple(int(x) + 1 for x in rng.permutation(6)))
         tau = Permutation(tuple(int(x) + 1 for x in rng.permutation(6)))
-        moved = plus_state(sigma, PI6).translate(tau, "right")
+        moved = plus_state(sigma, PI6).translate(tau)
         new_sigma = compose(sigma, tau)
         expected = {(0, new_sigma), (0, compose(new_sigma, conjugate(PI6, tau)))}
         assert set(moved.amps) == expected
 
-    def test_left_then_inverse_roundtrip(self):
+    def test_right_then_inverse_roundtrip(self):
         rng = np.random.default_rng(15)
         state = random_state(rng)
         tau = Permutation(tuple(int(x) + 1 for x in rng.permutation(4)))
         from qscd.permgroup import inverse
 
-        back = state.translate(tau, "left").translate(inverse(tau), "left")
+        back = state.translate(tau).translate(inverse(tau))
         assert states_equal(state, back)
-
-    def test_unknown_side(self):
-        with pytest.raises(ValueError):
-            basis_state(0, identity(2), 1).translate(identity(2), "up")
 
 
 class TestMeasurement:
@@ -244,8 +239,7 @@ class TestUnitarity:
                 state.fourier_control("inverse"),
                 state.controlled_power(tau),
                 state.phase_by_sign(),
-                state.translate(tau, "left"),
-                state.translate(tau, "right"),
+                state.translate(tau),
             ):
                 assert abs(moved.norm() - 1.0) < 1e-9
 
@@ -377,8 +371,7 @@ def operations(state):
         "controlled key": state.controlled_power(KEYS6[state.m]),
         "controlled other": state.controlled_power(tau),
         "sign": state.phase_by_sign(),
-        "left": state.translate(tau, "left"),
-        "right": state.translate(tau, "right"),
+        "right": state.translate(tau),
         "collapse": state.measure_control(np.random.default_rng(0))[1],
     }
     return moved

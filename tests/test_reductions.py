@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from qscd.permgroup import cyclic_class, from_cycles
-from qscd.qscdff import gen_plus
+from qscd.qscdff import distinguish, gen_plus
 from qscd.qstate import states_equal
 from qscd.reductions import (
     SPAWN_CHUNK,
@@ -59,9 +59,9 @@ class TestDistinguisherReport:
 
 class TestAttackParams:
     def test_analysis_formulas(self):
-        params = AttackParams.from_polynomial(n=14, p=3, k=2)
-        assert params.tuples_per_side == 8 * 9 * 14
-        assert params.threshold == 4 * 3 * 14
+        params = AttackParams(k=2, p=3, tuples_per_side=4, threshold=2)
+        assert params.formula_tuples(14) == 8 * 9 * 14
+        assert params.formula_threshold(14) == 4 * 3 * 14
         assert PARAMS.formula_tuples(14) == 112
         assert PARAMS.formula_threshold(14) == 56
 
@@ -137,6 +137,23 @@ class TestGaAttack:
 
         assert ga_attack(inst, probe, PARAMS, rng, l_key_copies=3) == 1
         assert set(seen) == {4}
+
+    def test_tuple_shape_per_side(self):
+        # plus tuples come first, then minus tuples; only the challenges
+        # of a minus tuple are converted, the key copies stay plus draws
+        inst = planted_yes_instance()
+        pi = inst.hidden_key()
+        params = AttackParams(k=3, p=1, tuples_per_side=5, threshold=1)
+        for l, challenges in ((2, 1), (None, 3), (0, 1)):
+            seen = []
+
+            def record(states, gen):
+                seen.append([distinguish(state, pi, gen) for state in states])
+                return 0
+
+            ga_attack(inst, record, params, np.random.default_rng(80), l_key_copies=l)
+            copies = [1] * (l or 0)
+            assert seen == [[1] * challenges + copies] * 5 + [[0] * challenges + copies] * 5
 
 
 class TestHybridToIota:
