@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuples", type=int, default=32, help="tuples per side")
     p.add_argument("--threshold", type=int, default=16, help="acceptance-count gap for YES")
     p.add_argument("--p", type=int, default=1, help="nominal polynomial value for the report")
-    p.add_argument("--l", type=int, default=None, help="intercepted-message shape: key copies per tuple")
+    p.add_argument("--l", type=int, default=0, help="intercepted-message shape: key copies per tuple")
     add_seed(p)
     p.set_defaults(func=cmd_attack)
 

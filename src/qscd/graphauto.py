@@ -22,6 +22,7 @@ from .permgroup import (
     Permutation,
     compose,
     identity,
+    int_fields,
     is_cyclic_class,
     is_ff_degree,
     random_permutation,
@@ -106,19 +107,19 @@ def format_graph(g: Graph) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(no, line.split()) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise ValueError("empty graph file")
-    n, m = (int(x) for x in lines[0].split())
+    n, m = int_fields(*lines[0], "node count", "edge count")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edges, got {len(lines) - 1}")
     edges: set[tuple[int, int]] = set()
-    for line in lines[1:]:
-        u, v = (int(x) for x in line.split())
+    for no, fields in lines[1:]:
+        u, v = int_fields(no, fields, "u", "v")
         if not 1 <= u < v <= n:
-            raise ValueError(f"bad edge line {line!r}: need 1 <= u < v <= {n}")
+            raise ValueError(f"line {no}: bad edge {u} {v}: need 1 <= u < v <= {n}")
         if (u, v) in edges:
-            raise ValueError(f"duplicate edge {u} {v}")
+            raise ValueError(f"line {no}: duplicate edge {u} {v}")
         edges.add((u, v))
     return Graph(n, frozenset(edges))
 
@@ -274,31 +275,13 @@ def group_order(g: Graph, node_limit: int = 40) -> int:
 
 def _hang_label(edges: set[tuple[int, int]], node: int, count: int, n: int, tail_len: int) -> int:
     # Hang a chain of 2n+3 new nodes on `node`, then a tail of tail_len new
-    # nodes on the chain's (n+2)-nd node. New nodes are numbered from
-    # count + 1 in creation order; returns the new node count.
+    # nodes on the chain's (n+2)-nd node: a tree of 2n+3+tail_len new nodes and
+    # edges, numbered from count + 1 in creation order. Returns the node count.
     chain = [node, *range(count + 1, count + 2 * n + 4)]
     tail = [count + n + 2, *range(count + 2 * n + 4, count + 2 * n + 4 + tail_len)]
     edges.update(zip(chain, chain[1:]))
     edges.update(zip(tail, tail[1:]))
     return count + 2 * n + 3 + tail_len
-
-
-def attach_label(g: Graph, node: int, label_index: int) -> Graph:
-    """Node-distinguishing gadget: a chain of 2n+3 new nodes hung on `node`
-    plus a tail of label_index nodes hung on the chain's (n+2)-nd node, n
-    being the current node count.
-
-    Adds exactly 2n + label_index + 3 nodes. Distinct indices
-    give distinct gadget sizes, which pins each labeled node under any
-    automorphism without creating new ones.
-    """
-    if label_index < 1:
-        raise ValueError("label index must be >= 1")
-    if not 1 <= node <= g.node_count:
-        raise ValueError(f"node {node} out of range")
-    edges = set(g.edges)
-    count = _hang_label(edges, node, g.node_count, g.node_count, label_index)
-    return Graph(count, frozenset(edges))
 
 
 def build_query(g: Graph, fixed: list[int], i: int, j: int) -> Graph:

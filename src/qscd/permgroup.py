@@ -265,3 +265,16 @@ def parse_permutation(text: str) -> Permutation:
     if len(image) != n:
         raise ValueError(f"expected {n} images, got {len(image)}")
     return Permutation(image)
+
+
+def int_fields(line_no: int, fields: list[str], *names: str) -> list[int]:
+    """One integer per name from a text line's fields; errors name the line and the field."""
+    if len(fields) != len(names):
+        raise ValueError(f"line {line_no}: expected {', '.join(names)}; got {' '.join(fields)!r}")
+    values = []
+    for name, field in zip(names, fields):
+        try:
+            values.append(int(field))
+        except ValueError:
+            raise ValueError(f"line {line_no}: {name} {field!r} is not an integer") from None
+    return values

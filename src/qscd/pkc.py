@@ -23,6 +23,7 @@ from .permgroup import (
     Permutation,
     SecurityParam,
     format_permutation,
+    int_fields,
     is_cyclic_class,
     parse_permutation,
     sample_cyclic,
@@ -160,17 +161,18 @@ def format_key(kp: KeyPair) -> str:
 
 
 def parse_key(text: str) -> KeyPair:
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
     if len(lines) != 2:
         raise ValueError("key file needs a mode line and a permutation line")
-    fields = lines[0].split()
-    if fields[0] == "FF" and len(fields) == 2:
-        params = SecurityParam.ff(int(fields[1]))
-    elif fields[0] == "CYC" and len(fields) == 3:
-        params = SecurityParam.cyc(int(fields[1]), int(fields[2]))
+    (no, head), (_, secret) = lines
+    mode, *fields = head.split()
+    if mode == "FF":
+        params = SecurityParam.ff(*int_fields(no, fields, "degree"))
+    elif mode == "CYC":
+        params = SecurityParam.cyc(*int_fields(no, fields, "degree", "cycle length"))
     else:
-        raise ValueError(f"bad key mode line: {lines[0]!r}")
-    return KeyPair(parse_permutation(lines[1]), params)
+        raise ValueError(f"line {no}: bad key mode {mode!r}: need FF or CYC")
+    return KeyPair(parse_permutation(secret), params)
 
 
 def format_ciphertext(c: Ciphertext) -> str:

@@ -58,8 +58,6 @@ def _decode_circuit(state: SparseState, pi: Permutation) -> SparseState:
     # recombine: a symbol-s draw leaves the control in |s>.
     m = cycle_type(pi)[0]
     require_cyclic_key(pi, m)
-    if pi.n != state.n:
-        raise ValueError(f"degree mismatch: state {state.n}, key {pi.n}")
     state = state.with_control(m)
     state = state.fourier_control("inverse")
     state = state.controlled_power(pi)
@@ -67,9 +65,9 @@ def _decode_circuit(state: SparseState, pi: Permutation) -> SparseState:
 
 
 def decode_cyc(state: SparseState, pi: Permutation, rng: np.random.Generator) -> int:
-    """Generalized controlled-key test; returns the measured symbol."""
-    outcome, _ = _decode_circuit(state, pi).measure_control(rng)
-    return outcome
+    """Generalized controlled-key test; returns the measured symbol, a draw
+    from the list that ``decode_distribution`` returns."""
+    return _decode_circuit(state, pi).measure_control(rng)
 
 
 def decode_distribution(state: SparseState, pi: Permutation) -> list[float]:

@@ -136,17 +136,10 @@ class SparseState:
             probs[r] += abs(amp) ** 2
         return probs
 
-    def measure_control(self, rng: np.random.Generator) -> tuple[int, SparseState]:
-        """Measure the control register; returns (outcome, collapsed state)."""
-        probs = self.control_probabilities()
-        outcome = _born_draw(probs, rng)
-        weight = math.sqrt(probs[outcome])
-        out = {
-            key: amp / weight
-            for key, amp in self.amps.items()
-            if key[0] == outcome
-        }
-        return outcome, SparseState(self.n, self.m, out)
+    def measure_control(self, rng: np.random.Generator) -> int:
+        """Measure the control register; returns the outcome, a Born draw from
+        ``control_probabilities()``. The collapsed state is never built."""
+        return _born_draw(self.control_probabilities(), rng)
 
     def measure_full(self, rng: np.random.Generator) -> tuple[int, Permutation]:
         """Full computational-basis measurement with Born probabilities."""
@@ -204,8 +197,6 @@ def _born_draw(weights: list[float], rng: np.random.Generator) -> int:
 
 def basis_state(control: int, sigma: Permutation, m: int) -> SparseState:
     """Single-entry state |control>|sigma> with amplitude 1."""
-    if not 0 <= control < m:
-        raise ValueError(f"control {control} out of range for modulus {m}")
     return SparseState(sigma.n, m, {(control, sigma): 1.0 + 0j})
 
 

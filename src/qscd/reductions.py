@@ -166,27 +166,24 @@ def ga_attack(
     dist: Distinguisher,
     params: AttackParams,
     rng: np.random.Generator,
-    l_key_copies: int | None = None,
+    l_key_copies: int = 0,
 ) -> int:
     """Decide a promise instance by feeding coset draws to a distinguisher.
 
-    A tuple holds k challenge draws, or, with ``l_key_copies`` set, one
-    challenge followed by that many plus draws standing in for
-    encryption-key copies. The minus side sends its challenges through
-    ``convert``. Answers YES when the acceptance counts over
-    tuples_per_side tuples a side differ by at least the threshold. On a
-    NO instance every draw is iota, which ``convert`` fixes up to a global
+    A tuple holds k challenge draws followed by ``l_key_copies`` plus draws
+    standing in for encryption-key copies. The minus side sends its
+    challenges through ``convert``. Answers YES when the acceptance counts
+    over tuples_per_side tuples a side differ by at least the threshold. On
+    a NO instance every draw is iota, which ``convert`` fixes up to a global
     sign, so the counts concentrate together.
     """
-    if l_key_copies is not None and l_key_copies < 0:
+    if l_key_copies < 0:
         raise ValueError("need l >= 0")
-    challenges = params.k if l_key_copies is None else 1
-    size = challenges + (l_key_copies or 0)
 
     def make_tuple(minus: bool) -> list[SparseState]:
-        draws = [coset_sample(inst, rng) for _ in range(size)]
+        draws = [coset_sample(inst, rng) for _ in range(params.k + l_key_copies)]
         if minus:
-            draws[:challenges] = [convert(draw) for draw in draws[:challenges]]
+            draws[:params.k] = [convert(draw) for draw in draws[:params.k]]
         return draws
 
     r_plus = sum(dist(make_tuple(False), rng) for _ in range(params.tuples_per_side))

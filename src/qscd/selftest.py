@@ -14,7 +14,7 @@ from .graphauto import (
     Graph,
     PromiseInstance,
     PromiseViolation,
-    attach_label,
+    _hang_label,
     build_query,
     disjoint_union,
     koebler_reduce,
@@ -201,12 +201,14 @@ def criterion_koebler(seed: int) -> tuple[bool, str]:
 
 
 def criterion_labels(seed: int) -> tuple[bool, str]:
-    """Gadget size arithmetic and admissible query node counts."""
+    """Gadget sizes and query node sets, counted from the built edges."""
     bad_sizes = 0
     for n in range(1, 7):
-        g = path_graph(n)
         for j in range(1, 7):
-            if attach_label(g, 1, j).node_count != n + 2 * n + j + 3:
+            edges = set(path_graph(n).edges)
+            _hang_label(edges, 1, n, n, j)
+            nodes = {v for e in edges for v in e}
+            if not len(edges) - (n - 1) == len(nodes) - n == 2 * n + j + 3:
                 bad_sizes += 1
     bad_counts = 0
     queries = 0
@@ -214,9 +216,10 @@ def criterion_labels(seed: int) -> tuple[bool, str]:
         g = path_graph(n)
         for i in range(n, 0, -1):
             for j in range(i + 1, n + 1):
-                count = build_query(g, list(range(1, i)), i, j).node_count
+                q = build_query(g, list(range(1, i)), i, j)
                 queries += 1
-                if count % 4 != 2:
+                ends = {v for e in q.edges for v in e}
+                if ends != set(range(1, q.node_count + 1)) or q.node_count % 4 != 2:
                     bad_counts += 1
     ok = bad_sizes == 0 and bad_counts == 0
     return ok, f"size_mismatches={bad_sizes} queries={queries} off_count={bad_counts}"

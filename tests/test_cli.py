@@ -378,6 +378,29 @@ class TestErrors:
         assert code == 2 and out == "error: --m applies only to --mode cyc\n"
         assert not (tmp_path / "unwritten.txt").exists()
 
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--graph", "3 1\n2 3 4\n", "line 2: expected u, v; got '2 3 4'"),
+            ("--graph", "3 x\n", "line 1: edge count 'x' is not an integer"),
+            ("--key", "FF six\n6: 2 1 4 3 6 5\n", "line 1: degree 'six' is not an integer"),
+            (
+                "--key", "\nCYC 6 3 1\n6: 2 3 1 5 6 4\n",
+                "line 2: expected degree, cycle length; got '6 3 1'",
+            ),
+        ],
+    )
+    def test_parse_errors_name_the_line_and_the_field(
+        self, tmp_path, capsys, monkeypatch, flag, text, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("input.txt").write_text(text)
+        command = ["ga"]
+        if flag == "--key":
+            command = ["encrypt", "--message", "0", "--seed", "1", "--out", "ct.txt"]
+        code, out = run_cli(capsys, *command, flag, "input.txt")
+        assert (code, out) == (2, f"error: {message}\n")
+
     def test_cyc_mode_defaults_m_to_2(self, tmp_path, capsys):
         for argv in (["keygen", "--out", str(tmp_path / "k.txt")], ["demo"]):
             argv += ["--mode", "cyc", "--n", "6", "--seed", "3"]

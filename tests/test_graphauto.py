@@ -12,7 +12,7 @@ from qscd.graphauto import (
     Graph,
     PromiseInstance,
     PromiseViolation,
-    attach_label,
+    _hang_label,
     automorphisms,
     build_query,
     complement,
@@ -285,30 +285,35 @@ class TestRefinement:
             assert Graph(q.node_count, q.edges) == q
 
 
+def hang_one(g, node, index):
+    """g with one gadget of the given index hung on `node`, as build_query hangs it."""
+    edges = set(g.edges)
+    count = _hang_label(edges, node, g.node_count, g.node_count, index)
+    return Graph(count, frozenset(edges))
+
+
 class TestAttachLabel:
     def test_node_count_arithmetic(self):
         for n in range(1, 7):
             g = Graph(n, frozenset((i, i + 1) for i in range(1, n)))
             for j in range(1, 7):
-                assert attach_label(g, 1, j).node_count == n + 2 * n + j + 3
+                labeled = hang_one(g, 1, j)
+                added = labeled.edges - g.edges
+                assert len(added) == 2 * n + j + 3
+                assert {v for e in added for v in e} - {1} == set(range(n + 1, labeled.node_count + 1))
+                assert labeled.node_count == n + 2 * n + j + 3
 
     def test_labeled_node_is_pinned(self):
         for node in (1, 2):
-            labeled = attach_label(K2, node, 1)
+            labeled = hang_one(K2, node, 1)
             for alpha in automorphisms(labeled, node_limit=100):
                 assert alpha(node) == node
 
     def test_labels_add_no_automorphism(self):
         for g in (K2, K3, P3):
             before = len(automorphisms(g))
-            after = len(automorphisms(attach_label(g, 1, 1), node_limit=100))
+            after = len(automorphisms(hang_one(g, 1, 1), node_limit=100))
             assert after <= before
-
-    def test_rejects_bad_node_or_index(self):
-        with pytest.raises(ValueError):
-            attach_label(K2, 3, 1)
-        with pytest.raises(ValueError):
-            attach_label(K2, 1, 0)
 
 
 def chain_by_chain_query(n, base_edges, fixed, i, j):

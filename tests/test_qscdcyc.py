@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qscd.permgroup import (
+    Permutation,
     SecurityParam,
     compose,
     from_cycles,
@@ -15,7 +16,7 @@ from qscd.permgroup import (
 )
 from qscd.qscdcyc import decode_cyc, decode_distribution, gen_cyc
 from qscd.qscdff import convert, distinguish, gen_plus
-from qscd.qstate import SparseState, inner_product, states_equal
+from qscd.qstate import SparseState, _born_draw, inner_product, states_equal
 
 from oracles import StubRng
 
@@ -114,6 +115,20 @@ class TestDecode:
                 assert perm_pow(pi, m) == identity(n)
                 s = int(rng.integers(m))
                 assert decode_cyc(gen_cyc(pi, s, m, rng), pi, rng) == s
+
+    def test_outcome_is_a_draw_from_the_distribution(self):
+        # Unequal weights on two points of a coset spread the outcome over
+        # Z_m; two equal generators must give the same symbol and end equal,
+        # one rng.random() per decode.
+        keys = {2: PI6, 3: PI63, 6: from_cycles(6, [(1, 3, 5, 2, 4, 6)])}
+        for m, pi in keys.items():
+            for seed in range(40):
+                sigma = Permutation(tuple(int(x) + 1 for x in np.random.default_rng(seed).permutation(6)))
+                state = SparseState(6, 1, {(0, sigma): 0.6, (0, compose(sigma, pi)): 0.8j})
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = _born_draw(decode_distribution(state, pi), rng_b)
+                assert decode_cyc(state, pi, rng_a) == want, (m, seed)
+                assert rng_a.random() == rng_b.random()
 
     def test_degree_mismatch(self):
         rng = np.random.default_rng(56)

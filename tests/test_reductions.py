@@ -139,21 +139,22 @@ class TestGaAttack:
         assert set(seen) == {4}
 
     def test_tuple_shape_per_side(self):
-        # plus tuples come first, then minus tuples; only the challenges
-        # of a minus tuple are converted, the key copies stay plus draws
+        # plus tuples come first, then minus tuples; a tuple is k challenges
+        # then l key copies, and only the challenges of a minus tuple are
+        # converted, the key copies stay plus draws
         inst = planted_yes_instance()
         pi = inst.hidden_key()
         params = AttackParams(k=3, p=1, tuples_per_side=5, threshold=1)
-        for l, challenges in ((2, 1), (None, 3), (0, 1)):
+        for kwargs in ({"l_key_copies": 2}, {}, {"l_key_copies": 0}):
             seen = []
 
             def record(states, gen):
                 seen.append([distinguish(state, pi, gen) for state in states])
                 return 0
 
-            ga_attack(inst, record, params, np.random.default_rng(80), l_key_copies=l)
-            copies = [1] * (l or 0)
-            assert seen == [[1] * challenges + copies] * 5 + [[0] * challenges + copies] * 5
+            ga_attack(inst, record, params, np.random.default_rng(80), **kwargs)
+            copies = [1] * kwargs.get("l_key_copies", 0)
+            assert seen == [[1] * 3 + copies] * 5 + [[0] * 3 + copies] * 5
 
 
 class TestHybridToIota:
