@@ -18,6 +18,7 @@ from .graphauto import (
     PromiseViolation,
     group_order,
     koebler_reduce,
+    largest_query_nodes,
     parse_graph,
     unique_ga_ff_oracle,
 )
@@ -142,6 +143,10 @@ def cmd_ga(args) -> int:
 
 def cmd_reduce_ga(args) -> int:
     g = parse_graph(Path(args.graph).read_text())
+    largest = largest_query_nodes(g.node_count)
+    if largest > args.limit:
+        # the oracle's own refusal of the first query, before anything is built
+        raise ValueError(f"{largest} nodes exceeds the configured limit {args.limit}")
     count = 0
 
     def logging_oracle(query):

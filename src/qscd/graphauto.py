@@ -317,17 +317,7 @@ def build_query(g: Graph, fixed: list[int], i: int, j: int) -> Graph:
             raise ValueError(f"node {node} out of range")
 
     n = g.node_count
-    k = len(fixed)
-    base_total = n + sum(2 * n + t + 3 for t in range(1, k + 1)) + 2 * (2 * n + 3) + (2 * k + 3)
-    tails = None
-    for ca in range(6):
-        for cb in range(6):
-            a, b = k + 1 + ca, k + 2 + cb
-            if (base_total + ca + cb) % 2 == 1 and a != b and a != n + 1 and b != n + 1:
-                tails = (a, b)
-                break
-        if tails:
-            break
+    size, tails = _query_layout(n, len(fixed))
 
     # Both labeled copies go into one edge set: the second copy's nodes are
     # numbered after all of the first copy's.
@@ -341,9 +331,30 @@ def build_query(g: Graph, fixed: list[int], i: int, j: int) -> Graph:
             count = _hang_label(edges, node + shift, count, n, t)
         count = _hang_label(edges, a_node + shift, count, n, tails[0])
         count = _hang_label(edges, b_node + shift, count, n, tails[1])
-    if count % 4 != 2:
-        raise AssertionError(f"padding failed: {count} nodes is not 2 mod 4")
+    if count != size or count % 4 != 2:
+        raise AssertionError(f"padding failed: {count} nodes, planned {size}; need 2 mod 4")
     return _trusted_graph(count, frozenset(edges))
+
+
+def _query_layout(n: int, k: int) -> tuple[int, tuple[int, int]]:
+    # Node count of a query on an n-node graph with k fixed nodes, and the
+    # tail lengths of its two final labels. One copy holds the graph, k
+    # labels of 2n+3+t nodes for t = 1..k and the two final labels; the
+    # tails make each size distinct, miss n+1 and make the copy odd.
+    base_total = n + k * (2 * n + 3) + k * (k + 1) // 2 + 2 * (2 * n + 3) + (2 * k + 3)
+    for ca in range(6):
+        for cb in range(6):
+            a, b = k + 1 + ca, k + 2 + cb
+            if (base_total + ca + cb) % 2 == 1 and a != b and a != n + 1 and b != n + 1:
+                return 2 * (base_total + ca + cb), (a, b)
+    raise AssertionError(f"no tail lengths for n={n}, k={k}")
+
+
+def largest_query_nodes(n: int) -> int:
+    """Node count of the largest query ``koebler_reduce`` makes on an n-node
+    graph: its first, for the pair (n-1, n) with nodes 1..n-2 fixed (0 when
+    n < 2, which makes no query)."""
+    return _query_layout(n, n - 2)[0] if n >= 2 else 0
 
 
 def unique_ga_ff_oracle(g: Graph, node_limit: int = 4000) -> int:

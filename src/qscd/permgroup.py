@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        image = tuple(int(x) for x in self.image)
+        image = tuple(map(int, self.image))
         object.__setattr__(self, "image", image)
         n = len(image)
         if n < 1:
@@ -147,7 +147,7 @@ def is_ff_degree(n: int) -> bool:
 
 def is_cyclic_class(sigma: Permutation, m: int) -> bool:
     """Membership in K_n^m: disjoint n/m cycles, all of length m (K_n is m = 2)."""
-    return all(l == m for l in cycle_type(sigma))
+    return m > 0 and cycle_type(sigma) == (m,) * (sigma.n // m)
 
 
 @dataclass(frozen=True)
@@ -256,25 +256,35 @@ def format_permutation(sigma: Permutation) -> str:
     return f"{sigma.n}: " + " ".join(str(x) for x in sigma.image)
 
 
-def parse_permutation(text: str) -> Permutation:
-    head, _, tail = text.strip().partition(":")
-    if not tail:
-        raise ValueError(f"missing ':' in permutation text: {text!r}")
-    n = int(head)
-    image = tuple(int(x) for x in tail.split())
+def parse_permutation(text: str, line_no: int = 1) -> Permutation:
+    """Read the text form ``n: i1 i2 ... in`` found on line line_no; errors name the line and the field."""
+    head, colon, tail = text.partition(":")
+    if not colon:
+        raise ValueError(f"line {line_no}: missing ':' in permutation text: {text.strip()!r}")
+    fields = [head, *tail.split()]
+    n, *image = int_fields(line_no, fields, *_permutation_fields(len(fields) - 1))
     if len(image) != n:
-        raise ValueError(f"expected {n} images, got {len(image)}")
-    return Permutation(image)
+        raise ValueError(f"line {line_no}: expected {n} images, got {len(image)}")
+    try:
+        return Permutation(tuple(image))
+    except ValueError as exc:
+        raise ValueError(f"line {line_no}: {exc}") from None
+
+
+@cache
+def _permutation_fields(count: int) -> tuple[str, ...]:
+    return ("degree", *(f"image {i}" for i in range(1, count + 1)))
 
 
 def int_fields(line_no: int, fields: list[str], *names: str) -> list[int]:
     """One integer per name from a text line's fields; errors name the line and the field."""
     if len(fields) != len(names):
         raise ValueError(f"line {line_no}: expected {', '.join(names)}; got {' '.join(fields)!r}")
-    values = []
-    for name, field in zip(names, fields):
-        try:
-            values.append(int(field))
-        except ValueError:
-            raise ValueError(f"line {line_no}: {name} {field!r} is not an integer") from None
+    values: list[int] = []
+    try:
+        values.extend(map(int, fields))
+    except ValueError:
+        # extend keeps the values read before the first bad field
+        name, field = names[len(values)], fields[len(values)]
+        raise ValueError(f"line {line_no}: {name} {field!r} is not an integer") from None
     return values

@@ -164,7 +164,7 @@ def parse_key(text: str) -> KeyPair:
     lines = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
     if len(lines) != 2:
         raise ValueError("key file needs a mode line and a permutation line")
-    (no, head), (_, secret) = lines
+    (no, head), (secret_no, secret) = lines
     mode, *fields = head.split()
     if mode == "FF":
         params = SecurityParam.ff(*int_fields(no, fields, "degree"))
@@ -172,7 +172,7 @@ def parse_key(text: str) -> KeyPair:
         params = SecurityParam.cyc(*int_fields(no, fields, "degree", "cycle length"))
     else:
         raise ValueError(f"line {no}: bad key mode {mode!r}: need FF or CYC")
-    return KeyPair(parse_permutation(secret), params)
+    return KeyPair(parse_permutation(secret, secret_no), params)
 
 
 def format_ciphertext(c: Ciphertext) -> str:
@@ -184,9 +184,9 @@ def parse_ciphertext(text: str) -> Ciphertext:
     head, _, body = text.partition("\n")
     fields = head.split()
     if len(fields) != 3 or fields[0] != "CIPHERTEXT" or fields[1] not in ("FF", "CYC"):
-        raise ValueError(f"bad ciphertext header: {head!r}")
+        raise ValueError(f"line 1: bad ciphertext header: {head!r}")
     mode = FF if fields[1] == "FF" else CYC
-    m = int(fields[2])
+    (m,) = int_fields(1, fields[2:], "modulus")
     if mode == FF and m != 2:
         raise ValueError("ff ciphertexts have modulus 2")
-    return Ciphertext(SparseState.from_text(body), mode, m)
+    return Ciphertext(SparseState.from_text(body, first_line=2), mode, m)

@@ -2,7 +2,9 @@
 
 A draw for key pi and symbol s is (1/sqrt(m)) sum_t w^(st) |sigma pi^t> with
 w = exp(2 pi i / m) and a uniform hiding translation sigma. The decoder runs
-the generalized controlled-key test and recovers s exactly.
+the generalized controlled-key test and recovers s exactly. It is computed
+in one pass with the circuit's own arithmetic, so it gives the result of
+the four state operations to the bit and builds only the final state.
 
 The fixed-point-free scheme (qscdff) is the m = 2 case: for a key in K_n,
 symbol 0 gives the plus state, symbol 1 the minus state, and the decoder is
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import cache
 
 import numpy as np
 
 from .permgroup import Permutation, compose, cycle_type, is_cyclic_class, powers, random_permutation
-from .qstate import SparseState
+from .qstate import PRUNE_TOL, BasisVector, SparseState, _fourier_table
 
 
 def require_cyclic_key(pi: Permutation, m: int) -> None:
@@ -44,32 +47,73 @@ def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> Sparse
     require_cyclic_key(pi, m)
     if not 0 <= s < m:
         raise ValueError(f"symbol {s} out of range for modulus {m}")
+    return _coset_draw(pi, s, m, rng)
+
+
+def _coset_draw(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> SparseState:
+    # gen_cyc for a key already checked to lie in K_n^m.
     sigma = random_permutation(pi.n, rng)
-    scale = 1.0 / math.sqrt(m)
-    amps = {
-        (0, compose(sigma, power)): scale * cmath.exp(2j * math.pi * s * t / m)
-        for t, power in enumerate(powers(pi, m)[:m])
-    }
+    amps = {(0, compose(sigma, power)): amp for power, amp in zip(powers(pi, m), _phase_row(s, m))}
     return SparseState(pi.n, 1, amps)
 
 
-def _decode_circuit(state: SparseState, pi: Permutation) -> SparseState:
-    # Attach a control over Z_m, split it, apply the controlled key and
-    # recombine: a symbol-s draw leaves the control in |s>.
+@cache
+def _phase_row(s: int, m: int) -> tuple[complex, ...]:
+    """The draw amplitudes w^(st) / sqrt(m) for t in Z_m."""
+    scale = 1.0 / math.sqrt(m)
+    return tuple(scale * cmath.exp(2j * math.pi * s * t / m) for t in range(m))
+
+
+def _decode_circuit(state: SparseState, pi: Permutation, m: int) -> SparseState:
+    """The decoder's final state for a key already checked to lie in K_n^m.
+
+    The circuit is ``state.with_control(m).fourier_control("inverse")
+    .controlled_power(pi).fourier_control("forward")``: a symbol-s draw
+    leaves the control in |s>. This pass does its floating-point operations
+    in its order: split amplitudes below PRUNE_TOL are dropped before the
+    key acts, terms are grouped by permutation in order of arrival, and each
+    output amplitude sums its terms from 0j in that order. Only the result
+    is built, and validated, as a state.
+    """
+    if state.m != 1:
+        raise ValueError("state already has a control register")
+    if pi.n != state.n:
+        raise ValueError(f"degree mismatch: state {state.n}, pi {pi.n}")
+    inverse_rows, scale = _fourier_table(m, "inverse")
+    forward_rows, _ = _fourier_table(m, "forward")
+    split_row = inverse_rows[0]
+    table = powers(pi, m)
+    groups: dict[tuple[int, ...], tuple[Permutation, list]] = {}
+    for (_, perm), amp in state.amps.items():
+        for r in range(m):
+            split = 0j + amp * split_row[r] * scale
+            if abs(split) < PRUNE_TOL:
+                continue
+            moved = compose(perm, table[r])
+            groups.setdefault(moved.image, (moved, []))[1].append((forward_rows[r], split))
+    out: dict[BasisVector, complex] = {}
+    for perm, terms in groups.values():
+        for r2 in range(m):
+            total = 0j
+            for row, amp in terms:
+                total = total + amp * row[r2] * scale
+            out[(r2, perm)] = total
+    return SparseState(state.n, m, out)
+
+
+def _key_modulus(pi: Permutation) -> int:
+    # The m with pi in K_n^m, checked.
     m = cycle_type(pi)[0]
     require_cyclic_key(pi, m)
-    state = state.with_control(m)
-    state = state.fourier_control("inverse")
-    state = state.controlled_power(pi)
-    return state.fourier_control("forward")
+    return m
 
 
 def decode_cyc(state: SparseState, pi: Permutation, rng: np.random.Generator) -> int:
     """Generalized controlled-key test; returns the measured symbol, a draw
     from the list that ``decode_distribution`` returns."""
-    return _decode_circuit(state, pi).measure_control(rng)
+    return _decode_circuit(state, pi, _key_modulus(pi)).measure_control(rng)
 
 
 def decode_distribution(state: SparseState, pi: Permutation) -> list[float]:
     """Exact outcome distribution of the decoder over Z_m."""
-    return _decode_circuit(state, pi).control_probabilities()
+    return _decode_circuit(state, pi, _key_modulus(pi)).control_probabilities()

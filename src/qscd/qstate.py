@@ -28,6 +28,7 @@ from .permgroup import (
     Permutation,
     compose,
     format_permutation,
+    int_fields,
     parse_permutation,
     powers,
     sign,
@@ -155,26 +156,41 @@ class SparseState:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> SparseState:
-        lines = [line for line in text.splitlines() if line.strip()]
+    def from_text(cls, text: str, first_line: int = 1) -> SparseState:
+        """Parse ``to_text`` output whose first line is line first_line of its
+        file; errors name the line and the field."""
+        lines = [(no, line) for no, line in enumerate(text.splitlines(), first_line) if line.strip()]
         if not lines:
             raise ValueError("empty state text: no QSTATE header")
-        header = lines[0].split()
+        no, head = lines[0]
+        header = head.split()
         if len(header) != 4 or header[0] != "QSTATE":
-            raise ValueError(f"bad state header: {lines[0]!r}")
-        n, m, count = int(header[1]), int(header[2]), int(header[3])
+            raise ValueError(f"line {no}: bad state header: {head!r}")
+        n, m, count = int_fields(no, header[1:], "degree", "modulus", "entries")
         if len(lines) - 1 != count:
             raise ValueError(f"expected {count} entries, got {len(lines) - 1}")
         amps: dict[BasisVector, complex] = {}
-        for line in lines[1:]:
-            control_s, re_s, im_s, perm_s = line.split(maxsplit=3)
-            key = (int(control_s), parse_permutation(perm_s))
-            if key in amps:
-                raise ValueError(f"duplicate entry for {key}")
-            amps[key] = amp = complex(float(re_s), float(im_s))
+        for no, line in lines[1:]:
+            fields = line.split(maxsplit=3)
+            if len(fields) != 4 or ":" not in fields[3]:
+                raise ValueError(f"line {no}: expected control, re, im, permutation; got {line.strip()!r}")
+            key = (_number(no, "control", fields[0], int), parse_permutation(fields[3], no))
+            amp = complex(_number(no, "re", fields[1], float), _number(no, "im", fields[2], float))
+            if amps.setdefault(key, amp) is not amp:  # one hash per entry
+                raise ValueError(f"line {no}: duplicate entry for {key}")
             if not cmath.isfinite(amp):
-                raise ValueError(f"amplitude is not finite: {line!r}")
+                raise ValueError(f"line {no}: amplitude is not finite: {line!r}")
         return cls(n, m, amps)
+
+
+def _number(line_no: int, name: str, field: str, kind: type) -> int | float:
+    """One int or float field of a text line, read with less overhead than
+    ``int_fields``; errors name the line and the field in its words."""
+    try:
+        return kind(field)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"line {line_no}: {name} {field!r} is not {what}") from None
 
 
 @cache

@@ -70,6 +70,58 @@ def has_nontrivial_automorphism(n: int, edges: frozenset[tuple[int, int]]) -> bo
     return len(brute_automorphisms(n, edges)) > 1
 
 
+class DenseSymmetricGroup:
+    """S_n indexed by lexicographic rank, with its own permutation arithmetic.
+
+    A state over a control register Z_m is a numpy array of shape (m, n!):
+    entry [r, rank(sigma)] is the amplitude of |r>|sigma>. Meant for n <= 6.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        # itertools.permutations lists S_n in lexicographic order, so row i
+        # holds the images of the permutation of rank i (0-based points).
+        self.images = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        self.order = len(self.images)
+        self._place = n ** np.arange(n)
+        self._rank_of_code = np.zeros(n**n, dtype=np.int64)
+        self._rank_of_code[self.images @ self._place] = np.arange(self.order)
+
+    def rank(self, image: tuple[int, ...]) -> int:
+        """Rank of the permutation with the given 1-based images."""
+        return int(self._rank_of_code[(np.array(image) - 1) @ self._place])
+
+    def right_multiply(self, tau: np.ndarray) -> np.ndarray:
+        """Index map rank(sigma) -> rank(sigma tau), tau as 0-based images."""
+        return self._rank_of_code[self.images[:, tau] @ self._place]
+
+    def vector(self, amps: dict, m: int) -> np.ndarray:
+        """Dense form of a sparse amplitude map over (control, permutation)."""
+        out = np.zeros((m, self.order), dtype=complex)
+        for (r, perm), amp in amps.items():
+            out[r, self.rank(perm.image)] += amp
+        return out
+
+    def decode_distribution(self, amps: dict, key: tuple[int, ...], m: int) -> np.ndarray:
+        """Control distribution of the decoder run as an explicit circuit.
+
+        A control over Z_m is attached in |0>, the inverse DFT (x) I splits
+        it, |r>|sigma> -> |r>|sigma key^r> moves each row by an index
+        permutation, and the forward DFT (x) I recombines it.
+        """
+        state = self.vector(amps, m)
+        roots = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
+        state = roots.conj() @ state
+        moved = np.empty_like(state)
+        power = np.arange(self.n)
+        step = np.array(key) - 1
+        for r in range(m):
+            moved[r, self.right_multiply(power)] = state[r]
+            power = power[step]
+        state = roots @ moved
+        return (np.abs(state) ** 2).sum(axis=1)
+
+
 class StubRng:
     """Stand-in generator returning scripted values; identity shuffle by default."""
 

@@ -158,6 +158,15 @@ class TestGraphCommands:
         assert code == 0 and lines[-1] == "YES"
         assert lines[0] == "query index=1 nodes=1106 answer=NO"
 
+    def test_reduce_ga_refuses_an_oversized_graph_before_building(self, tmp_path, capsys):
+        # complementing this edgeless graph alone would take gigabytes
+        huge = tmp_path / "huge.txt"
+        huge.write_text("1000000000 0\n")
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "reduce-ga", "--graph", str(huge))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "error: 5000000009000000006 nodes exceeds the configured limit 4000\n")
+
 
 class TestAttack:
     def test_omniscient_accepts_planted_yes(self, tmp_path, capsys):
@@ -388,6 +397,19 @@ class TestErrors:
                 "--key", "\nCYC 6 3 1\n6: 2 3 1 5 6 4\n",
                 "line 2: expected degree, cycle length; got '6 3 1'",
             ),
+            ("--key", "FF 6\n6: 2 1 x 3 6 5\n", "line 2: image 3 'x' is not an integer"),
+            (
+                "--ciphertext",
+                "CIPHERTEXT FF 2\n\nQSTATE 6 1 2\n0 0.70710678118654746 0 6: 1 2 3 4 5 6\n"
+                "0 0.70710678118654746 6: 2 1 4 3 6 5\n",
+                "line 5: expected control, re, im, permutation; got '0 0.70710678118654746 6: 2 1 4 3 6 5'",
+            ),
+            (
+                "--ciphertext",
+                "CIPHERTEXT FF 2\nQSTATE 6 1 2\n0 0.7071067811865474x 0 6: 1 2 3 4 5 6\n"
+                "0 0.70710678118654746 0 6: 2 1 4 3 6 5\n",
+                "line 3: re '0.7071067811865474x' is not a number",
+            ),
         ],
     )
     def test_parse_errors_name_the_line_and_the_field(
@@ -398,6 +420,9 @@ class TestErrors:
         command = ["ga"]
         if flag == "--key":
             command = ["encrypt", "--message", "0", "--seed", "1", "--out", "ct.txt"]
+        if flag == "--ciphertext":
+            Path("key.txt").write_text("FF 6\n6: 2 1 4 3 6 5\n")
+            command = ["decrypt", "--key", "key.txt", "--seed", "1"]
         code, out = run_cli(capsys, *command, flag, "input.txt")
         assert (code, out) == (2, f"error: {message}\n")
 

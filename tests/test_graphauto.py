@@ -15,6 +15,7 @@ from qscd.graphauto import (
     _hang_label,
     automorphisms,
     build_query,
+    largest_query_nodes,
     complement,
     coset_sample,
     disjoint_union,
@@ -406,6 +407,18 @@ class TestBuildQuery:
                     count, edges = chain_by_chain_query(n, path(n).edges, list(range(1, i)), i, j)
                     q = build_query(path(n), list(range(1, i)), i, j)
                     assert (q.node_count, q.edges) == (count, edges)
+
+    def test_largest_query_is_the_first_and_its_size_is_known_in_advance(self):
+        # the scan's queries, built, against the arithmetic the CLI checks
+        # before it builds anything
+        assert largest_query_nodes(1) == 0
+        for n in range(2, 9):
+            sizes = [
+                build_query(path(n), list(range(1, i)), i, j).node_count
+                for i in range(n, 0, -1)
+                for j in range(i + 1, n + 1)
+            ]
+            assert sizes[0] == max(sizes) == largest_query_nodes(n), n
 
     def test_rejects_degenerate_arguments(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 import cmath
 import math
+import timeit
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qscd.permgroup import (
     Permutation,
@@ -14,11 +17,12 @@ from qscd.permgroup import (
     sample_cyclic,
     sample_fpf_involution,
 )
-from qscd.qscdcyc import decode_cyc, decode_distribution, gen_cyc
+from qscd.qscdcyc import _decode_circuit, decode_cyc, decode_distribution, gen_cyc
 from qscd.qscdff import convert, distinguish, gen_plus
-from qscd.qstate import SparseState, _born_draw, inner_product, states_equal
+from qscd.qstate import PRUNE_TOL, SparseState, _born_draw, inner_product, states_equal
 
-from oracles import StubRng
+from oracles import DenseSymmetricGroup, StubRng, brute_cyclic_class
+from test_qstate import KEYS6, small_states
 
 PI33 = from_cycles(3, [(1, 2, 3)])
 PI63 = from_cycles(6, [(1, 2, 3), (4, 5, 6)])
@@ -169,3 +173,102 @@ class TestStructure:
                 assert set(state.amps) == set(expected)
                 for key, amp in expected.items():
                     assert state.amps[key] == pytest.approx(amp, abs=1e-9)
+
+
+def four_operation_circuit(state: SparseState, pi: Permutation, m: int) -> SparseState:
+    """The decoder as the composition of four state operations."""
+    return state.with_control(m).fourier_control("inverse").controlled_power(pi).fourier_control("forward")
+
+
+def exact_entries(state: SparseState) -> list:
+    # repr tells -0.0 from 0.0, which == does not and ciphertext text does
+    return [(r, perm.image, repr(amp)) for (r, perm), amp in state.amps.items()]
+
+
+class TestOnePassDecode:
+    """The one-pass decoder equals the four-operation circuit to the bit, in key order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_states(ms=(1,)), st.sampled_from(sorted(KEYS6)))
+    def test_matches_the_circuit_on_random_states(self, state, m):
+        pi = KEYS6[m]
+        assert exact_entries(_decode_circuit(state, pi, m)) == exact_entries(four_operation_circuit(state, pi, m))
+
+    def test_matches_the_circuit_on_coset_draws(self):
+        rng = np.random.default_rng(58)
+        for m in (2, 3, 6):
+            params = SecurityParam.cyc(6, m)
+            for _ in range(10):
+                pi, other = sample_cyclic(params, rng), sample_cyclic(params, rng)
+                for s in range(m):
+                    draw = gen_cyc(pi, s, m, rng)
+                    for key in (pi, other):  # the draw's key, and mostly a wrong one
+                        want = exact_entries(four_operation_circuit(draw, key, m))
+                        assert exact_entries(_decode_circuit(draw, key, m)) == want, (m, s)
+
+    def test_split_terms_under_the_prune_tolerance_are_dropped_first(self):
+        # A tiny entry on the draw's coset: its split terms land just under
+        # (or just over) PRUNE_TOL. Dropped, they leave the sums alone; kept,
+        # they move the low bits of the amplitudes they meet after the key.
+        sigma = from_cycles(6, [(1, 4, 2), (3, 6)])
+        for m, pi in KEYS6.items():
+            for factor in (0.99, 1.01):
+                tiny = factor * PRUNE_TOL * math.sqrt(m)
+                state = SparseState(6, 1, {(0, sigma): math.sqrt(1 - tiny**2), (0, compose(sigma, pi)): tiny})
+                assert len(state.amps) == 2
+                want = exact_entries(four_operation_circuit(state, pi, m))
+                assert exact_entries(_decode_circuit(state, pi, m)) == want, (m, factor)
+
+    def test_result_is_a_validated_state(self):
+        state = gen_cyc(PI63, 1, 3, np.random.default_rng(59))
+        out = _decode_circuit(state, PI63, 3)
+        assert (out.n, out.m) == (6, 3)
+        assert abs(out.norm() - 1.0) <= 1e-9
+        assert all(abs(amp) >= PRUNE_TOL for amp in out.amps.values())
+
+    def test_refuses_a_state_with_a_control_register(self):
+        with pytest.raises(ValueError, match="control register"):
+            _decode_circuit(SparseState(6, 3, {(0, identity(6)): 1.0}), PI63, 3)
+
+
+class TestDenseDecodeOracle:
+    def test_every_key_and_symbol_matches_the_dense_circuit(self):
+        # Every key of K_6^m, found by the oracle's own scan of S_6, and
+        # every symbol: the sparse distribution equals the dense circuit's,
+        # and each wrong outcome stays below 1e-12 in both.
+        dense = DenseSymmetricGroup(6)
+        rng = np.random.default_rng(60)
+        for m in (2, 3, 6):
+            keys = sorted(brute_cyclic_class(6, m))
+            assert len(keys) == {2: 15, 3: 40, 6: 120}[m]
+            for image in keys:
+                pi = Permutation(image)
+                for s in range(m):
+                    draw = gen_cyc(pi, s, m, rng)
+                    got = np.array(decode_distribution(draw, pi))
+                    want = dense.decode_distribution(draw.amps, image, m)
+                    assert np.abs(got - want).max() <= 1e-12, (image, s)
+                    wrong = np.arange(m) != s
+                    assert got[wrong].max() < 1e-12 and want[wrong].max() < 1e-12, (image, s)
+
+    def test_dense_circuit_spreads_an_off_coset_state(self):
+        # Two entries off any one coset: both engines must see the spread.
+        dense = DenseSymmetricGroup(6)
+        sigma = from_cycles(6, [(1, 4, 2), (3, 6)])
+        state = SparseState(6, 1, {(0, identity(6)): 0.6, (0, sigma): 0.8j})
+        for m, pi in KEYS6.items():
+            got = np.array(decode_distribution(state, pi))
+            want = dense.decode_distribution(state.amps, pi.image, m)
+            assert np.abs(got - want).max() <= 1e-12 and want.max() < 1 - 1e-3, m
+
+
+@pytest.mark.slow
+def test_distinguish_timing():
+    # Not a gate: prints the best of 7 for one trapdoor test on a two-entry
+    # n = 6 state. pytest -m slow -s tests/test_qscdcyc.py -k timing
+    rng = np.random.default_rng(61)
+    state = gen_plus(PI6, rng)
+    number = 2000
+    best = min(timeit.repeat(lambda: distinguish(state, PI6, rng), number=number, repeat=7)) / number
+    print(f"\ndistinguish, two-entry n = 6 state: {best * 1e6:.1f} us (best of 7 runs of {number})")
+    assert distinguish(state, PI6, rng) == 1

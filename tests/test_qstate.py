@@ -281,6 +281,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             SparseState.from_text("QSTATE 2 1 2\n0 1 0 2: 1 2\n")
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("0 1 0 2: 1 x", "line 5: image 2 'x' is not an integer"),
+            ("z 1 0 2: 1 2", "line 5: control 'z' is not an integer"),
+            ("0 1 0j 2: 1 2", "line 5: im '0j' is not a number"),
+            ("0 1 2: 1 2", "line 5: expected control, re, im, permutation; got '0 1 2: 1 2'"),
+            ("0 1 0 2: 1 1", "line 5: not a bijection on 1..2: (1, 1)"),
+        ],
+    )
+    def test_errors_name_the_line_of_the_file(self, entry, message):
+        # the text starts on line 3 of its file, and blank lines count
+        with pytest.raises(ValueError) as info:
+            SparseState.from_text(f"QSTATE 2 1 1\n\n{entry}\n", first_line=3)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text", ["", "\n", "  \n\n"])
     def test_rejects_empty_text(self, text):
         with pytest.raises(ValueError, match="empty"):
