@@ -5,7 +5,9 @@ it has a unique nontrivial automorphism that is a fixed-point-free
 involution (YES) or none at all (NO). ``koebler_reduce`` turns an arbitrary
 automorphism-existence question into a sequence of such promise queries via
 node-distinguishing label gadgets, and ``coset_sample`` turns a promise
-instance into coset-superposition draws over S_n.
+instance into coset-superposition draws over S_n. Under the promise the
+automorphism group is cyclic, so those are ``qscdcyc``'s coset draws; this
+module computes no amplitude.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ import numpy as np
 
 from .permgroup import (
     Permutation,
-    compose,
     identity,
     int_fields,
     is_cyclic_class,
     is_ff_degree,
-    random_permutation,
 )
+from .qscdcyc import _coset_draw
 from .qstate import SparseState
 
 
@@ -437,12 +438,12 @@ def coset_sample(inst: PromiseInstance, rng: np.random.Generator) -> SparseState
     Simulates preparing the uniform relabeling superposition entangled with
     the relabeled graph and discarding the graph register: the survivor is
     (1/sqrt(|Aut|)) sum over alpha in Aut(g) of |sigma alpha> for a uniform
-    sigma, all with one sign. YES instances therefore yield plus draws for
+    sigma, all with one sign. Under the promise Aut(g), sorted by image, is
+    (id,) or (id, pi) with pi an involution: the cyclic group generated by
+    its last element. So the draw is ``qscdcyc``'s symbol-0 coset draw for
+    that element and |Aut|. YES instances therefore yield plus draws for
     the hidden key, which ``qscdff.convert`` turns into minus draws; NO
     instances yield iota draws.
     """
     elements = inst.aut_elements()
-    n = inst.graph.node_count
-    sigma = random_permutation(n, rng)
-    scale = complex(1.0 / np.sqrt(len(elements)))
-    return SparseState(n, 1, {(0, compose(sigma, alpha)): scale for alpha in elements})
+    return _coset_draw(elements[-1], 0, len(elements), rng)

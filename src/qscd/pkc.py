@@ -133,25 +133,6 @@ def decrypt(kp: KeyPair, c: Ciphertext, rng: np.random.Generator) -> int:
     return decode_cyc(c.state, kp.secret, rng)
 
 
-def adversary_view(
-    kp: KeyPair, c: Ciphertext, l: int, rng: np.random.Generator
-) -> tuple[Ciphertext, list[SparseState]]:
-    """What an interceptor holds: the ciphertext plus l fresh key copies.
-
-    In multi-bit mode each of the l requests yields the full public series,
-    so the view carries l * m states there.
-    """
-    if l < 0:
-        raise ValueError("need l >= 0")
-    copies: list[SparseState] = []
-    for _ in range(l):
-        if kp.params.kind == FF:
-            copies.append(issue_key_copy(kp, rng).state)
-        else:
-            copies.extend(copy.state for copy in issue_key_series(kp, rng))
-    return c, copies
-
-
 def format_key(kp: KeyPair) -> str:
     if kp.params.kind == FF:
         head = f"FF {kp.params.n}"

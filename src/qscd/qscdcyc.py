@@ -1,10 +1,13 @@
 """The coset-state primitive: m-point coset states over keys in K_n^m.
 
 A draw for key pi and symbol s is (1/sqrt(m)) sum_t w^(st) |sigma pi^t> with
-w = exp(2 pi i / m) and a uniform hiding translation sigma. The decoder runs
-the generalized controlled-key test and recovers s exactly. It is computed
-in one pass with the circuit's own arithmetic, so it gives the result of
-the four state operations to the bit and builds only the final state.
+w = exp(2 pi i / m) and a uniform hiding translation sigma. ``_coset_draw``
+builds every such draw in the package: gen_cyc's, gen_plus's, and
+``graphauto.coset_sample``'s symbol-0 draws over a cyclic Aut(G). The
+decoder runs the generalized controlled-key test and recovers s exactly. It
+is computed in one pass with the circuit's own arithmetic, its forward
+Fourier map being qstate's own sum, so it gives the result of the four
+state operations to the bit and builds only the final state.
 
 The fixed-point-free scheme (qscdff) is the m = 2 case: for a key in K_n,
 symbol 0 gives the plus state, symbol 1 the minus state, and the decoder is
@@ -28,7 +31,7 @@ from functools import cache
 import numpy as np
 
 from .permgroup import Permutation, compose, cycle_type, is_cyclic_class, powers, random_permutation
-from .qstate import PRUNE_TOL, BasisVector, SparseState, _fourier_table
+from .qstate import PRUNE_TOL, SparseState, _fourier_amps, _fourier_table
 
 
 def require_cyclic_key(pi: Permutation, m: int) -> None:
@@ -51,7 +54,8 @@ def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> Sparse
 
 
 def _coset_draw(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> SparseState:
-    # gen_cyc for a key already checked to lie in K_n^m.
+    # gen_cyc for a key already checked: pi lies in K_n^m, or, for
+    # coset_sample, generates the order-m automorphism group.
     sigma = random_permutation(pi.n, rng)
     amps = {(0, compose(sigma, power)): amp for power, amp in zip(powers(pi, m), _phase_row(s, m))}
     return SparseState(pi.n, 1, amps)
@@ -69,36 +73,27 @@ def _decode_circuit(state: SparseState, pi: Permutation, m: int) -> SparseState:
 
     The circuit is ``state.with_control(m).fourier_control("inverse")
     .controlled_power(pi).fourier_control("forward")``: a symbol-s draw
-    leaves the control in |s>. This pass does its floating-point operations
-    in its order: split amplitudes below PRUNE_TOL are dropped before the
-    key acts, terms are grouped by permutation in order of arrival, and each
-    output amplitude sums its terms from 0j in that order. Only the result
-    is built, and validated, as a state.
+    leaves the control in |s>. This pass splits and keys each amplitude with
+    the first three steps' floating-point operations, in their order,
+    dropping splits below PRUNE_TOL before the key acts, and hands the keyed
+    terms to the forward map's own sum. Only the result is built, and
+    validated, as a state.
     """
     if state.m != 1:
         raise ValueError("state already has a control register")
     if pi.n != state.n:
         raise ValueError(f"degree mismatch: state {state.n}, pi {pi.n}")
     inverse_rows, scale = _fourier_table(m, "inverse")
-    forward_rows, _ = _fourier_table(m, "forward")
     split_row = inverse_rows[0]
     table = powers(pi, m)
-    groups: dict[tuple[int, ...], tuple[Permutation, list]] = {}
+    terms = []
     for (_, perm), amp in state.amps.items():
         for r in range(m):
             split = 0j + amp * split_row[r] * scale
             if abs(split) < PRUNE_TOL:
                 continue
-            moved = compose(perm, table[r])
-            groups.setdefault(moved.image, (moved, []))[1].append((forward_rows[r], split))
-    out: dict[BasisVector, complex] = {}
-    for perm, terms in groups.values():
-        for r2 in range(m):
-            total = 0j
-            for row, amp in terms:
-                total = total + amp * row[r2] * scale
-            out[(r2, perm)] = total
-    return SparseState(state.n, m, out)
+            terms.append((r, compose(perm, table[r]), split))
+    return SparseState(state.n, m, _fourier_amps(m, "forward", terms))
 
 
 def _key_modulus(pi: Permutation) -> int:

@@ -84,19 +84,8 @@ class SparseState:
         """
         if direction not in ("forward", "inverse"):
             raise ValueError(f"unknown direction {direction!r}")
-        rows, scale = _fourier_table(self.m, direction)
-        # Grouped by permutation; each amplitude sums its terms in stored order.
-        groups: dict[tuple[int, ...], tuple[Permutation, list]] = {}
-        for (r, perm), amp in self.amps.items():
-            groups.setdefault(perm.image, (perm, []))[1].append((rows[r], amp))
-        out: dict[BasisVector, complex] = {}
-        for perm, terms in groups.values():
-            for r2 in range(self.m):
-                total = 0j
-                for row, amp in terms:
-                    total = total + amp * row[r2] * scale
-                out[(r2, perm)] = total
-        return SparseState(self.n, self.m, out)
+        terms = [(r, perm, amp) for (r, perm), amp in self.amps.items()]
+        return SparseState(self.n, self.m, _fourier_amps(self.m, direction, terms))
 
     def controlled_power(self, pi: Permutation) -> SparseState:
         """|r>|sigma> -> |r>|sigma pi^r>."""
@@ -201,6 +190,26 @@ def _fourier_table(m: int, direction: str) -> tuple[tuple[tuple[complex, ...], .
         tuple(cmath.exp(sgn * 2j * math.pi * (r * r2 % m) / m) for r2 in range(m)) for r in range(m)
     )
     return rows, 1.0 / math.sqrt(m)
+
+
+def _fourier_amps(
+    m: int, direction: str, terms: list[tuple[int, Permutation, complex]]
+) -> dict[BasisVector, complex]:
+    """The Fourier map on the control of (control, permutation, amplitude)
+    terms. Terms are grouped by permutation in order of arrival, and each
+    output amplitude sums its terms from 0j in that order."""
+    rows, scale = _fourier_table(m, direction)
+    groups: dict[tuple[int, ...], tuple[Permutation, list]] = {}
+    for r, perm, amp in terms:
+        groups.setdefault(perm.image, (perm, []))[1].append((rows[r], amp))
+    out: dict[BasisVector, complex] = {}
+    for perm, group in groups.values():
+        for r2 in range(m):
+            total = 0j
+            for row, amp in group:
+                total = total + amp * row[r2] * scale
+            out[(r2, perm)] = total
+    return out
 
 
 def _born_draw(weights: list[float], rng: np.random.Generator) -> int:

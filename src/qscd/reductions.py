@@ -42,8 +42,7 @@ class DistinguisherReport:
             raise ValueError("need at least one trial per side")
         if not 0 <= self.acc0 <= self.trials0 or not 0 <= self.acc1 <= self.trials1:
             raise ValueError("acceptance counts out of range")
-        if not 0 < self.confidence < 1:
-            raise ValueError("confidence must be in (0, 1)")
+        _require_confidence(self.confidence)
 
     @property
     def advantage(self) -> float:
@@ -53,9 +52,9 @@ class DistinguisherReport:
     def ci_halfwidth(self) -> float:
         return math.sqrt(math.log(2.0 / self.confidence) / (2.0 * min(self.trials0, self.trials1)))
 
-    def report_lines(self, seed: int | None = None, params: str | None = None) -> list[str]:
+    def report_lines(self, seed: int, params: str) -> list[str]:
         """One key per line plus a single-line summary, stable for diffing."""
-        lines = [
+        return [
             f"trials0={self.trials0}",
             f"trials1={self.trials1}",
             f"acc0={self.acc0}",
@@ -63,16 +62,16 @@ class DistinguisherReport:
             f"advantage={self.advantage:.6f}",
             f"ci={self.ci_halfwidth:.6f}",
             f"confidence={self.confidence:.6f}",
-        ]
-        if seed is not None:
-            lines.append(f"seed={seed}")
-        if params is not None:
-            lines.append(f"params={params}")
-        lines.append(
+            f"seed={seed}",
+            f"params={params}",
             f"summary trials={self.trials0}/{self.trials1} "
-            f"advantage={self.advantage:.6f} ci={self.ci_halfwidth:.6f}"
-        )
-        return lines
+            f"advantage={self.advantage:.6f} ci={self.ci_halfwidth:.6f}",
+        ]
+
+
+def _require_confidence(confidence: float) -> None:
+    if not 0 < confidence < 1:  # NaN fails too
+        raise ValueError("confidence must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -228,6 +227,7 @@ def estimate_advantage(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _require_confidence(confidence)
     acc0 = acc1 = 0
     for start in range(0, trials, SPAWN_CHUNK):
         children = rng.spawn(2 * min(SPAWN_CHUNK, trials - start))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from collections import defaultdict, deque
 from itertools import groupby
@@ -34,6 +35,7 @@ from qscd.permgroup import (
     identity,
     inverse,
     is_cyclic_class,
+    random_permutation,
     sign,
 )
 from qscd.qscdff import convert, distinguish
@@ -584,3 +586,21 @@ class TestCosetSample:
         for _ in range(50):
             assert distinguish(coset_sample(inst, rng), pi, rng) == 1
             assert distinguish(convert(coset_sample(inst, rng)), pi, rng) == 0
+
+    def test_draws_are_bit_exact(self):
+        # Pins the amplitude bytes, which the command pins do not see (attack
+        # prints only YES/NO): one entry sigma * alpha per automorphism alpha,
+        # in sorted order, each 1/sqrt(|Aut|), with sigma drawn as
+        # random_permutation draws it on a twin generator.
+        for inst, seed in ((planted_yes_instance(), 66), (planted_no_instance(), 67)):
+            elements = inst.aut_elements()
+            amp = complex(1 / math.sqrt(len(elements)))
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(200):
+                sample = coset_sample(inst, rng)
+                sigma = random_permutation(inst.graph.node_count, twin)
+                expected = {(0, compose(sigma, alpha)): amp for alpha in elements}
+                assert [(key, repr(a)) for key, a in sample.amps.items()] == [
+                    (key, repr(a)) for key, a in expected.items()
+                ]
+            assert rng.bit_generator.state == twin.bit_generator.state

@@ -215,6 +215,19 @@ class TestEstimateAdvantage:
                 coin_distinguisher(), plus_source(PI6), iota_source(6), 0, np.random.default_rng(0)
             )
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, float("nan")])
+    def test_refuses_confidence_before_any_trial(self, confidence):
+        def never(states, rng):
+            raise AssertionError("a trial ran")
+
+        rng, ref_rng = np.random.default_rng(87), np.random.default_rng(87)
+        with pytest.raises(ValueError, match=r"^confidence must be in \(0, 1\)$"):
+            estimate_advantage(
+                never, plus_source(PI6), iota_source(6), 20000, rng, confidence=confidence
+            )
+        # no generator was spawned
+        assert rng.spawn(1)[0].random() == ref_rng.spawn(1)[0].random()
+
     def test_chunked_spawn_matches_one_spawn(self):
         # the loop as it was with every trial generator spawned at once
         def one_spawn(dist, source_a, source_b, trials, rng):
