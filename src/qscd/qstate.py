@@ -58,18 +58,21 @@ class SparseState:
             raise ValueError("need n >= 1 and m >= 1")
         # The copy reuses the stored hashes; editing in place keeps the order.
         amps = dict(self.amps)
-        for key, amp in self.amps.items():
-            control, perm = key
-            if not 0 <= control < self.m:
-                raise ValueError(f"control {control} out of range for modulus {self.m}")
-            if len(perm.image) != self.n:
-                raise ValueError(f"degree mismatch: state {self.n}, entry {perm.n}")
-            if type(amp) is not complex:
-                amp = amps[key] = complex(amp)
-            if abs(amp) < PRUNE_TOL:  # NaN is kept, and fails the norm check
-                del amps[key]
-        object.__setattr__(self, "amps", amps)
-        norm = self.norm()
+        try:
+            for key, amp in self.amps.items():
+                control, perm = key
+                if not 0 <= control < self.m:
+                    raise ValueError(f"control {control} out of range for modulus {self.m}")
+                if len(perm.image) != self.n:
+                    raise ValueError(f"degree mismatch: state {self.n}, entry {perm.n}")
+                if type(amp) is not complex:
+                    amp = amps[key] = complex(amp)
+                if abs(amp) < PRUNE_TOL:  # NaN is kept, and fails the norm check
+                    del amps[key]
+            object.__setattr__(self, "amps", amps)
+            norm = self.norm()
+        except OverflowError:  # a finite amplitude too large for abs() or its square
+            norm = math.inf
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} not 1 within {NORM_TOL}")
 

@@ -102,6 +102,51 @@ class DenseSymmetricGroup:
             out[r, self.rank(perm.image)] += amp
         return out
 
+    @staticmethod
+    def fourier_control(state: np.ndarray, direction: str) -> np.ndarray:
+        """DFT (x) I: |r> -> sum_r' w^(+-r r') |r'> / sqrt(m), w = exp(2 pi i / m)."""
+        m = len(state)
+        roots = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
+        return (roots if direction == "forward" else roots.conj()) @ state
+
+    def controlled_power(self, state: np.ndarray, key: tuple[int, ...]) -> np.ndarray:
+        """|r>|sigma> -> |r>|sigma key^r>: row r moved by an index permutation."""
+        out = np.empty_like(state)
+        power = np.arange(self.n)
+        step = np.array(key) - 1
+        for r in range(len(state)):
+            out[r, self.right_multiply(power)] = state[r]
+            power = power[step]
+        return out
+
+    def translate(self, state: np.ndarray, tau: tuple[int, ...]) -> np.ndarray:
+        """|r>|sigma> -> |r>|sigma tau>: every row moved by one index permutation."""
+        out = np.empty_like(state)
+        out[:, self.right_multiply(np.array(tau) - 1)] = state
+        return out
+
+    def phase_by_sign(self, state: np.ndarray) -> np.ndarray:
+        """The diagonal (-1)^parity, parity counted as inversions of each row."""
+        i, j = np.triu_indices(self.n, 1)
+        parity = (self.images[:, i] > self.images[:, j]).sum(axis=1) % 2
+        return state * (1 - 2 * parity)
+
+    @staticmethod
+    def control_probabilities(state: np.ndarray) -> np.ndarray:
+        """Born weights of the control outcomes: sums of |a|^2 over each row."""
+        return (np.abs(state) ** 2).sum(axis=1)
+
+    def coset_draw(self, sigma: np.ndarray, key: np.ndarray, s: int, m: int) -> np.ndarray:
+        """Control-free row of sum_t w^(st) / sqrt(m) |sigma key^t>, with sigma
+        and key as 0-based images."""
+        out = np.zeros((1, self.order), dtype=complex)
+        point = sigma
+        for t in range(m):
+            rank = self._rank_of_code[point @ self._place]
+            out[0, rank] = np.exp(2j * np.pi * s * t / m) / np.sqrt(m)
+            point = point[key]
+        return out
+
     def decode_distribution(self, amps: dict, key: tuple[int, ...], m: int) -> np.ndarray:
         """Control distribution of the decoder run as an explicit circuit.
 
@@ -109,17 +154,9 @@ class DenseSymmetricGroup:
         it, |r>|sigma> -> |r>|sigma key^r> moves each row by an index
         permutation, and the forward DFT (x) I recombines it.
         """
-        state = self.vector(amps, m)
-        roots = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
-        state = roots.conj() @ state
-        moved = np.empty_like(state)
-        power = np.arange(self.n)
-        step = np.array(key) - 1
-        for r in range(m):
-            moved[r, self.right_multiply(power)] = state[r]
-            power = power[step]
-        state = roots @ moved
-        return (np.abs(state) ** 2).sum(axis=1)
+        state = self.fourier_control(self.vector(amps, m), "inverse")
+        state = self.controlled_power(state, key)
+        return self.control_probabilities(self.fourier_control(state, "forward"))
 
 
 class StubRng:

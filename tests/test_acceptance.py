@@ -8,20 +8,11 @@ selftest command and this module exercise identical code.
 import hashlib
 import time
 
+import numpy as np
 import pytest
+from scipy import stats
 
-from qscd.selftest import (
-    criterion_attack,
-    criterion_blindness,
-    criterion_coincidence,
-    criterion_conjugation,
-    criterion_hybrid,
-    criterion_koebler,
-    criterion_labels,
-    criterion_multibit,
-    criterion_trapdoor,
-    run_selftest,
-)
+from qscd.selftest import CRITERIA, _chisquare_pvalue, run_selftest
 
 SEED = 20260810
 # sha256 of the stdout of `qscd selftest --seed 20260810`, pinned so that a
@@ -33,6 +24,8 @@ SELFTEST_SHA256 = "67155577194b148958edb9e54efe116645aa88ecbe7b7fa7a5029c7e22ef4
 # Further seeds for criteria 1-9 at the same thresholds, in the slow mark,
 # which the default run deselects: pytest -m slow
 EXTRA_SEEDS = (1, 2, 3)
+# Runtime budgets in seconds at SEED; a criterion not named here has none.
+BUDGETS = {1: 30, 2: 30, 4: 5, 5: 300, 7: 60}
 
 
 def report(number: int, name: str, ok: bool, detail: str, elapsed: float | None = None) -> None:
@@ -51,40 +44,18 @@ def run_timed(number, name, fn, budget=None):
         assert elapsed < budget, f"runtime {elapsed:.1f}s exceeds {budget}s budget"
 
 
-def test_criterion_1_trapdoor_determinism():
-    run_timed(1, "trapdoor-determinism", criterion_trapdoor, budget=30)
+def gating_test(number, name, fn):
+    """The Tier-1 test of one criterion at SEED, named after it as
+    test_criterion_<number>_<name>."""
+
+    def test():
+        run_timed(number, name, fn, BUDGETS.get(number))
+
+    test.__name__ = test.__qualname__ = f"test_criterion_{number}_{name.replace('-', '_')}"
+    return test
 
 
-def test_criterion_2_multibit_correctness():
-    run_timed(2, "multibit-correctness", criterion_multibit, budget=30)
-
-
-def test_criterion_3_ff_cyc_coincidence():
-    run_timed(3, "ff-cyc-coincidence", criterion_coincidence)
-
-
-def test_criterion_4_worst_to_average_uniformity():
-    run_timed(4, "worst-to-average-uniformity", criterion_conjugation, budget=5)
-
-
-def test_criterion_5_reduction_equivalence():
-    run_timed(5, "reduction-equivalence", criterion_koebler, budget=300)
-
-
-def test_criterion_6_label_arithmetic():
-    run_timed(6, "label-arithmetic", criterion_labels)
-
-
-def test_criterion_7_attack_pipeline():
-    run_timed(7, "attack-pipeline", criterion_attack, budget=60)
-
-
-def test_criterion_8_hybrid_bound():
-    run_timed(8, "hybrid-bound", criterion_hybrid)
-
-
-def test_criterion_9_blindness():
-    run_timed(9, "blindness", criterion_blindness)
+globals().update((test.__name__, test) for test in (gating_test(*c) for c in CRITERIA))
 
 
 def test_criterion_10_selftest_determinism():
@@ -100,20 +71,29 @@ def test_criterion_10_selftest_determinism():
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", EXTRA_SEEDS)
 @pytest.mark.parametrize(
-    "number, fn",
-    [
-        (1, criterion_trapdoor),
-        (2, criterion_multibit),
-        (3, criterion_coincidence),
-        (4, criterion_conjugation),
-        (5, criterion_koebler),
-        (6, criterion_labels),
-        (7, criterion_attack),
-        (8, criterion_hybrid),
-        (9, criterion_blindness),
-    ],
+    "number, name, fn", CRITERIA, ids=[f"{number}-{fn.__name__}" for number, _, fn in CRITERIA]
 )
-def test_criterion_on_extra_seed(number, fn, seed):
+def test_criterion_on_extra_seed(number, name, fn, seed):
     ok, detail = fn(seed)
     report(number, f"seed-{seed}", ok, detail)
     assert ok, detail
+
+
+class TestChisquarePvalue:
+    def test_matches_the_chi2_tail(self):
+        # Every odd number of counts from 3 to 31, against scipy's tail at
+        # the statistic computed here.
+        rng = np.random.default_rng(80)
+        for length in range(3, 32, 2):
+            for _ in range(50):
+                counts = rng.integers(0, int(rng.integers(1, 2000)) + 1, length)
+                counts[0] += 1  # never all zero
+                mean = counts.mean()
+                statistic = ((counts - mean) ** 2 / mean).sum()
+                want = stats.chi2.sf(statistic, length - 1)
+                assert abs(_chisquare_pvalue(counts.tolist()) - want) <= 1e-12, counts
+
+    @pytest.mark.parametrize("length", [2, 14, 16])
+    def test_refuses_an_even_number_of_counts(self, length):
+        with pytest.raises(ValueError, match="odd"):
+            _chisquare_pvalue([10] * length)

@@ -71,10 +71,15 @@ class TestKeyFlow:
             "--out", str(ct),
         )
         head, state_header, *entries = ct.read_text().splitlines()
-        nan_entry = "0 nan 0 6: 1 2 3 4 5 6"
-        bad = {
-            "empty": f"{head}\n",
-            "nan": "\n".join([head, state_header.replace(" 2", " 3"), *entries, nan_entry]) + "\n",
+        extra_entries = {
+            "nan": "0 nan 0 6: 1 2 3 4 5 6",
+            # finite, but too large to square or too large for abs()
+            "huge": "0 1e200 0 6: 1 2 3 4 5 6",
+            "huger": "0 1.7e308 1.7e308 6: 1 2 3 4 5 6",
+        }
+        bad = {"empty": f"{head}\n"} | {
+            name: "\n".join([head, state_header.replace(" 2", " 3"), *entries, entry]) + "\n"
+            for name, entry in extra_entries.items()
         }
         for name, text in bad.items():
             path = tmp_path / f"{name}.txt"
@@ -83,6 +88,7 @@ class TestKeyFlow:
                 capsys, "decrypt", "--key", str(key), "--ciphertext", str(path), "--seed", "3"
             )
             assert code == 2 and out.startswith("error:"), (name, out)
+            assert len(out.splitlines()) == 1, (name, out)
 
 
 class TestDemo:
@@ -436,12 +442,19 @@ class TestErrors:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.stats costs about a second of every CLI start; qscd imports it
-    # lazily, in the one selftest criterion that needs it
-    probe = "import sys, qscd; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # qscd needs numpy alone at run time: importing it loads no scipy, and
+    # with scipy blocked the selftest's chi-square criterion still runs.
+    probes = {
+        "import sys, qscd; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))":
+            "[]\n",
+        "import sys; sys.modules['scipy'] = None; import qscd, qscd.selftest;"
+        " print(qscd.selftest.criterion_conjugation(20260810))":
+            "(True, 'exhaustive_48x15=yes chisq_p=0.081835')\n",
+    }
     src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert done.stdout == "[]\n"
+    for probe, want in probes.items():
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout == want, probe

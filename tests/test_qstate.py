@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qscd.permgroup import Permutation, compose, conjugate, from_cycles, identity
+from qscd.qscdff import convert
 from qscd.qstate import SparseState, _born_draw, basis_state, inner_product, states_equal
+
+from oracles import DenseSymmetricGroup
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -311,7 +314,12 @@ class TestSerialization:
 
 
 class TestNonFiniteAmplitudes:
-    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, float("nan"))])
+    # Finite amplitudes too large to square, or too large for abs(), are
+    # refused the same way.
+    @pytest.mark.parametrize(
+        "bad",
+        [complex("nan"), complex("inf"), complex(0, float("nan")), 1e200, complex(1.7e308, 1.7e308)],
+    )
     def test_constructor_refuses(self, bad):
         with pytest.raises(ValueError, match="norm"):
             SparseState(2, 1, {(0, identity(2)): 1.0, (0, Permutation((2, 1))): bad})
@@ -373,20 +381,34 @@ def small_states(draw, ms=(2, 3, 6)):
 
 
 KEYS6 = {2: PI6, 3: from_cycles(6, [(1, 2, 3), (4, 5, 6)]), 6: from_cycles(6, [(1, 3, 5, 2, 4, 6)])}
+TAU6 = from_cycles(6, [(1, 4, 2), (3, 6)])
+DENSE6 = DenseSymmetricGroup(6)
 
 
 def operations(state):
     """Every state operation applied to the state, by name."""
-    tau = from_cycles(6, [(1, 4, 2), (3, 6)])
     moved = {
         "forward": state.fourier_control("forward"),
         "inverse": state.fourier_control("inverse"),
         "controlled key": state.controlled_power(KEYS6[state.m]),
-        "controlled other": state.controlled_power(tau),
+        "controlled other": state.controlled_power(TAU6),
         "sign": state.phase_by_sign(),
-        "right": state.translate(tau),
+        "right": state.translate(TAU6),
     }
     return moved
+
+
+def dense_operations(vector):
+    """The same operations as explicit maps on the dense (m, 720) array."""
+    key = KEYS6[len(vector)].image
+    return {
+        "forward": DENSE6.fourier_control(vector, "forward"),
+        "inverse": DENSE6.fourier_control(vector, "inverse"),
+        "controlled key": DENSE6.controlled_power(vector, key),
+        "controlled other": DENSE6.controlled_power(vector, TAU6.image),
+        "sign": DENSE6.phase_by_sign(vector),
+        "right": DENSE6.translate(vector, TAU6.image),
+    }
 
 
 class TestStateProperties:
@@ -433,3 +455,33 @@ class TestStateProperties:
         assert (back.n, back.m) == (state.n, state.m)
         assert back.amps == state.amps
         assert back.to_text() == state.to_text()
+
+
+class TestDenseReference:
+    """Each operation against the dense engine, which shares no code with it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_states())
+    def test_operations_match_dense_maps(self, state):
+        vector = DENSE6.vector(state.amps, state.m)
+        want = dense_operations(vector)
+        for name, moved in operations(state).items():
+            got = DENSE6.vector(moved.amps, state.m)
+            assert np.abs(got - want[name]).max() <= 1e-12, name
+        got = DENSE6.vector(convert(state).amps, state.m)
+        assert np.abs(got - want["sign"]).max() <= 1e-12
+        probs = np.array(state.control_probabilities())
+        assert np.abs(probs - DENSE6.control_probabilities(vector)).max() <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_states(ms=(1, 2, 3, 6)))
+    def test_full_measurement_draws_by_dense_weights(self, state):
+        # Outcomes listed by (control, rank), which orders permutations as
+        # their image tuples; a twin generator draws from the dense weights.
+        weights = (np.abs(DENSE6.vector(state.amps, state.m)) ** 2).ravel()
+        (support,) = np.nonzero(weights)
+        for seed in range(3):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            control, perm = state.measure_full(rng)
+            index = support[twin.choice(len(support), p=weights[support] / weights[support].sum())]
+            assert (control, DENSE6.rank(perm.image)) == divmod(int(index), DENSE6.order)

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from qscd.permgroup import cyclic_class, from_cycles
+from qscd.qscdcyc import gen_cyc
 from qscd.qscdff import distinguish, gen_plus
 from qscd.qstate import states_equal
 from qscd.reductions import (
@@ -27,6 +28,7 @@ from qscd.reductions import (
 from qscd.selftest import planted_no_instance, planted_yes_instance
 
 from oracles import StubRng, brute_fpf_involutions, two_point_key
+from test_qstate import DENSE6, KEYS6
 
 PI6 = from_cycles(6, [(1, 2), (3, 4), (5, 6)])
 PARAMS = AttackParams(k=1, p=1, tuples_per_side=32, threshold=16)
@@ -99,6 +101,23 @@ class TestRandomizeToAverage:
         keys = {two_point_key(state) for state in moved}
         assert len(keys) == 1
         assert keys <= brute_fpf_involutions(6)
+
+    def test_coset_draws_become_draws_of_the_conjugate_key(self):
+        # A draw of pi hidden by sigma, right-multiplied by tau, is the draw
+        # of tau^-1 pi tau hidden by sigma tau. Twin generators replay sigma
+        # and tau; the dense engine composes and builds the expected rows.
+        for m, pi in KEYS6.items():
+            key = np.array(pi.image) - 1
+            for s in range(m):
+                rng, twin = np.random.default_rng([75, m, s]), np.random.default_rng([75, m, s])
+                draws = tuple(gen_cyc(pi, s, m, rng) for _ in range(2))
+                moved = randomize_to_average(draws, rng)
+                sigmas = [twin.permutation(6) for _ in draws]
+                tau = twin.permutation(6)
+                conjugated = np.argsort(tau)[key[tau]]
+                for sigma, state in zip(sigmas, moved):
+                    want = DENSE6.coset_draw(sigma[tau], conjugated, s, m)
+                    assert np.abs(DENSE6.vector(state.amps, 1) - want).max() <= 1e-12, (m, s)
 
     def test_hidden_key_lands_uniform_on_k6(self):
         rng = np.random.default_rng(73)
