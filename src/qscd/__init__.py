@@ -12,7 +12,6 @@ from .permgroup import (
     Permutation,
     SecurityParam,
     compose,
-    conjugate,
     inverse,
     sample_cyclic,
     sample_fpf_involution,

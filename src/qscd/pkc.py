@@ -71,8 +71,11 @@ def keygen(params: SecurityParam, rng: np.random.Generator) -> KeyPair:
 
 
 def issue_key_copy(kp: KeyPair, rng: np.random.Generator, s: int | None = None) -> KeyCopy:
-    """One fresh encryption-key draw; multi-bit mode needs the symbol s."""
+    """One fresh encryption-key draw; multi-bit mode needs the symbol s, and
+    single-bit mode takes none."""
     if kp.params.kind == FF:
+        if s is not None:
+            raise ValueError("ff mode takes no symbol")
         return KeyCopy(gen_plus(kp.secret, rng))
     if s is None:
         raise ValueError("cyc mode needs a symbol")
@@ -162,12 +165,16 @@ def format_ciphertext(c: Ciphertext) -> str:
 
 
 def parse_ciphertext(text: str) -> Ciphertext:
-    head, _, body = text.partition("\n")
+    no = 1
+    head, more, body = text.partition("\n")
+    while more and not head.strip():  # blank lines before the header
+        no += 1
+        head, more, body = body.partition("\n")
     fields = head.split()
     if len(fields) != 3 or fields[0] != "CIPHERTEXT" or fields[1] not in ("FF", "CYC"):
-        raise ValueError(f"line 1: bad ciphertext header: {head!r}")
+        raise ValueError(f"line {no}: bad ciphertext header: {head!r}")
     mode = FF if fields[1] == "FF" else CYC
-    (m,) = int_fields(1, fields[2:], "modulus")
+    (m,) = int_fields(no, fields[2:], "modulus")
     if mode == FF and m != 2:
         raise ValueError("ff ciphertexts have modulus 2")
-    return Ciphertext(SparseState.from_text(body, first_line=2), mode, m)
+    return Ciphertext(SparseState.from_text(body, first_line=no + 1), mode, m)

@@ -4,10 +4,9 @@ A draw for key pi and symbol s is (1/sqrt(m)) sum_t w^(st) |sigma pi^t> with
 w = exp(2 pi i / m) and a uniform hiding translation sigma. ``_coset_draw``
 builds every such draw in the package: gen_cyc's, gen_plus's, and
 ``graphauto.coset_sample``'s symbol-0 draws over a cyclic Aut(G). The
-decoder runs the generalized controlled-key test and recovers s exactly. It
-is computed in one pass with the circuit's own arithmetic, its forward
-Fourier map being qstate's own sum, so it gives the result of the four
-state operations to the bit and builds only the final state.
+decoder runs the generalized controlled-key test and recovers s exactly.
+That test is the state-engine operation ``SparseState.controlled_key_test``;
+this module checks the key and reads out the control register.
 
 The fixed-point-free scheme (qscdff) is the m = 2 case: for a key in K_n,
 symbol 0 gives the plus state, symbol 1 the minus state, and the decoder is
@@ -31,7 +30,7 @@ from functools import cache
 import numpy as np
 
 from .permgroup import Permutation, compose, cycle_type, is_cyclic_class, powers, random_permutation
-from .qstate import PRUNE_TOL, SparseState, _fourier_amps, _fourier_table
+from .qstate import SparseState
 
 
 def require_cyclic_key(pi: Permutation, m: int) -> None:
@@ -68,34 +67,6 @@ def _phase_row(s: int, m: int) -> tuple[complex, ...]:
     return tuple(scale * cmath.exp(2j * math.pi * s * t / m) for t in range(m))
 
 
-def _decode_circuit(state: SparseState, pi: Permutation, m: int) -> SparseState:
-    """The decoder's final state for a key already checked to lie in K_n^m.
-
-    The circuit is ``state.with_control(m).fourier_control("inverse")
-    .controlled_power(pi).fourier_control("forward")``: a symbol-s draw
-    leaves the control in |s>. This pass splits and keys each amplitude with
-    the first three steps' floating-point operations, in their order,
-    dropping splits below PRUNE_TOL before the key acts, and hands the keyed
-    terms to the forward map's own sum. Only the result is built, and
-    validated, as a state.
-    """
-    if state.m != 1:
-        raise ValueError("state already has a control register")
-    if pi.n != state.n:
-        raise ValueError(f"degree mismatch: state {state.n}, pi {pi.n}")
-    inverse_rows, scale = _fourier_table(m, "inverse")
-    split_row = inverse_rows[0]
-    table = powers(pi, m)
-    terms = []
-    for (_, perm), amp in state.amps.items():
-        for r in range(m):
-            split = 0j + amp * split_row[r] * scale
-            if abs(split) < PRUNE_TOL:
-                continue
-            terms.append((r, compose(perm, table[r]), split))
-    return SparseState(state.n, m, _fourier_amps(m, "forward", terms))
-
-
 def _key_modulus(pi: Permutation) -> int:
     # The m with pi in K_n^m, checked.
     m = cycle_type(pi)[0]
@@ -106,9 +77,9 @@ def _key_modulus(pi: Permutation) -> int:
 def decode_cyc(state: SparseState, pi: Permutation, rng: np.random.Generator) -> int:
     """Generalized controlled-key test; returns the measured symbol, a draw
     from the list that ``decode_distribution`` returns."""
-    return _decode_circuit(state, pi, _key_modulus(pi)).measure_control(rng)
+    return state.controlled_key_test(pi, _key_modulus(pi)).measure_control(rng)
 
 
 def decode_distribution(state: SparseState, pi: Permutation) -> list[float]:
     """Exact outcome distribution of the decoder over Z_m."""
-    return _decode_circuit(state, pi, _key_modulus(pi)).control_probabilities()
+    return state.controlled_key_test(pi, _key_modulus(pi)).control_probabilities()

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .permgroup import Permutation, is_cyclic_class, is_ff_degree, random_permutation
-from .qscdcyc import _coset_draw, _decode_circuit
+from .qscdcyc import _coset_draw
 from .qstate import SparseState, basis_state
 
 # A distinguisher maps the visible states plus an RNG handle to a bit.
@@ -62,4 +62,4 @@ def convert(state: SparseState) -> SparseState:
 def distinguish(state: SparseState, pi: Permutation, rng: np.random.Generator) -> int:
     """Trapdoor test: 1 (YES, plus) on decoded symbol 0, else 0 (NO, minus)."""
     require_ff_key(pi)
-    return 1 if _decode_circuit(state, pi, 2).measure_control(rng) == 0 else 0
+    return 1 if state.controlled_key_test(pi, 2).measure_control(rng) == 0 else 0

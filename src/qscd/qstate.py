@@ -11,6 +11,9 @@ Conventions fixed here:
   * norms and state comparisons use tolerance 1e-9;
   * the Fourier map on the control register is computed exactly in floating
     point (for m = 2 both directions are the Hadamard transformation).
+
+The decoder is one operation here, ``controlled_key_test``: it gives to the
+bit what its circuit of ``fourier_control`` and ``controlled_power`` gives.
 """
 
 from __future__ import annotations
@@ -101,6 +104,33 @@ class SparseState:
         }
         return SparseState(self.n, self.m, out)
 
+    def controlled_key_test(self, pi: Permutation, m: int) -> SparseState:
+        """The decoder's final state for a key already checked to lie in K_n^m.
+
+        The circuit lifts this state to a control over Z_m in |0>, then runs
+        ``fourier_control("inverse")``, ``controlled_power(pi)`` and
+        ``fourier_control("forward")``: a symbol-s draw leaves the control in
+        |s>. This pass splits and keys each amplitude with the first three
+        steps' floating-point operations, in their order, dropping splits
+        below PRUNE_TOL before the key acts, and hands the keyed terms to the
+        forward map's own sum. Only the result is built and validated.
+        """
+        if self.m != 1:
+            raise ValueError("state already has a control register")
+        if pi.n != self.n:
+            raise ValueError(f"degree mismatch: state {self.n}, pi {pi.n}")
+        inverse_rows, scale = _fourier_table(m, "inverse")
+        split_row = inverse_rows[0]
+        table = powers(pi, m)
+        terms = []
+        for (_, perm), amp in self.amps.items():
+            for r in range(m):
+                split = 0j + amp * split_row[r] * scale
+                if abs(split) < PRUNE_TOL:
+                    continue
+                terms.append((r, compose(perm, table[r]), split))
+        return SparseState(self.n, m, _fourier_amps(m, "forward", terms))
+
     def phase_by_sign(self) -> SparseState:
         """Multiply each amplitude by (-1)^parity of its permutation."""
         out = {
@@ -115,12 +145,6 @@ class SparseState:
             raise ValueError(f"degree mismatch: state {self.n}, tau {tau.n}")
         out = {(r, compose(perm, tau)): amp for (r, perm), amp in self.amps.items()}
         return SparseState(self.n, self.m, out)
-
-    def with_control(self, m: int) -> SparseState:
-        """Attach a control register over Z_m in |0>. Requires a control-free state."""
-        if self.m != 1:
-            raise ValueError("state already has a control register")
-        return SparseState(self.n, m, dict(self.amps))
 
     def control_probabilities(self) -> list[float]:
         """Born probabilities of the control outcomes 0..m-1."""

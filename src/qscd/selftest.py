@@ -23,9 +23,9 @@ from .permgroup import (
     Permutation,
     SecurityParam,
     compose,
-    conjugate,
     cyclic_class,
-    random_permutation,
+    identity,
+    inverse,
     sample_cyclic,
     sample_fpf_involution,
 )
@@ -44,6 +44,7 @@ from .reductions import (
     minus_source,
     omniscient_distinguisher,
     plus_source,
+    randomize_to_average,
 )
 from .seeding import derive_rng
 
@@ -153,20 +154,27 @@ def criterion_coincidence(seed: int) -> tuple[bool, str]:
 
 
 def criterion_conjugation(seed: int) -> tuple[bool, str]:
-    """Conjugation by uniform tau is exactly uniform over K_6."""
+    """Right translation by uniform tau turns the plus draw of one fixed key
+    (at sigma = id) into a draw of a uniform key of K_6."""
     rng = derive_rng(seed, 4)
     k6 = cyclic_class(6, 2)
-    pi0 = k6[0]
+    draw = SparseState(6, 1, dict.fromkeys([(0, identity(6)), (0, k6[0])], 1 / math.sqrt(2)))
     counts = {p.image: 0 for p in k6}
     for images in itertools.permutations(range(1, 7)):
-        counts[conjugate(pi0, Permutation(images)).image] += 1
+        counts[_hidden_key(draw.translate(Permutation(images)))] += 1
     exhaustive_ok = sorted(counts.values()) == [48] * 15
     observed = {p.image: 0 for p in k6}
     for _ in range(15000):
-        observed[conjugate(pi0, random_permutation(6, rng)).image] += 1
+        observed[_hidden_key(*randomize_to_average((draw,), rng))] += 1
     pvalue = _chisquare_pvalue(list(observed.values()))
     ok = exhaustive_ok and pvalue > 0.001
     return ok, f"exhaustive_48x15={'yes' if exhaustive_ok else 'no'} chisq_p={pvalue:.6f}"
+
+
+def _hidden_key(draw: SparseState) -> tuple[int, ...]:
+    """The key a^-1 b of a two-point draw on {a, b}: a = sigma, b = sigma pi."""
+    a, b = (perm for _, perm in draw.amps)
+    return compose(inverse(a), b).image
 
 
 def _chisquare_pvalue(counts: list[int]) -> float:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qscd.selftest import CRITERIA, _chisquare_pvalue, run_selftest
+from qscd.qstate import SparseState
+from qscd.selftest import CRITERIA, _chisquare_pvalue, criterion_conjugation, run_selftest
 
 SEED = 20260810
 # sha256 of the stdout of `qscd selftest --seed 20260810`, pinned so that a
@@ -66,6 +67,15 @@ def test_criterion_10_selftest_determinism():
     assert ok_first and ok_second
     assert first == second
     assert hashlib.sha256(first.encode()).hexdigest() == SELFTEST_SHA256
+
+
+def test_criterion_4_fails_when_translation_is_broken(monkeypatch):
+    # Criterion 4 checks the shipped reduction: if right translation leaves
+    # a draw where it is, the key never moves and the criterion fails.
+    monkeypatch.setattr(SparseState, "translate", lambda self, tau: self)
+    ok, detail = criterion_conjugation(SEED)
+    assert not ok
+    assert detail.startswith("exhaustive_48x15=no "), detail
 
 
 @pytest.mark.slow

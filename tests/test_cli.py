@@ -11,7 +11,7 @@ from qscd import cli
 from qscd.cli import run
 from qscd.graphauto import Graph, format_graph
 from qscd.pkc import KeyPair, format_key
-from qscd.permgroup import SecurityParam
+from qscd.permgroup import MAX_DEGREE, SecurityParam
 from qscd.selftest import RIGID6, RIGID7A, RIGID7B, planted_yes_instance
 from qscd.graphauto import disjoint_union
 
@@ -89,6 +89,20 @@ class TestKeyFlow:
             )
             assert code == 2 and out.startswith("error:"), (name, out)
             assert len(out.splitlines()) == 1, (name, out)
+
+    def test_blank_lines_before_the_ciphertext_header(self, tmp_path, capsys):
+        key = tmp_path / "key.txt"
+        ct = tmp_path / "ct.txt"
+        run_cli(capsys, "keygen", "--mode", "ff", "--n", "6", "--seed", "1", "--out", str(key))
+        run_cli(
+            capsys, "encrypt", "--key", str(key), "--message", "1", "--seed", "2",
+            "--out", str(ct),
+        )
+        decrypt = ["decrypt", "--key", str(key), "--ciphertext", str(ct), "--seed", "3"]
+        _, plain = run_cli(capsys, *decrypt)
+        ct.write_text("\n \n" + ct.read_text())
+        assert run_cli(capsys, *decrypt) == (0, plain)
+        assert plain.endswith("decrypted=1\n")
 
 
 class TestDemo:
@@ -382,6 +396,27 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["keygen", "--mode", "ff", "--out", "k.txt"],
+            ["demo", "--mode", "ff"],
+            ["demo", "--mode", "cyc", "--m", "3"],
+            ["advantage", "--dist", "coin", "--trials", "1"],
+            ["advantage", "--dist", "coin", "--pair", "cyc", "--trials", "1"],
+        ],
+        ids=["keygen", "demo-ff", "demo-cyc", "advantage-ff", "advantage-cyc"],
+    )
+    def test_degree_above_the_ceiling_is_refused_at_once(self, tmp_path, capsys, monkeypatch, argv):
+        # MAX_DEGREE + 2 is 2 mod 4 and divisible by 3, so only the ceiling refuses it.
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        code, out = run_cli(capsys, *argv, "--n", str(MAX_DEGREE + 2), "--seed", "1")
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, f"error: degree {MAX_DEGREE + 2} exceeds the ceiling {MAX_DEGREE}\n")
+        assert elapsed < 1.0, elapsed
+        assert not Path("k.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["keygen", "--mode", "ff", "--n", "6", "--m", "3", "--out", "unwritten.txt"],
             ["keygen", "--mode", "ff", "--n", "6", "--m", "2", "--out", "unwritten.txt"],
             ["demo", "--mode", "ff", "--n", "6", "--m", "5"],
@@ -415,6 +450,18 @@ class TestErrors:
                 "CIPHERTEXT FF 2\nQSTATE 6 1 2\n0 0.7071067811865474x 0 6: 1 2 3 4 5 6\n"
                 "0 0.70710678118654746 0 6: 2 1 4 3 6 5\n",
                 "line 3: re '0.7071067811865474x' is not a number",
+            ),
+            (
+                "--ciphertext",
+                "\nCIPHERTEXT FF\nQSTATE 6 1 2\n0 0.70710678118654746 0 6: 1 2 3 4 5 6\n"
+                "0 0.70710678118654746 0 6: 2 1 4 3 6 5\n",
+                "line 2: bad ciphertext header: 'CIPHERTEXT FF'",
+            ),
+            (
+                "--ciphertext",
+                "\n \nCIPHERTEXT FF 2\nQSTATE 6 1 2\n0 0.7071067811865474x 0 6: 1 2 3 4 5 6\n"
+                "0 0.70710678118654746 0 6: 2 1 4 3 6 5\n",
+                "line 5: re '0.7071067811865474x' is not a number",
             ),
         ],
     )

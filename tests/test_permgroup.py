@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qscd.permgroup import (
+    MAX_DEGREE,
     Permutation,
     SecurityParam,
     compose,
-    conjugate,
     cycle_type,
     cyclic_class,
     format_permutation,
@@ -132,7 +132,6 @@ class TestTrustedResults:
             compose(sigma, tau),
             inverse(sigma),
             identity(7),
-            conjugate(sigma, tau),
             perm_pow(sigma, 3),
             sample_fpf_involution(SecurityParam.ff(6), rng),
             sample_cyclic(SecurityParam.cyc(6, 3), rng),
@@ -204,6 +203,13 @@ class TestSecurityParam:
             with pytest.raises(ValueError, match="degree must be >= 1"):
                 SecurityParam.cyc(n, m)
 
+    def test_degree_ceiling(self):
+        assert SecurityParam.cyc(MAX_DEGREE, 2).n == MAX_DEGREE
+        assert SecurityParam.ff(MAX_DEGREE - 2).n == MAX_DEGREE - 2  # the largest ff degree
+        for params in (SecurityParam.ff, lambda n: SecurityParam.cyc(n, 2)):
+            with pytest.raises(ValueError, match=f"exceeds the ceiling {MAX_DEGREE}"):
+                params(MAX_DEGREE + 2)
+
 
 class TestSampleFpfInvolution:
     def test_n2_is_the_swap(self):
@@ -251,38 +257,6 @@ class TestSampleCyclic:
     def test_n2_m2_is_the_swap(self):
         rng = np.random.default_rng(5)
         assert sample_cyclic(SecurityParam.cyc(2, 2), rng) == from_cycles(2, [(1, 2)])
-
-
-class TestConjugate:
-    def test_identity_fixes(self):
-        pi = from_cycles(6, [(1, 2), (3, 4), (5, 6)])
-        assert conjugate(pi, identity(6)) == pi
-
-    def test_stays_in_key_class(self):
-        rng = np.random.default_rng(6)
-        pi = from_cycles(6, [(1, 2), (3, 4), (5, 6)])
-        oracle = brute_fpf_involutions(6)
-        for _ in range(100):
-            tau = Permutation(tuple(int(x) + 1 for x in rng.permutation(6)))
-            assert conjugate(pi, tau).image in oracle
-
-    def test_exhaustively_uniform_over_k6(self):
-        import itertools
-
-        pi = from_cycles(6, [(1, 2), (3, 4), (5, 6)])
-        counts: dict[tuple[int, ...], int] = {}
-        for images in itertools.permutations(range(1, 7)):
-            hit = conjugate(pi, Permutation(images)).image
-            counts[hit] = counts.get(hit, 0) + 1
-        assert set(counts) == brute_fpf_involutions(6)
-        assert sorted(counts.values()) == [48] * 15
-
-    def test_preserves_cycle_type(self):
-        rng = np.random.default_rng(7)
-        pi = from_cycles(6, [(1, 2, 3), (4, 5, 6)])
-        for _ in range(50):
-            tau = Permutation(tuple(int(x) + 1 for x in rng.permutation(6)))
-            assert cycle_type(conjugate(pi, tau)) == (3, 3)
 
 
 class TestEnumerators:

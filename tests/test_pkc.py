@@ -76,6 +76,13 @@ class TestKeyCopies:
         with pytest.raises(ValueError):
             issue_key_copy(kp, rng)
 
+    def test_ff_copy_refuses_a_symbol(self):
+        rng = np.random.default_rng(95)
+        kp = keygen(FF6, rng)
+        for s in (0, 1):
+            with pytest.raises(ValueError, match="ff mode takes no symbol"):
+                issue_key_copy(kp, rng, s=s)
+
     def test_series_covers_every_symbol(self):
         rng = np.random.default_rng(96)
         series = issue_key_series(keygen(CYC63, rng), rng)

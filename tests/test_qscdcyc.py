@@ -17,7 +17,7 @@ from qscd.permgroup import (
     sample_cyclic,
     sample_fpf_involution,
 )
-from qscd.qscdcyc import _decode_circuit, decode_cyc, decode_distribution, gen_cyc
+from qscd.qscdcyc import decode_cyc, decode_distribution, gen_cyc
 from qscd.qscdff import convert, distinguish, gen_plus
 from qscd.qstate import PRUNE_TOL, SparseState, _born_draw, inner_product, states_equal
 
@@ -177,7 +177,8 @@ class TestStructure:
 
 def four_operation_circuit(state: SparseState, pi: Permutation, m: int) -> SparseState:
     """The decoder as the composition of four state operations."""
-    return state.with_control(m).fourier_control("inverse").controlled_power(pi).fourier_control("forward")
+    lifted = SparseState(state.n, m, dict(state.amps))  # a control over Z_m in |0>
+    return lifted.fourier_control("inverse").controlled_power(pi).fourier_control("forward")
 
 
 def exact_entries(state: SparseState) -> list:
@@ -192,7 +193,7 @@ class TestOnePassDecode:
     @given(small_states(ms=(1,)), st.sampled_from(sorted(KEYS6)))
     def test_matches_the_circuit_on_random_states(self, state, m):
         pi = KEYS6[m]
-        assert exact_entries(_decode_circuit(state, pi, m)) == exact_entries(four_operation_circuit(state, pi, m))
+        assert exact_entries(state.controlled_key_test(pi, m)) == exact_entries(four_operation_circuit(state, pi, m))
 
     def test_matches_the_circuit_on_coset_draws(self):
         rng = np.random.default_rng(58)
@@ -204,7 +205,7 @@ class TestOnePassDecode:
                     draw = gen_cyc(pi, s, m, rng)
                     for key in (pi, other):  # the draw's key, and mostly a wrong one
                         want = exact_entries(four_operation_circuit(draw, key, m))
-                        assert exact_entries(_decode_circuit(draw, key, m)) == want, (m, s)
+                        assert exact_entries(draw.controlled_key_test(key, m)) == want, (m, s)
 
     def test_split_terms_under_the_prune_tolerance_are_dropped_first(self):
         # A tiny entry on the draw's coset: its split terms land just under
@@ -217,18 +218,18 @@ class TestOnePassDecode:
                 state = SparseState(6, 1, {(0, sigma): math.sqrt(1 - tiny**2), (0, compose(sigma, pi)): tiny})
                 assert len(state.amps) == 2
                 want = exact_entries(four_operation_circuit(state, pi, m))
-                assert exact_entries(_decode_circuit(state, pi, m)) == want, (m, factor)
+                assert exact_entries(state.controlled_key_test(pi, m)) == want, (m, factor)
 
     def test_result_is_a_validated_state(self):
         state = gen_cyc(PI63, 1, 3, np.random.default_rng(59))
-        out = _decode_circuit(state, PI63, 3)
+        out = state.controlled_key_test(PI63, 3)
         assert (out.n, out.m) == (6, 3)
         assert abs(out.norm() - 1.0) <= 1e-9
         assert all(abs(amp) >= PRUNE_TOL for amp in out.amps.values())
 
     def test_refuses_a_state_with_a_control_register(self):
         with pytest.raises(ValueError, match="control register"):
-            _decode_circuit(SparseState(6, 3, {(0, identity(6)): 1.0}), PI63, 3)
+            SparseState(6, 3, {(0, identity(6)): 1.0}).controlled_key_test(PI63, 3)
 
 
 class TestDenseDecodeOracle:

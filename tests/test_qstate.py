@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qscd.permgroup import Permutation, compose, conjugate, from_cycles, identity
+from qscd.permgroup import Permutation, compose, from_cycles, identity, inverse
 from qscd.qscdff import convert
 from qscd.qstate import SparseState, _born_draw, basis_state, inner_product, states_equal
 
@@ -154,7 +154,7 @@ class TestTranslate:
         tau = Permutation(tuple(int(x) + 1 for x in rng.permutation(6)))
         moved = plus_state(sigma, PI6).translate(tau)
         new_sigma = compose(sigma, tau)
-        expected = {(0, new_sigma), (0, compose(new_sigma, conjugate(PI6, tau)))}
+        expected = {(0, new_sigma), (0, compose(new_sigma, compose(compose(inverse(tau), PI6), tau)))}
         assert set(moved.amps) == expected
 
     def test_right_then_inverse_roundtrip(self):
@@ -242,18 +242,6 @@ class TestUnitarity:
                 state.translate(tau),
             ):
                 assert abs(moved.norm() - 1.0) < 1e-9
-
-
-class TestRegisters:
-    def test_with_control_attaches_zero(self):
-        state = basis_state(0, identity(6), 1)
-        lifted = state.with_control(3)
-        assert lifted.m == 3
-        assert lifted.amps == state.amps
-
-    def test_with_control_rejects_existing(self):
-        with pytest.raises(ValueError):
-            basis_state(0, identity(3), 2).with_control(3)
 
 
 class TestSerialization:
