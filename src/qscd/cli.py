@@ -27,6 +27,7 @@ from .permgroup import (
     Permutation,
     SecurityParam,
     format_permutation,
+    require_points,
     sample_cyclic,
     sample_fpf_involution,
 )
@@ -176,6 +177,12 @@ def _read_secret(path: str | None) -> Permutation | None:
     return None if path is None else parse_key(Path(path).read_text()).secret
 
 
+def _require_tuple_points(states: int, m: int, n: int) -> None:
+    # A tuple is built whole before the distinguisher sees it, so its size
+    # is refused before the first draw.
+    require_points(states * m * n, f"a tuple of {states} states of {m} points of degree {n}")
+
+
 def cmd_attack(args) -> int:
     g = parse_graph(Path(args.graph).read_text())
     if args.key is not None and args.dist != "omniscient":
@@ -186,6 +193,7 @@ def cmd_attack(args) -> int:
     params = AttackParams(
         k=args.k, p=args.p, tuples_per_side=args.tuples, threshold=args.threshold
     )
+    _require_tuple_points(args.k + args.l, 2, g.node_count)  # the promise allows |Aut| <= 2
     rng = derive_rng(args.seed)
     result = ga_attack(inst, dist, params, rng, l_key_copies=args.l)
     n = g.node_count
@@ -218,7 +226,9 @@ def cmd_advantage(args) -> int:
             raise ValueError(f"--s0 and --s1 are both {s0}; the cyc pair needs two symbols")
         if args.key is not None:
             raise ValueError("--key holds an ff key; the cyc pair samples its own cyclic key")
-        pi = sample_cyclic(SecurityParam.cyc(args.n, m), rng)
+        cyc_params = SecurityParam.cyc(args.n, m)
+        _require_tuple_points(args.k, m, args.n)
+        pi = sample_cyclic(cyc_params, rng)
         source_a = cyc_source(pi, s0, m, args.k)
         source_b = cyc_source(pi, s1, m, args.k)
     else:
@@ -226,6 +236,7 @@ def cmd_advantage(args) -> int:
         if given:
             raise ValueError(f"{', '.join(given)} apply only to --pair cyc")
         ff_params = SecurityParam.ff(args.n)
+        _require_tuple_points(args.k, 2, args.n)
         if args.key is None:
             pi = sample_fpf_involution(ff_params, rng)
         else:

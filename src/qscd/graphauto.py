@@ -285,13 +285,13 @@ def _hang_label(edges: set[tuple[int, int]], node: int, count: int, n: int, tail
     return count + 2 * n + 3 + tail_len
 
 
-def build_query(g: Graph, fixed: list[int], i: int, j: int) -> Graph:
-    """Promise-problem query graph for the pair (i, j) with `fixed` pinned.
+def build_query(g: Graph, i: int, j: int) -> Graph:
+    """Promise-problem query graph for the pair i < j, nodes 1..i-1 pinned.
 
-    Two copies of g carry gadgets with indices 1..len(fixed) on the fixed
-    nodes. Both target nodes are labeled in both copies, with the two final
-    gadget sizes exchanged between the copies, so the copies are isomorphic
-    exactly when g has an automorphism that fixes `fixed` pointwise and
+    Two copies of g carry gadget t on node t for t = 1..i-1. Both target
+    nodes are labeled in both copies, with the two final gadget sizes
+    exchanged between the copies, so the copies are isomorphic exactly when
+    g has an automorphism that fixes 1..i-1 pointwise and
     exchanges i with j. Pinning both targets in both copies is what keeps
     every query inside the promise: any isomorphism between the copies flips
     them wholesale (a fixed-point-free involution of the union), and no
@@ -305,20 +305,10 @@ def build_query(g: Graph, fixed: list[int], i: int, j: int) -> Graph:
     sizes are computed against the node count of g itself, not of the
     partially labeled copies.
     """
-    if i == j:
-        raise ValueError("need two distinct target nodes")
-    fixed = [int(x) for x in fixed]
-    targets = set(fixed)
-    if len(targets) != len(fixed):
-        raise ValueError("fixed nodes must be distinct")
-    if i in targets or j in targets:
-        raise ValueError("target nodes cannot be fixed")
-    for node in [*fixed, i, j]:
-        if not 1 <= node <= g.node_count:
-            raise ValueError(f"node {node} out of range")
-
     n = g.node_count
-    size, tails = _query_layout(n, len(fixed))
+    if not 1 <= i < j <= n:
+        raise ValueError(f"need 1 <= i < j <= {n}, got i={i}, j={j}")
+    size, tails = _query_layout(n, i - 1)
 
     # Both labeled copies go into one edge set: the second copy's nodes are
     # numbered after all of the first copy's.
@@ -328,8 +318,8 @@ def build_query(g: Graph, fixed: list[int], i: int, j: int) -> Graph:
         shift = count
         edges.update((u + shift, v + shift) for u, v in g.edges)
         count += n
-        for t, node in enumerate(fixed, start=1):
-            count = _hang_label(edges, node + shift, count, n, t)
+        for t in range(1, i):
+            count = _hang_label(edges, t + shift, count, n, t)
         count = _hang_label(edges, a_node + shift, count, n, tails[0])
         count = _hang_label(edges, b_node + shift, count, n, tails[1])
     if count != size or count % 4 != 2:
@@ -400,7 +390,7 @@ def koebler_reduce(g: Graph, oracle=None) -> int:
     n = base.node_count
     for i in range(n, 0, -1):
         for j in range(i + 1, n + 1):
-            if oracle(build_query(base, list(range(1, i)), i, j)):
+            if oracle(build_query(base, i, j)):
                 return 1
     return 0
 
@@ -440,10 +430,10 @@ def coset_sample(inst: PromiseInstance, rng: np.random.Generator) -> SparseState
     (1/sqrt(|Aut|)) sum over alpha in Aut(g) of |sigma alpha> for a uniform
     sigma, all with one sign. Under the promise Aut(g), sorted by image, is
     (id,) or (id, pi) with pi an involution: the cyclic group generated by
-    its last element. So the draw is ``qscdcyc``'s symbol-0 coset draw for
-    that element and |Aut|. YES instances therefore yield plus draws for
-    the hidden key, which ``qscdff.convert`` turns into minus draws; NO
-    instances yield iota draws.
+    its last element, whose cycles all have length |Aut|. So the draw is
+    ``qscdcyc``'s symbol-0 coset draw for that element. YES instances
+    therefore yield plus draws for the hidden key, which ``qscdff.convert``
+    turns into minus draws; NO instances yield iota draws.
     """
     elements = inst.aut_elements()
-    return _coset_draw(elements[-1], 0, len(elements), rng)
+    return _coset_draw(elements[-1], 0, rng)

@@ -22,6 +22,11 @@ CYC = "cyc"
 # advantage each took under 2 s and 72 MB on a shared 2-CPU machine
 # (ff, and cyc with cycle length 2 or 3).
 MAX_DEGREE = 100_000
+# The most permutation points a command builds at once: m*m*n for a cyc key
+# series (m states of m points), (k + l)*m*n for one distinguisher tuple.
+# At this size demo took under 0.5 s and 60 MB, and a one-trial advantage
+# at n = 6, where each state costs the most per point, 6.7 s and 130 MB.
+MAX_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,18 @@ def is_cyclic_class(sigma: Permutation, m: int) -> bool:
     return m > 0 and cycle_type(sigma) == (m,) * (sigma.n // m)
 
 
+def require_cyclic_key(pi: Permutation, m: int) -> None:
+    if m < 2:
+        raise ValueError(f"cyclic order must be >= 2, got {m}")
+    if not is_cyclic_class(pi, m):
+        raise ValueError(f"key is not a product of disjoint {m}-cycles")
+
+
+def require_points(points: int, what: str) -> None:
+    if points > MAX_POINTS:
+        raise ValueError(f"{what} holds {points} permutation points, over the ceiling {MAX_POINTS}")
+
+
 @dataclass(frozen=True)
 class SecurityParam:
     """Degree plus key-class selector for the two schemes.
@@ -176,6 +193,8 @@ class SecurityParam:
                 raise ValueError(f"cyclic order must be >= 2, got {self.m}")
             if self.n % self.m != 0:
                 raise ValueError(f"{self.m} does not divide {self.n}")
+            series = f"a key series of {self.m} states of {self.m} points of degree {self.n}"
+            require_points(self.m * self.m * self.n, series)
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
 

@@ -3,10 +3,11 @@
 A draw for key pi and symbol s is (1/sqrt(m)) sum_t w^(st) |sigma pi^t> with
 w = exp(2 pi i / m) and a uniform hiding translation sigma. ``_coset_draw``
 builds every such draw in the package: gen_cyc's, gen_plus's, and
-``graphauto.coset_sample``'s symbol-0 draws over a cyclic Aut(G). The
-decoder runs the generalized controlled-key test and recovers s exactly.
-That test is the state-engine operation ``SparseState.controlled_key_test``;
-this module checks the key and reads out the control register.
+``graphauto.coset_sample``'s symbol-0 draws over a cyclic Aut(G); it reads
+m from pi, whose cycles all have length m. The decoder runs the generalized
+controlled-key test and recovers s exactly. That test is the state-engine
+operation ``SparseState.controlled_key_test``, which reads m from the key and
+checks it; this module reads out the control register.
 
 The fixed-point-free scheme (qscdff) is the m = 2 case: for a key in K_n,
 symbol 0 gives the plus state, symbol 1 the minus state, and the decoder is
@@ -29,15 +30,8 @@ from functools import cache
 
 import numpy as np
 
-from .permgroup import Permutation, compose, cycle_type, is_cyclic_class, powers, random_permutation
+from .permgroup import Permutation, compose, cycle_type, powers, random_permutation, require_cyclic_key
 from .qstate import SparseState
-
-
-def require_cyclic_key(pi: Permutation, m: int) -> None:
-    if m < 2:
-        raise ValueError(f"cyclic order must be >= 2, got {m}")
-    if not is_cyclic_class(pi, m):
-        raise ValueError(f"key is not a product of disjoint {m}-cycles")
 
 
 def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> SparseState:
@@ -49,12 +43,13 @@ def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> Sparse
     require_cyclic_key(pi, m)
     if not 0 <= s < m:
         raise ValueError(f"symbol {s} out of range for modulus {m}")
-    return _coset_draw(pi, s, m, rng)
+    return _coset_draw(pi, s, rng)
 
 
-def _coset_draw(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> SparseState:
-    # gen_cyc for a key already checked: pi lies in K_n^m, or, for
-    # coset_sample, generates the order-m automorphism group.
+def _coset_draw(pi: Permutation, s: int, rng: np.random.Generator) -> SparseState:
+    # gen_cyc for a pi whose cycles all have one length m: a checked key, or
+    # coset_sample's group generator, the identity or an fpf involution.
+    m = cycle_type(pi)[0]
     sigma = random_permutation(pi.n, rng)
     amps = {(0, compose(sigma, power)): amp for power, amp in zip(powers(pi, m), _phase_row(s, m))}
     return SparseState(pi.n, 1, amps)
@@ -67,19 +62,12 @@ def _phase_row(s: int, m: int) -> tuple[complex, ...]:
     return tuple(scale * cmath.exp(2j * math.pi * s * t / m) for t in range(m))
 
 
-def _key_modulus(pi: Permutation) -> int:
-    # The m with pi in K_n^m, checked.
-    m = cycle_type(pi)[0]
-    require_cyclic_key(pi, m)
-    return m
-
-
 def decode_cyc(state: SparseState, pi: Permutation, rng: np.random.Generator) -> int:
     """Generalized controlled-key test; returns the measured symbol, a draw
     from the list that ``decode_distribution`` returns."""
-    return state.controlled_key_test(pi, _key_modulus(pi)).measure_control(rng)
+    return state.controlled_key_test(pi).measure_control(rng)
 
 
 def decode_distribution(state: SparseState, pi: Permutation) -> list[float]:
     """Exact outcome distribution of the decoder over Z_m."""
-    return state.controlled_key_test(pi, _key_modulus(pi)).control_probabilities()
+    return state.controlled_key_test(pi).control_probabilities()

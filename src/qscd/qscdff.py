@@ -36,7 +36,7 @@ def gen_plus(pi: Permutation, rng: np.random.Generator) -> SparseState:
     The result is (|sigma> + |sigma pi>) / sqrt(2) for a uniform sigma.
     """
     require_ff_key(pi)
-    return _coset_draw(pi, 0, 2, rng)
+    return _coset_draw(pi, 0, rng)
 
 
 def gen_iota(n: int, rng: np.random.Generator) -> SparseState:
@@ -62,4 +62,4 @@ def convert(state: SparseState) -> SparseState:
 def distinguish(state: SparseState, pi: Permutation, rng: np.random.Generator) -> int:
     """Trapdoor test: 1 (YES, plus) on decoded symbol 0, else 0 (NO, minus)."""
     require_ff_key(pi)
-    return 1 if state.controlled_key_test(pi, 2).measure_control(rng) == 0 else 0
+    return 1 if state.controlled_key_test(pi).measure_control(rng) == 0 else 0

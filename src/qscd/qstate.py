@@ -30,10 +30,12 @@ import numpy as np
 from .permgroup import (
     Permutation,
     compose,
+    cycle_type,
     format_permutation,
     int_fields,
     parse_permutation,
     powers,
+    require_cyclic_key,
     sign,
 )
 
@@ -104,8 +106,8 @@ class SparseState:
         }
         return SparseState(self.n, self.m, out)
 
-    def controlled_key_test(self, pi: Permutation, m: int) -> SparseState:
-        """The decoder's final state for a key already checked to lie in K_n^m.
+    def controlled_key_test(self, pi: Permutation) -> SparseState:
+        """The decoder's final state for a key pi in K_n^m; m is pi's cycle length, checked.
 
         The circuit lifts this state to a control over Z_m in |0>, then runs
         ``fourier_control("inverse")``, ``controlled_power(pi)`` and
@@ -119,6 +121,8 @@ class SparseState:
             raise ValueError("state already has a control register")
         if pi.n != self.n:
             raise ValueError(f"degree mismatch: state {self.n}, pi {pi.n}")
+        m = cycle_type(pi)[0]
+        require_cyclic_key(pi, m)
         inverse_rows, scale = _fourier_table(m, "inverse")
         split_row = inverse_rows[0]
         table = powers(pi, m)

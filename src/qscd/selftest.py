@@ -234,7 +234,7 @@ def criterion_labels(seed: int) -> tuple[bool, str]:
         g = path_graph(n)
         for i in range(n, 0, -1):
             for j in range(i + 1, n + 1):
-                q = build_query(g, list(range(1, i)), i, j)
+                q = build_query(g, i, j)
                 queries += 1
                 ends = {v for e in q.edges for v in e}
                 if ends != set(range(1, q.node_count + 1)) or q.node_count % 4 != 2:

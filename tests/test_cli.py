@@ -11,7 +11,7 @@ from qscd import cli
 from qscd.cli import run
 from qscd.graphauto import Graph, format_graph
 from qscd.pkc import KeyPair, format_key
-from qscd.permgroup import MAX_DEGREE, SecurityParam
+from qscd.permgroup import MAX_DEGREE, MAX_POINTS, SecurityParam
 from qscd.selftest import RIGID6, RIGID7A, RIGID7B, planted_yes_instance
 from qscd.graphauto import disjoint_union
 
@@ -413,6 +413,72 @@ class TestErrors:
         assert (code, out) == (2, f"error: degree {MAX_DEGREE + 2} exceeds the ceiling {MAX_DEGREE}\n")
         assert elapsed < 1.0, elapsed
         assert not Path("k.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["keygen", "--mode", "cyc", "--out", "k.txt"],
+            ["demo", "--mode", "cyc"],
+            ["advantage", "--dist", "coin", "--pair", "cyc", "--trials", "1"],
+        ],
+        ids=["keygen", "demo", "advantage-cyc"],
+    )
+    def test_key_series_above_the_ceiling_is_refused_at_once(self, tmp_path, capsys, monkeypatch, argv):
+        # m states of m points of degree n: 10 * 10 * n is just above MAX_POINTS
+        n = MAX_POINTS // 100 + 10
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        code, out = run_cli(capsys, *argv, "--n", str(n), "--m", "10", "--seed", "1")
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, f"error: a key series of 10 states of 10 points of degree {n} "
+                                  f"holds {100 * n} permutation points, over the ceiling {MAX_POINTS}\n")
+        assert elapsed < 1.0, elapsed
+        assert not Path("k.txt").exists()
+
+    def test_key_file_above_the_ceiling_is_refused_at_once(self, tmp_path, capsys):
+        n = MAX_POINTS // 100 + 10
+        key, ct = tmp_path / "key.txt", tmp_path / "ct.txt"
+        cycles = " ".join(str(p + 1 if p % 10 else p - 9) for p in range(1, n + 1))  # (1..10)(11..20)...
+        key.write_text(f"CYC {n} 10\n{n}: {cycles}\n")
+        start = time.perf_counter()
+        code, out = run_cli(
+            capsys, "encrypt", "--key", str(key), "--message", "0", "--seed", "1", "--out", str(ct)
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 2 and out.startswith("error: a key series of 10 states") and out.count("\n") == 1, out
+        assert elapsed < 1.0, elapsed
+        assert not ct.exists()
+
+    @pytest.mark.parametrize(
+        "pair, m",
+        [(["ff"], 2), (["plus-iota"], 2), (["cyc", "--m", "3"], 3)],
+        ids=["ff", "plus-iota", "cyc"],
+    )
+    def test_advantage_tuple_above_the_ceiling_is_refused_at_once(self, capsys, pair, m):
+        k = MAX_POINTS // (m * 6) + 1  # k states of m points of degree 6, just above the ceiling
+        start = time.perf_counter()
+        code, out = run_cli(
+            capsys, "advantage", "--pair", *pair, "--k", str(k), "--dist", "coin", "--n", "6",
+            "--trials", "1", "--seed", "1",
+        )
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, f"error: a tuple of {k} states of {m} points of degree 6 "
+                                  f"holds {k * m * 6} permutation points, over the ceiling {MAX_POINTS}\n")
+        assert elapsed < 1.0, elapsed
+
+    def test_attack_tuple_above_the_ceiling_is_refused_at_once(self, tmp_path, capsys):
+        # k challenges plus l key copies per tuple, each draw at most 2 points of degree 6
+        k = MAX_POINTS // 24 + 1
+        graph = write_graph(tmp_path / "g.txt", RIGID6)
+        start = time.perf_counter()
+        code, out = run_cli(
+            capsys, "attack", "--graph", graph, "--dist", "coin", "--k", str(k), "--l", str(k),
+            "--tuples", "2", "--threshold", "1", "--seed", "1",
+        )
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, f"error: a tuple of {2 * k} states of 2 points of degree 6 "
+                                  f"holds {24 * k} permutation points, over the ceiling {MAX_POINTS}\n")
+        assert elapsed < 1.0, elapsed
 
     @pytest.mark.parametrize(
         "argv",

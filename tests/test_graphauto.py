@@ -138,8 +138,8 @@ class TestAutomorphisms:
         nx = pytest.importorskip("networkx")
         from networkx.algorithms.isomorphism import GraphMatcher
 
-        for n, fixed, i, j in [(8, list(range(1, 7)), 7, 8), (13, list(range(1, 12)), 12, 13), (8, [], 1, 8)]:
-            q = build_query(path(n), fixed, i, j)
+        for n, i, j in [(8, 7, 8), (13, 12, 13), (8, 1, 8)]:
+            q = build_query(path(n), i, j)
             nxg = nx.Graph(list(q.edges))
             nxg.add_nodes_from(range(1, q.node_count + 1))
             want = sorted(
@@ -370,13 +370,13 @@ class TestBuildQuery:
             g = Graph(n, frozenset((i, i + 1) for i in range(1, n)))
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    q = build_query(g, list(range(1, i)), i, j)
+                    q = build_query(g, i, j)
                     assert q.node_count % 4 == 2
 
     def test_yes_instance_has_unique_fpf_swap(self):
         # K_2 swaps 1 and 2; the path 1-2-3 swaps 1 and 3 around its center.
         for g, i, j in [(K2, 1, 2), (P3, 1, 3)]:
-            q = build_query(g, [], i, j)
+            q = build_query(g, i, j)
             auts = automorphisms(q, node_limit=200)
             assert len(auts) == 2
             swap = [p for p in auts if p != identity(p.n)][0]
@@ -385,17 +385,17 @@ class TestBuildQuery:
     def test_no_instance_is_rigid(self):
         # no automorphism of either base exchanges these target pairs
         for g, i, j in [(P3, 1, 2), (RIGID6, 1, 2)]:
-            q = build_query(g, [], i, j)
+            q = build_query(g, i, j)
             assert len(automorphisms(q, node_limit=250)) == 1
 
     def test_hand_counted_size(self):
         # path on 3 nodes, no fixed nodes: each copy is 3 base nodes plus
         # two gadgets of 9+1 and 9+3 nodes, so 25 per copy and 50 in all
-        assert build_query(P3, [], 1, 3).node_count == 50
+        assert build_query(P3, 1, 3).node_count == 50
 
     def test_k3_pair_query_is_yes(self):
         # K_3 has the transposition (2 3) fixing node 1.
-        q = build_query(K3, [1], 2, 3)
+        q = build_query(K3, 2, 3)
         auts = automorphisms(q, node_limit=200)
         assert len(auts) == 2
         assert is_cyclic_class([p for p in auts if p != identity(p.n)][0], 2)
@@ -407,7 +407,7 @@ class TestBuildQuery:
             for i in range(n, 0, -1):
                 for j in range(i + 1, n + 1):
                     count, edges = chain_by_chain_query(n, path(n).edges, list(range(1, i)), i, j)
-                    q = build_query(path(n), list(range(1, i)), i, j)
+                    q = build_query(path(n), i, j)
                     assert (q.node_count, q.edges) == (count, edges)
 
     def test_largest_query_is_the_first_and_its_size_is_known_in_advance(self):
@@ -416,26 +416,22 @@ class TestBuildQuery:
         assert largest_query_nodes(1) == 0
         for n in range(2, 9):
             sizes = [
-                build_query(path(n), list(range(1, i)), i, j).node_count
+                build_query(path(n), i, j).node_count
                 for i in range(n, 0, -1)
                 for j in range(i + 1, n + 1)
             ]
             assert sizes[0] == max(sizes) == largest_query_nodes(n), n
 
     def test_rejects_degenerate_arguments(self):
-        with pytest.raises(ValueError):
-            build_query(K3, [], 1, 1)
-        with pytest.raises(ValueError):
-            build_query(K3, [1], 1, 2)
-        with pytest.raises(ValueError):
-            build_query(K3, [1, 1], 2, 3)
-        with pytest.raises(ValueError):
-            build_query(K3, [], 1, 4)
+        # a pair outside 1 <= i < j <= n: equal, reversed, below 1, past n
+        for i, j in [(1, 1), (2, 1), (0, 2), (1, 4)]:
+            with pytest.raises(ValueError, match=r"need 1 <= i < j <= 3"):
+                build_query(K3, i, j)
 
 
 class TestOracle:
     def test_rigid_padded_query_is_no(self):
-        q = build_query(RIGID6, [], 1, 2)
+        q = build_query(RIGID6, 1, 2)
         assert unique_ga_ff_oracle(q) == 0
 
     def test_planted_doubled_graph_is_yes(self):

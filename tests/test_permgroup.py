@@ -8,6 +8,7 @@ from scipy import stats
 
 from qscd.permgroup import (
     MAX_DEGREE,
+    MAX_POINTS,
     Permutation,
     SecurityParam,
     compose,
@@ -209,6 +210,15 @@ class TestSecurityParam:
         for params in (SecurityParam.ff, lambda n: SecurityParam.cyc(n, 2)):
             with pytest.raises(ValueError, match=f"exceeds the ceiling {MAX_DEGREE}"):
                 params(MAX_DEGREE + 2)
+
+    def test_key_series_ceiling(self):
+        # A cyc key series holds m states of m points: m * m * n of them.
+        n = MAX_POINTS // 100
+        assert 10 * 10 * n == MAX_POINTS
+        assert SecurityParam.cyc(n, 10).n == n  # the ceiling itself
+        assert SecurityParam.cyc(MAX_DEGREE - 1, 3).m == 3  # the degree ceiling at m = 3 stays open
+        with pytest.raises(ValueError, match=f"holds {100 * (n + 10)} permutation points, over the ceiling"):
+            SecurityParam.cyc(n + 10, 10)
 
 
 class TestSampleFpfInvolution:

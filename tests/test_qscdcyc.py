@@ -140,6 +140,19 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode_cyc(sample, PI63, rng)
 
+    @pytest.mark.parametrize("key, message", [
+        (from_cycles(6, [(1, 2), (3, 4, 5, 6)]), "not a product of disjoint 2-cycles"),
+        (identity(6), "cyclic order must be >= 2, got 1"),
+    ], ids=["cycle-type-2-4", "identity"])
+    def test_refuses_a_key_outside_every_cyclic_class(self, key, message):
+        # The decoder reads m from the key's cycles, so a key whose cycles
+        # differ in length, or have length 1, is refused, not decoded.
+        state = gen_plus(PI6, np.random.default_rng(56))
+        with pytest.raises(ValueError, match=message):
+            state.controlled_key_test(key)
+        with pytest.raises(ValueError, match=message):
+            decode_distribution(state, key)
+
 
 class TestStructure:
     def test_orthogonality_between_symbols(self):
@@ -193,7 +206,7 @@ class TestOnePassDecode:
     @given(small_states(ms=(1,)), st.sampled_from(sorted(KEYS6)))
     def test_matches_the_circuit_on_random_states(self, state, m):
         pi = KEYS6[m]
-        assert exact_entries(state.controlled_key_test(pi, m)) == exact_entries(four_operation_circuit(state, pi, m))
+        assert exact_entries(state.controlled_key_test(pi)) == exact_entries(four_operation_circuit(state, pi, m))
 
     def test_matches_the_circuit_on_coset_draws(self):
         rng = np.random.default_rng(58)
@@ -205,7 +218,7 @@ class TestOnePassDecode:
                     draw = gen_cyc(pi, s, m, rng)
                     for key in (pi, other):  # the draw's key, and mostly a wrong one
                         want = exact_entries(four_operation_circuit(draw, key, m))
-                        assert exact_entries(draw.controlled_key_test(key, m)) == want, (m, s)
+                        assert exact_entries(draw.controlled_key_test(key)) == want, (m, s)
 
     def test_split_terms_under_the_prune_tolerance_are_dropped_first(self):
         # A tiny entry on the draw's coset: its split terms land just under
@@ -218,18 +231,18 @@ class TestOnePassDecode:
                 state = SparseState(6, 1, {(0, sigma): math.sqrt(1 - tiny**2), (0, compose(sigma, pi)): tiny})
                 assert len(state.amps) == 2
                 want = exact_entries(four_operation_circuit(state, pi, m))
-                assert exact_entries(state.controlled_key_test(pi, m)) == want, (m, factor)
+                assert exact_entries(state.controlled_key_test(pi)) == want, (m, factor)
 
     def test_result_is_a_validated_state(self):
         state = gen_cyc(PI63, 1, 3, np.random.default_rng(59))
-        out = state.controlled_key_test(PI63, 3)
+        out = state.controlled_key_test(PI63)
         assert (out.n, out.m) == (6, 3)
         assert abs(out.norm() - 1.0) <= 1e-9
         assert all(abs(amp) >= PRUNE_TOL for amp in out.amps.values())
 
     def test_refuses_a_state_with_a_control_register(self):
         with pytest.raises(ValueError, match="control register"):
-            SparseState(6, 3, {(0, identity(6)): 1.0}).controlled_key_test(PI63, 3)
+            SparseState(6, 3, {(0, identity(6)): 1.0}).controlled_key_test(PI63)
 
 
 class TestDenseDecodeOracle:
