@@ -9,10 +9,9 @@ n = 2, 6, 10, ...; for those degrees every element of K_n is odd.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -84,22 +83,6 @@ def _trusted(image: tuple[int, ...]) -> Permutation:
 
 def identity(n: int) -> Permutation:
     return _trusted(tuple(range(1, n + 1)))
-
-
-def from_cycles(n: int, cycles: list[tuple[int, ...]]) -> Permutation:
-    """Permutation of degree n from disjoint cycles, e.g. [(1, 2, 3)]."""
-    image = list(range(1, n + 1))
-    seen: set[int] = set()
-    for cycle in cycles:
-        for point in cycle:
-            if not 1 <= point <= n:
-                raise ValueError(f"point {point} is not in 1..{n}")
-            if point in seen:
-                raise ValueError(f"point {point} appears in two cycles")
-            seen.add(point)
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            image[a - 1] = b
-    return Permutation(tuple(image))
 
 
 def cycle_type(sigma: Permutation) -> tuple[int, ...]:
@@ -249,28 +232,6 @@ def sample_cyclic(param: SecurityParam, rng: np.random.Generator) -> Permutation
     return _trusted(tuple(image))
 
 
-def cyclic_class(n: int, m: int) -> list[Permutation]:
-    """All of K_n^m (K_n is m = 2), cycle by cycle: the smallest free point a
-    opens (a b_1 ... b_{m-1}) for every ordered choice of m - 1 free points, in
-    increasing order; each cycle is listed once, from its smallest point."""
-    out: list[Permutation] = []
-    image = list(range(1, n + 1))
-
-    def extend(free: tuple[int, ...]) -> None:
-        if not free:
-            out.append(_trusted(tuple(image)))
-            return
-        a, rest = free[0], free[1:]
-        for chosen in itertools.permutations(rest, m - 1):
-            cycle = (a, *chosen)
-            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-                image[x - 1] = y
-            extend(tuple(p for p in rest if p not in chosen))
-
-    extend(tuple(range(1, n + 1)))
-    return out
-
-
 def format_permutation(sigma: Permutation) -> str:
     """Text form ``n: i1 i2 ... in`` with 1-based images."""
     return f"{sigma.n}: " + " ".join(str(x) for x in sigma.image)
@@ -282,18 +243,18 @@ def parse_permutation(text: str, line_no: int = 1) -> Permutation:
     if not colon:
         raise ValueError(f"line {line_no}: missing ':' in permutation text: {text.strip()!r}")
     fields = [head, *tail.split()]
-    n, *image = int_fields(line_no, fields, *_permutation_fields(len(fields) - 1))
+    try:
+        n, *image = map(int, fields)
+    except ValueError:
+        # int_fields raises the error naming the bad field; the names are built only here
+        int_fields(line_no, fields, "degree", *(f"image {i}" for i in range(1, len(fields))))
+        raise
     if len(image) != n:
         raise ValueError(f"line {line_no}: expected {n} images, got {len(image)}")
     try:
         return Permutation(tuple(image))
     except ValueError as exc:
         raise ValueError(f"line {line_no}: {exc}") from None
-
-
-@cache
-def _permutation_fields(count: int) -> tuple[str, ...]:
-    return ("degree", *(f"image {i}" for i in range(1, count + 1)))
 
 
 def int_fields(line_no: int, fields: list[str], *names: str) -> list[int]:

@@ -13,6 +13,26 @@ import numpy as np
 from qscd.permgroup import Permutation
 
 
+def from_cycles(n: int, cycles: list[tuple[int, ...]]) -> Permutation:
+    """Permutation of degree n from disjoint cycles, e.g. [(1, 2, 3)].
+
+    Refuses a point outside 1..n and a point in two cycles, so a test builds
+    only the permutation it wrote.
+    """
+    image = list(range(1, n + 1))
+    seen: set[int] = set()
+    for cycle in cycles:
+        for point in cycle:
+            if not 1 <= point <= n:
+                raise ValueError(f"point {point} is not in 1..{n}")
+            if point in seen:
+                raise ValueError(f"point {point} appears in two cycles")
+            seen.add(point)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            image[a - 1] = b
+    return Permutation(tuple(image))
+
+
 def brute_fpf_involutions(n: int) -> set[tuple[int, ...]]:
     """K_n by scanning all of S_n for order two and no fixed point."""
     out = set()

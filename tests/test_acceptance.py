@@ -6,12 +6,14 @@ selftest command and this module exercise identical code.
 """
 
 import hashlib
+import math
 import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from qscd.permgroup import Permutation, compose
 from qscd.qstate import SparseState
 from qscd.selftest import CRITERIA, _chisquare_pvalue, criterion_conjugation, run_selftest
 
@@ -76,6 +78,21 @@ def test_criterion_4_fails_when_translation_is_broken(monkeypatch):
     ok, detail = criterion_conjugation(SEED)
     assert not ok
     assert detail.startswith("exhaustive_48x15=no "), detail
+
+
+def test_criterion_4_fails_when_a_key_leaves_k6(monkeypatch):
+    # A translation that hides a 3-cycle, outside K_6, must fail the
+    # criterion with p = 0: the key is neither dropped nor a crash.
+    three_cycle = Permutation((2, 3, 1, 4, 5, 6))
+
+    def translate(self, tau):
+        support = [(0, tau), (0, compose(tau, three_cycle))]
+        return SparseState(6, 1, dict.fromkeys(support, 1 / math.sqrt(2)))
+
+    monkeypatch.setattr(SparseState, "translate", translate)
+    ok, detail = criterion_conjugation(SEED)
+    assert not ok
+    assert detail == "exhaustive_48x15=no chisq_p=0.000000"
 
 
 @pytest.mark.slow

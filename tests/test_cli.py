@@ -1,11 +1,17 @@
+import contextlib
+import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qscd import cli
 from qscd.cli import run
@@ -571,3 +577,102 @@ def test_import_leaves_scipy_unloaded():
             env={**os.environ, "PYTHONPATH": src},
         )
         assert done.stdout == want, probe
+
+
+FF_KEY = "FF 6\n6: 4 5 6 1 2 3\n"
+CYC_KEY = "CYC 6 3\n6: 3 6 5 2 1 4\n"
+FF_CIPHERTEXT = (
+    "CIPHERTEXT FF 2\nQSTATE 6 1 2\n"
+    "0 -0.70710678118654746 -0 6: 4 6 3 5 1 2\n"
+    "0 0.70710678118654746 0 6: 5 1 2 4 6 3\n"
+)
+CYC_CIPHERTEXT = (
+    "CIPHERTEXT CYC 3\nQSTATE 6 1 3\n"
+    "0 -0.28867513459481248 0.50000000000000033 6: 3 4 6 1 5 2\n"
+    "0 -0.2886751345948132 -0.49999999999999989 6: 5 1 3 2 6 4\n"
+    "0 0.57735026918962584 0 6: 6 2 5 4 3 1\n"
+)
+PATH5 = "5 4\n1 2\n2 3\n3 4\n4 5\n"
+# Per command: its fixed arguments, with {name} for a file, and the valid
+# file sets that the fuzz mutates. --limit 300 admits graphs of up to 6 nodes.
+FUZZ_COMMANDS = {
+    "decrypt": (
+        ["--key", "{key}", "--ciphertext", "{ciphertext}", "--seed", "1"],
+        [{"key": FF_KEY, "ciphertext": FF_CIPHERTEXT}, {"key": CYC_KEY, "ciphertext": CYC_CIPHERTEXT}],
+    ),
+    "encrypt": (
+        ["--key", "{key}", "--message", "1", "--out", "{out}", "--seed", "1"],
+        [{"key": FF_KEY}, {"key": CYC_KEY}],
+    ),
+    "ga": (["--graph", "{graph}", "--limit", "12"], [{"graph": format_graph(RIGID7A)}, {"graph": PATH5}]),
+    "reduce-ga": (["--graph", "{graph}", "--limit", "300"], [{"graph": format_graph(RIGID6)}, {"graph": PATH5}]),
+}
+# What an edit may write: the edge values of every limit and number parser.
+FUZZ_FIELDS = [
+    "", "0", "-1", "1", "2", "3", "6", "7", "12", "13", str(MAX_DEGREE + 1), "1000000000",
+    "nan", "inf", "-0", "1e308", "0.5", "x", ":", "6:", "FF", "CYC", "QSTATE", "CIPHERTEXT",
+]
+FUZZ_CHARS = list("0123456789-.:x \n")
+FUZZ_LINES = ["\n", " \n", "1 2\n", "0 1 0 6: 1 2 3 4 5 6\n"]
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """text after one to three edits, each deleting, repeating or replacing
+    one line, whitespace-separated field or character, or cutting the text
+    off before it."""
+    for _ in range(draw(st.integers(1, 3))):
+        unit = draw(st.sampled_from(["line", "field", "char"]))
+        if unit == "line":
+            parts, pool = text.splitlines(keepends=True), FUZZ_LINES
+        elif unit == "field":
+            parts, pool = re.split(r"(\s+)", text), FUZZ_FIELDS
+        else:
+            parts, pool = list(text), FUZZ_CHARS
+        if not parts:
+            continue
+        i = draw(st.integers(0, len(parts) - 1))
+        edit = draw(st.sampled_from(["delete", "repeat", "replace", "cut"]))
+        if edit == "cut":
+            del parts[i:]
+        elif edit == "delete":
+            del parts[i]
+        elif edit == "repeat":
+            parts.insert(i, parts[i])
+        else:
+            parts[i] = draw(st.sampled_from(pool))
+        text = "".join(parts)
+    return text
+
+
+class TestFileTextFuzz:
+    """Mutated key, ciphertext and graph files through cli.run, in process:
+    every run ends in a documented exit code, and a failure in one line."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_files_fail_cleanly(self, command, data):
+        args, file_sets = FUZZ_COMMANDS[command]
+        files = dict(data.draw(st.sampled_from(file_sets)))
+        name = data.draw(st.sampled_from(sorted(files)))
+        files[name] = data.draw(mutated(files[name]), label=name)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {key: os.path.join(tmp, key) for key in [*files, "out"]}
+            for key, text in files.items():
+                Path(paths[key]).write_text(text)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run([command, *(arg.format(**paths) for arg in args)])
+        lines = stdout.getvalue().splitlines()
+        failures = [
+            line for line in lines
+            if line.startswith(("error:", "promise-violation:", "internal-error:"))
+        ]
+        assert code in (0, 2, 3, 4), lines
+        assert stderr.getvalue() == ""
+        if code in (2, 3):
+            prefix = "error: " if code == 2 else "promise-violation: "
+            assert failures == [lines[-1]] and lines[-1].startswith(prefix), lines
+        else:
+            assert failures == [], lines

@@ -31,7 +31,6 @@ from qscd.graphauto import (
 from qscd.permgroup import (
     Permutation,
     compose,
-    from_cycles,
     identity,
     inverse,
     is_cyclic_class,
@@ -41,7 +40,7 @@ from qscd.permgroup import (
 from qscd.qscdff import convert, distinguish
 from qscd.selftest import RIGID6, RIGID7A, RIGID7B, planted_no_instance, planted_yes_instance
 
-from oracles import brute_automorphisms, has_nontrivial_automorphism
+from oracles import brute_automorphisms, from_cycles, has_nontrivial_automorphism
 
 
 def path(n):

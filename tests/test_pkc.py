@@ -4,7 +4,6 @@ import pytest
 from qscd.permgroup import (
     SecurityParam,
     cycle_type,
-    from_cycles,
     sample_fpf_involution,
 )
 from qscd.pkc import (
@@ -26,7 +25,7 @@ from qscd.qscdff import distinguish
 from qscd.qstate import states_equal
 from qscd.reductions import basis_measure_distinguisher
 
-from oracles import StubRng, brute_fpf_involutions
+from oracles import StubRng, brute_fpf_involutions, from_cycles
 
 FF6 = SecurityParam.ff(6)
 CYC63 = SecurityParam.cyc(6, 3)

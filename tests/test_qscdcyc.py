@@ -11,7 +11,6 @@ from qscd.permgroup import (
     Permutation,
     SecurityParam,
     compose,
-    from_cycles,
     identity,
     perm_pow,
     sample_cyclic,
@@ -21,7 +20,7 @@ from qscd.qscdcyc import decode_cyc, decode_distribution, gen_cyc
 from qscd.qscdff import convert, distinguish, gen_plus
 from qscd.qstate import PRUNE_TOL, SparseState, _born_draw, inner_product, states_equal
 
-from oracles import DenseSymmetricGroup, StubRng, brute_cyclic_class
+from oracles import DenseSymmetricGroup, StubRng, brute_cyclic_class, from_cycles
 from test_qstate import KEYS6, small_states
 
 PI33 = from_cycles(3, [(1, 2, 3)])

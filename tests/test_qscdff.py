@@ -7,13 +7,13 @@ from scipy import stats
 from qscd.permgroup import (
     Permutation,
     compose,
-    cyclic_class,
-    from_cycles,
     identity,
 )
 from qscd.qscdcyc import decode_distribution
 from qscd.qscdff import convert, distinguish, gen_iota, gen_plus
 from qscd.qstate import SparseState, states_equal
+
+from oracles import brute_fpf_involutions, from_cycles
 
 SQ2 = 1.0 / math.sqrt(2.0)
 PI6 = from_cycles(6, [(1, 2), (3, 4), (5, 6)])
@@ -138,7 +138,7 @@ class TestDistinguish:
 
     def test_exhaustive_keys_at_n6(self):
         rng = np.random.default_rng(45)
-        for pi in cyclic_class(6, 2):
+        for pi in map(Permutation, sorted(brute_fpf_involutions(6))):
             for _ in range(20):
                 sigma = Permutation(tuple(int(x) + 1 for x in rng.permutation(6)))
                 sample = handmade_plus(sigma, pi)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qscd.permgroup import Permutation, compose, from_cycles, identity, inverse
+from qscd.permgroup import Permutation, compose, identity, inverse
 from qscd.qscdff import convert
 from qscd.qstate import SparseState, _born_draw, basis_state, inner_product, states_equal
 
-from oracles import DenseSymmetricGroup
+from oracles import DenseSymmetricGroup, from_cycles
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
