@@ -91,7 +91,8 @@ def cycle_type(sigma: Permutation) -> tuple[int, ...]:
 
 
 def compose(sigma: Permutation, tau: Permutation) -> Permutation:
-    """(sigma tau)(i) = sigma(tau(i)); right-multiplying sigma by pi is compose(sigma, pi)."""
+    """(sigma tau)(i) = sigma(tau(i)); right-multiplying sigma by pi is compose(sigma, pi).
+    Refuses a tau of another degree; the state operations rely on this check."""
     image = sigma.image
     if len(image) != len(tau.image):
         raise ValueError(f"degree mismatch: {sigma.n} vs {tau.n}")
@@ -138,6 +139,7 @@ def is_cyclic_class(sigma: Permutation, m: int) -> bool:
 
 
 def require_cyclic_key(pi: Permutation, m: int) -> None:
+    """The one key-class check: pi in K_n^m for an m >= 2."""
     if m < 2:
         raise ValueError(f"cyclic order must be >= 2, got {m}")
     if not is_cyclic_class(pi, m):
@@ -261,11 +263,13 @@ def int_fields(line_no: int, fields: list[str], *names: str) -> list[int]:
     """One integer per name from a text line's fields; errors name the line and the field."""
     if len(fields) != len(names):
         raise ValueError(f"line {line_no}: expected {', '.join(names)}; got {' '.join(fields)!r}")
-    values: list[int] = []
+    return [read_number(line_no, name, field, int) for name, field in zip(names, fields)]
+
+
+def read_number(line_no: int, name: str, field: str, kind: type) -> int | float:
+    """One int or float field of a text line; errors name the line and the field."""
     try:
-        values.extend(map(int, fields))
+        return kind(field)
     except ValueError:
-        # extend keeps the values read before the first bad field
-        name, field = names[len(values)], fields[len(values)]
-        raise ValueError(f"line {line_no}: {name} {field!r} is not an integer") from None
-    return values
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"line {line_no}: {name} {field!r} is not {what}") from None

@@ -24,8 +24,8 @@ from .permgroup import (
     SecurityParam,
     format_permutation,
     int_fields,
-    is_cyclic_class,
     parse_permutation,
+    require_cyclic_key,
     sample_cyclic,
     sample_fpf_involution,
 )
@@ -42,8 +42,7 @@ class KeyPair:
     def __post_init__(self):
         if self.secret.n != self.params.n:
             raise ValueError("secret degree does not match parameters")
-        if not is_cyclic_class(self.secret, self.params.m):
-            raise ValueError(f"secret must be a product of disjoint {self.params.m}-cycles")
+        require_cyclic_key(self.secret, self.params.m)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .permgroup import Permutation, is_cyclic_class, is_ff_degree, random_permutation
+from .permgroup import Permutation, is_ff_degree, random_permutation, require_cyclic_key
 from .qscdcyc import _coset_draw
 from .qstate import SparseState, basis_state
 
@@ -26,8 +26,7 @@ Distinguisher = Callable[[Sequence[SparseState], np.random.Generator], int]
 def require_ff_key(pi: Permutation) -> None:
     if not is_ff_degree(pi.n):
         raise ValueError(f"degree {pi.n} is not 2 mod 4")
-    if not is_cyclic_class(pi, 2):
-        raise ValueError("key is not a fixed-point-free involution")
+    require_cyclic_key(pi, 2)
 
 
 def gen_plus(pi: Permutation, rng: np.random.Generator) -> SparseState:
@@ -41,8 +40,6 @@ def gen_plus(pi: Permutation, rng: np.random.Generator) -> SparseState:
 
 def gen_iota(n: int, rng: np.random.Generator) -> SparseState:
     """Fresh draw from the maximally mixed state: |sigma> for uniform sigma."""
-    if n < 1:
-        raise ValueError("degree must be positive")
     sigma = random_permutation(n, rng)
     return basis_state(0, sigma, m=1)
 

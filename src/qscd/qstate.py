@@ -35,6 +35,7 @@ from .permgroup import (
     int_fields,
     parse_permutation,
     powers,
+    read_number,
     require_cyclic_key,
     sign,
 )
@@ -69,7 +70,7 @@ class SparseState:
                 if not 0 <= control < self.m:
                     raise ValueError(f"control {control} out of range for modulus {self.m}")
                 if len(perm.image) != self.n:
-                    raise ValueError(f"degree mismatch: state {self.n}, entry {perm.n}")
+                    raise ValueError(f"entry of degree {perm.n} in a state of degree {self.n}")
                 if type(amp) is not complex:
                     amp = amps[key] = complex(amp)
                 if abs(amp) < PRUNE_TOL:  # NaN is kept, and fails the norm check
@@ -97,8 +98,6 @@ class SparseState:
 
     def controlled_power(self, pi: Permutation) -> SparseState:
         """|r>|sigma> -> |r>|sigma pi^r>."""
-        if pi.n != self.n:
-            raise ValueError(f"degree mismatch: state {self.n}, pi {pi.n}")
         table = powers(pi, self.m)
         out = {
             (r, compose(perm, table[r])): amp
@@ -119,8 +118,6 @@ class SparseState:
         """
         if self.m != 1:
             raise ValueError("state already has a control register")
-        if pi.n != self.n:
-            raise ValueError(f"degree mismatch: state {self.n}, pi {pi.n}")
         m = cycle_type(pi)[0]
         require_cyclic_key(pi, m)
         inverse_rows, scale = _fourier_table(m, "inverse")
@@ -145,8 +142,6 @@ class SparseState:
 
     def translate(self, tau: Permutation) -> SparseState:
         """Right translation: |r>|sigma> -> |r>|sigma tau>."""
-        if tau.n != self.n:
-            raise ValueError(f"degree mismatch: state {self.n}, tau {tau.n}")
         out = {(r, compose(perm, tau)): amp for (r, perm), amp in self.amps.items()}
         return SparseState(self.n, self.m, out)
 
@@ -194,23 +189,13 @@ class SparseState:
             fields = line.split(maxsplit=3)
             if len(fields) != 4 or ":" not in fields[3]:
                 raise ValueError(f"line {no}: expected control, re, im, permutation; got {line.strip()!r}")
-            key = (_number(no, "control", fields[0], int), parse_permutation(fields[3], no))
-            amp = complex(_number(no, "re", fields[1], float), _number(no, "im", fields[2], float))
+            key = (read_number(no, "control", fields[0], int), parse_permutation(fields[3], no))
+            amp = complex(read_number(no, "re", fields[1], float), read_number(no, "im", fields[2], float))
             if amps.setdefault(key, amp) is not amp:  # one hash per entry
                 raise ValueError(f"line {no}: duplicate entry for {key}")
             if not cmath.isfinite(amp):
                 raise ValueError(f"line {no}: amplitude is not finite: {line!r}")
         return cls(n, m, amps)
-
-
-def _number(line_no: int, name: str, field: str, kind: type) -> int | float:
-    """One int or float field of a text line, read with less overhead than
-    ``int_fields``; errors name the line and the field in its words."""
-    try:
-        return kind(field)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"line {line_no}: {name} {field!r} is not {what}") from None
 
 
 @cache

@@ -171,8 +171,11 @@ def criterion_conjugation(seed: int) -> tuple[bool, str]:
     return ok, f"exhaustive_48x15={'yes' if exhaustive_ok else 'no'} chisq_p={pvalue:.6f}"
 
 
-def _hidden_key(draw: SparseState) -> tuple[int, ...]:
-    """The key a^-1 b of a two-point draw on {a, b}: a = sigma, b = sigma pi."""
+def _hidden_key(draw: SparseState) -> tuple[int, ...] | None:
+    """The key a^-1 b of a two-point draw on {a, b}: a = sigma, b = sigma pi.
+    A draw of any other size gives None, a key outside K_6."""
+    if len(draw.amps) != 2:
+        return None
     a, b = (perm for _, perm in draw.amps)
     return compose(inverse(a), b).image
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qscd import cli
 from qscd.permgroup import Permutation, compose
 from qscd.qstate import SparseState
 from qscd.selftest import CRITERIA, _chisquare_pvalue, criterion_conjugation, run_selftest
@@ -93,6 +94,29 @@ def test_criterion_4_fails_when_a_key_leaves_k6(monkeypatch):
     ok, detail = criterion_conjugation(SEED)
     assert not ok
     assert detail == "exhaustive_48x15=no chisq_p=0.000000"
+
+
+@pytest.mark.parametrize("points", [1, 3])
+def test_selftest_reports_a_draw_of_another_size(monkeypatch, capsys, points):
+    # A translation whose draw does not have two points hides no key of
+    # K_6: criterion 4 fails, and the selftest still reports every
+    # criterion and exits 4. No other criterion translates.
+    swaps = [Permutation((2, 1, 3, 4, 5, 6)), Permutation((3, 2, 1, 4, 5, 6))]
+
+    def translate(self, tau):
+        support = [(0, tau), *((0, compose(tau, swap)) for swap in swaps)][:points]
+        return SparseState(6, 1, dict.fromkeys(support, 1 / math.sqrt(points)))
+
+    monkeypatch.setattr(SparseState, "translate", translate)
+    assert cli.run(["selftest", "--seed", str(SEED)]) == cli.EXIT_TOLERANCE
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == ""
+    verdicts = [line.split()[:3] for line in lines[1:-1]]
+    assert verdicts == [[f"criterion={number}", f"name={name}", f"pass={'no' if number == 4 else 'yes'}"]
+                        for number, name, _ in CRITERIA]
+    assert lines[4].endswith(" exhaustive_48x15=no chisq_p=0.000000"), lines[4]
+    assert lines[-1] == "selftest result=fail"
 
 
 @pytest.mark.slow

@@ -21,14 +21,16 @@ from qscd.pkc import (
     parse_key,
 )
 from qscd.qscdcyc import decode_cyc
-from qscd.qscdff import distinguish
-from qscd.qstate import states_equal
+from qscd.qscdff import distinguish, gen_iota, gen_plus
+from qscd.qstate import SparseState, states_equal
 from qscd.reductions import basis_measure_distinguisher
 
 from oracles import StubRng, brute_fpf_involutions, from_cycles
 
 FF6 = SecurityParam.ff(6)
 CYC63 = SecurityParam.cyc(6, 3)
+PI6 = from_cycles(6, [(1, 2), (3, 4), (5, 6)])
+PI10 = from_cycles(10, [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)])
 
 
 class TestKeygen:
@@ -292,3 +294,30 @@ class TestFileFormats:
             parse_key("FF 6\n")
         with pytest.raises(ValueError):
             parse_ciphertext("WRONG FF 2\nQSTATE 2 1 0\n")
+
+
+def _plus6():
+    return gen_plus(PI6, np.random.default_rng(115))
+
+
+# Each rule is checked in one place: compose refuses a permutation of
+# another degree, SparseState a degree below 1, require_cyclic_key a key
+# outside its class. These entry points rely on the callee's check.
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: _plus6().translate(PI10), "degree mismatch: 6 vs 10"),
+    (lambda rng: SparseState(6, 2, {(1, PI6): 1.0}).controlled_power(PI10), "degree mismatch: 6 vs 10"),
+    (lambda rng: _plus6().controlled_key_test(PI10), "degree mismatch: 6 vs 10"),
+    (lambda rng: decode_cyc(_plus6(), PI10, rng), "degree mismatch: 6 vs 10"),
+    (lambda rng: distinguish(_plus6(), PI10, rng), "degree mismatch: 6 vs 10"),
+    (lambda rng: gen_plus(from_cycles(4, [(1, 2), (3, 4)]), rng), "degree 4 is not 2 mod 4"),
+    (lambda rng: gen_iota(0, rng), "need n >= 1"),
+    (lambda rng: gen_iota(-1, rng), "need n >= 1"),
+    (lambda rng: KeyPair(PI10, FF6), "secret degree does not match parameters"),
+    (lambda rng: KeyPair(from_cycles(6, [(1, 2), (3, 4, 5, 6)]), FF6), "not a product of disjoint 2-cycles"),
+], ids=[
+    "translate", "controlled_power", "controlled_key_test", "decode_cyc", "distinguish",
+    "gen_plus-degree-4", "gen_iota-0", "gen_iota-minus-1", "keypair-degree-10", "keypair-cycle-type-2-4",
+])
+def test_refusal_made_by_the_callee(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(np.random.default_rng(116))
