@@ -12,7 +12,8 @@ module computes no amplitude.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import Counter, deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +23,6 @@ import numpy as np
 
 from .permgroup import (
     Permutation,
-    identity,
     int_fields,
     is_cyclic_class,
     is_ff_degree,
@@ -125,15 +125,20 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def _refined_cells(adj: list[set[int]]) -> tuple[list[set[int]], list[int]]:
-    # Coarsest equitable partition (cells, and each vertex's cell) from a
-    # worklist of splitters: a splitter re-signs only the cells next to it,
-    # and only their touched vertices move. Cells are numbered by (parent,
-    # neighbour count), never by vertex, so automorphisms fix every cell.
+def _refined_cells(adj: list[set[int]], colors: Sequence[int]) -> tuple[list[set[int]], list[int]]:
+    # Coarsest equitable partition finer than the starting colouring (cells,
+    # and each vertex's cell) from a worklist of splitters. The starting
+    # cells are numbered by colour and all go on the worklist. A splitter
+    # re-signs only the cells next to it, and only their touched vertices
+    # move. Later cells are numbered by (parent, neighbour count), never by
+    # vertex, so an automorphism that keeps the colours fixes every cell.
     # A cell off the worklist that splits may leave its largest piece off.
-    cells = [set(range(len(adj)))]
-    colors = [0] * len(adj)
-    pending, queued = deque([0]), {0}
+    rank = {c: k for k, c in enumerate(sorted(set(colors)))}
+    colors = [rank[c] for c in colors]
+    cells: list[set[int]] = [set() for _ in rank]
+    for v, c in enumerate(colors):
+        cells[c].add(v)
+    pending, queued = deque(range(len(cells))), set(range(len(cells)))
     while pending:
         s = pending.popleft()
         queued.discard(s)
@@ -181,22 +186,21 @@ def _refined_cells(adj: list[set[int]]) -> tuple[list[set[int]], list[int]]:
     return cells, colors
 
 
-def _search(g: Graph, node_limit: int):
-    """Refine g and fix its search order; return (order, backtrack), where
-    ``backtrack(pinned)`` yields once, in search order, each automorphism
+def _search(adj: list[set[int]], colors: Sequence[int]):
+    """Refine the coloured graph adj (0-based) and fix its search order;
+    return (order, backtrack), where ``backtrack(pinned)`` yields once, in
+    search order, the 0-based image of each colour-preserving automorphism
     mapping order[k] to pinned[k] for every k < len(pinned). The order runs
     breadth first from a vertex of each component's smallest class, so each
     later vertex takes its candidates from the neighbours of its anchor's
     image. A discrete refinement leaves the order empty and yields the
-    identity alone: cells are numbered by parent cell and neighbour count,
-    never by vertex name, so automorphisms fix every cell."""
-    n = g.node_count
-    if n > node_limit:
-        raise ValueError(f"{n} nodes exceeds the configured limit {node_limit}")
-    adj = g.adjacency()
-    members, colors = _refined_cells(adj)
+    identity alone: cells are numbered by colour, parent cell and neighbour
+    count, never by vertex name, so colour-preserving automorphisms fix
+    every cell."""
+    n = len(adj)
+    members, colors = _refined_cells(adj, colors)
     if len(members) == n:
-        return [], lambda pinned=(): iter([identity(n)])
+        return [], lambda pinned=(): iter([tuple(range(n))])
     order: list[int] = []
     pos: dict[int, int] = {}
     anchor = [-1] * n
@@ -212,7 +216,7 @@ def _search(g: Graph, node_limit: int):
     # back[k]: the neighbours of order[k] that are mapped before it
     back = [[u for u in adj[v] if pos[u] < k] for k, v in enumerate(order)]
 
-    def backtrack(pinned: Sequence[int] = ()) -> Iterator[Permutation]:
+    def backtrack(pinned: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
         mapping, used = [-1] * n, set()
 
         def candidates(k: int) -> Iterator[int]:
@@ -237,16 +241,108 @@ def _search(g: Graph, node_limit: int):
                 continue
             used.add(w)
             if len(stack) == n:
-                yield Permutation(tuple(x + 1 for x in mapping))
+                yield tuple(mapping)
             else:
                 stack.append(candidates(len(stack)))
 
     return order, backtrack
 
 
+def _contract(g: Graph):
+    """Peel g's pendant trees: every current leaf at once, round after round,
+    each recording the neighbour it hung from as its parent. What is left is
+    the 2-core plus the centre, or the two centres, of each tree component.
+    Each vertex is labelled bottom up by the sorted labels of its children,
+    interned: the rooted-tree encoding of Aho, Hopcroft and Ullman (1974).
+
+    Returns (adj, colors, product, extend): the kept graph, renumbered from 0
+    in node order; each kept vertex's label as its colour; the product over
+    every vertex of k! for each k of its children that share a label; and
+    ``extend(image)``, which carries a kept automorphism down the trees by
+    matching children with equal labels, a match that is unique when the
+    product is 1. An automorphism of g keeps the 2-core, the centres and
+    the labels, and each colour-preserving automorphism of the kept graph
+    extends in exactly product ways, so |Aut(g)| is |Aut_col(kept)| times
+    the product."""
+    n = g.node_count
+    # Nodes are 1-based and parent 0 marks a kept node. rest[v] is the sum
+    # of v's unpeeled neighbours: its last one when deg[v] is 1.
+    deg, rest = [0] * (n + 1), [0] * (n + 1)
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+        rest[u] += v
+        rest[v] += u
+    parent = [0] * (n + 1)
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    peeled: list[int] = []
+    leaves = [v for v in range(1, n + 1) if deg[v] == 1]
+    while leaves:
+        ends = set(leaves)
+        queued = []
+        for v in leaves:
+            p = rest[v]
+            if p in ends:  # the last edge of a tree: both ends are centres
+                continue
+            parent[v] = p
+            children[p].append(v)
+            peeled.append(v)
+            deg[p] -= 1
+            rest[p] -= v
+            if deg[p] == 1:
+                queued.append(p)
+        # a node queued at degree 1 may have dropped to 0 later in the round
+        leaves = [v for v in queued if deg[v] == 1]
+
+    kept = [v for v in range(1, n + 1) if not parent[v]]
+    label = [0] * (n + 1)
+    interned = {(): 0}
+    product = 1
+    for v in (*peeled, *kept):
+        kids = children[v]
+        if not kids:
+            continue
+        if len(kids) == 1:
+            key = (label[kids[0]],)
+        else:
+            key = tuple(sorted(label[c] for c in kids))
+            for k in Counter(key).values():
+                product *= math.factorial(k)
+        label[v] = interned.setdefault(key, len(interned))
+
+    index = [-1] * (n + 1)
+    for k, v in enumerate(kept):
+        index[v] = k
+    adj: list[set[int]] = [set() for _ in kept]
+    for u, v in g.edges:
+        a, b = index[u], index[v]
+        if a >= 0 and b >= 0:
+            adj[a].add(b)
+            adj[b].add(a)
+
+    def extend(image: Sequence[int]) -> Permutation:
+        full = [0] * (n + 1)
+        for k, v in enumerate(kept):
+            full[v] = kept[image[k]]
+        child = {(parent[c], label[c]): c for c in peeled}
+        for v in reversed(peeled):  # parents before children
+            full[v] = child[full[parent[v]], label[v]]
+        return Permutation(tuple(full[1:]))
+
+    return adj, [label[v] for v in kept], product, extend
+
+
+def _check_size(g: Graph, node_limit: int) -> None:
+    if g.node_count > node_limit:
+        raise ValueError(f"{g.node_count} nodes exceeds the configured limit {node_limit}")
+
+
 def iter_automorphisms(g: Graph, node_limit: int = 40) -> Iterator[Permutation]:
-    """Yield every automorphism of g once, in search order; callers may stop early."""
-    return _search(g, node_limit)[1]()
+    """Yield every automorphism of g once, in search order; callers may stop
+    early. This is the complete search, from one colour on the whole graph."""
+    _check_size(g, node_limit)
+    backtrack = _search(g.adjacency(), [0] * g.node_count)[1]
+    return (Permutation(tuple(x + 1 for x in image)) for image in backtrack())
 
 
 def automorphisms(g: Graph, node_limit: int = 40) -> list[Permutation]:
@@ -255,18 +351,20 @@ def automorphisms(g: Graph, node_limit: int = 40) -> list[Permutation]:
 
 
 def group_order(g: Graph, node_limit: int = 40) -> int:
-    """|Aut(g)|, never listed: the product over k of the orbit size of order[k]
-    under the automorphisms fixing order[:k]. Each w in order[k:] costs one
-    search pinned to (*order[:k], w), stopped at its first automorphism. The
-    product ends at the first k whose stabilizer is the identity alone. A
-    graph and its complement share their group, so the sparser one is
-    searched. An oversized graph goes to the search, which refuses it,
-    without being complemented."""
+    """|Aut(g)|, never listed: the tree product of ``_contract`` times
+    |Aut_col(kept)|, which is the product over k of the orbit size of
+    order[k] under the automorphisms fixing order[:k]. Each w in order[k:]
+    costs one search pinned to (*order[:k], w), stopped at its first
+    automorphism. The product ends at the first k whose stabilizer is the
+    identity alone. A graph and its complement share their group, so the
+    sparser one is contracted and searched. An oversized graph is refused
+    before it is complemented."""
     n = g.node_count
-    if n <= node_limit and 4 * len(g.edges) > n * (n - 1):
+    _check_size(g, node_limit)
+    if 4 * len(g.edges) > n * (n - 1):
         g = complement(g)
-    order, backtrack = _search(g, node_limit)
-    total = 1
+    adj, colors, total, _ = _contract(g)
+    order, backtrack = _search(adj, colors)
     for k in range(len(order)):
         if len(list(islice(backtrack(order[:k]), 2))) < 2:
             break
@@ -361,13 +459,20 @@ def unique_ga_ff_oracle(g: Graph, node_limit: int = 4000) -> int:
 
 def _promise_group(g: Graph, node_limit: int = 4000) -> tuple[Permutation, ...]:
     # The whole automorphism group, identity first, of a graph inside the
-    # promise. The search stops at a third element, which already breaks it.
+    # promise, searched on the contracted graph. Its order is the kept
+    # graph's colour-preserving group times the tree product, so the search
+    # stops at a third element, which already breaks the promise.
     if not is_ff_degree(g.node_count):
         raise PromiseViolation(f"node count {g.node_count} is not 2 mod 4")
-    elements = sorted(islice(iter_automorphisms(g, node_limit), 3), key=lambda p: p.image)
-    if len(elements) > 2:
+    _check_size(g, node_limit)
+    adj, colors, product, extend = _contract(g)
+    images = list(islice(_search(adj, colors)[1](), 3))
+    if len(images) * product > 2:
         raise PromiseViolation("3 or more automorphisms; the promise allows at most 2")
-    if len(elements) == 2 and not is_cyclic_class(elements[1], 2):
+    # A product of 2 with a rigid kept graph is a swap of two siblings, which
+    # fixes their parent. A product of 1 leaves one extension of each image.
+    elements = [] if product > 1 else sorted(map(extend, images), key=lambda p: p.image)
+    if not elements or len(elements) == 2 and not is_cyclic_class(elements[1], 2):
         raise PromiseViolation("nontrivial automorphism is not a fixed-point-free involution")
     return tuple(elements)
 

@@ -133,6 +133,12 @@ def is_ff_degree(n: int) -> bool:
     return n >= 2 and n % 4 == 2
 
 
+def require_ff_degree(n: int) -> None:
+    """The one ff degree check: n in {2, 6, 10, ...}."""
+    if not is_ff_degree(n):
+        raise ValueError(f"degree {n} is not 2 mod 4")
+
+
 def is_cyclic_class(sigma: Permutation, m: int) -> bool:
     """Membership in K_n^m: disjoint n/m cycles, all of length m (K_n is m = 2)."""
     return m > 0 and cycle_type(sigma) == (m,) * (sigma.n // m)
@@ -169,8 +175,7 @@ class SecurityParam:
         if self.n > MAX_DEGREE:
             raise ValueError(f"degree {self.n} exceeds the ceiling {MAX_DEGREE}")
         if self.kind == FF:
-            if not is_ff_degree(self.n):
-                raise ValueError(f"ff degree must be 2 mod 4, got {self.n}")
+            require_ff_degree(self.n)
             if self.m != 2:
                 raise ValueError("ff mode has control modulus 2")
         elif self.kind == CYC:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .permgroup import Permutation, is_ff_degree, random_permutation, require_cyclic_key
+from .permgroup import Permutation, random_permutation, require_cyclic_key, require_ff_degree
 from .qscdcyc import _coset_draw
 from .qstate import SparseState, basis_state
 
@@ -24,8 +24,7 @@ Distinguisher = Callable[[Sequence[SparseState], np.random.Generator], int]
 
 
 def require_ff_key(pi: Permutation) -> None:
-    if not is_ff_degree(pi.n):
-        raise ValueError(f"degree {pi.n} is not 2 mod 4")
+    require_ff_degree(pi.n)
     require_cyclic_key(pi, 2)
 
 
@@ -51,8 +50,7 @@ def convert(state: SparseState) -> SparseState:
     flips the relative phase of a two-point coset state because the hidden
     involution is odd, so the two support points have opposite parity.
     """
-    if not is_ff_degree(state.n):
-        raise ValueError(f"degree {state.n} is not 2 mod 4")
+    require_ff_degree(state.n)
     return state.phase_by_sign()
 
 

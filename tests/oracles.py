@@ -73,6 +73,17 @@ def brute_automorphisms(n: int, edges: frozenset[tuple[int, int]]) -> list[Permu
     return out
 
 
+def brute_automorphism_count(n: int, edges: frozenset[tuple[int, int]]) -> int:
+    """|Aut| by scanning S_n, each permutation dropped at its first edge
+    that does not map onto an edge."""
+    adjacent = {frozenset(e) for e in edges}
+    pairs = [(u - 1, v - 1) for u, v in edges]
+    return sum(
+        all(frozenset((images[u], images[v])) in adjacent for u, v in pairs)
+        for images in itertools.permutations(range(1, n + 1))
+    )
+
+
 def two_point_key(state) -> tuple[int, ...]:
     """The hidden key of a two-point draw with support {a, b}, as a^-1 b.
 

@@ -184,6 +184,18 @@ class TestGraphCommands:
         assert code == 0 and lines[-1] == "YES"
         assert lines[0] == "query index=1 nodes=1106 answer=NO"
 
+    def test_limit_counts_whole_graphs_not_kept_graphs(self, tmp_path, capsys):
+        # The searches run on the graph with its pendant trees peeled, a few
+        # nodes here, but --limit counts the nodes of the graph given to it.
+        path = write_graph(tmp_path / "p14.txt", Graph(14, frozenset((i, i + 1) for i in range(1, 14))))
+        code, out = run_cli(capsys, "reduce-ga", "--graph", path, "--limit", "1105")
+        assert (code, out) == (2, "error: 1106 nodes exceeds the configured limit 1105\n")
+        star = write_graph(tmp_path / "star.txt", Graph(13, frozenset((1, v) for v in range(2, 14))))
+        code, out = run_cli(capsys, "ga", "--graph", star, "--limit", "12")
+        assert (code, out) == (2, "error: 13 nodes exceeds the configured limit 12\n")
+        code, out = run_cli(capsys, "ga", "--graph", star, "--limit", "13")
+        assert (code, out) == (0, f"nodes=13 edges=12 automorphisms={math.factorial(12)}\nYES\n")
+
     def test_reduce_ga_refuses_an_oversized_graph_before_building(self, tmp_path, capsys):
         # complementing this edgeless graph alone would take gigabytes
         huge = tmp_path / "huge.txt"

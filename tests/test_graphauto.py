@@ -7,8 +7,11 @@ from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qscd.graphauto import (
+    _contract,
     _refined_cells,
     Graph,
     PromiseInstance,
@@ -34,13 +37,19 @@ from qscd.permgroup import (
     identity,
     inverse,
     is_cyclic_class,
+    is_ff_degree,
     random_permutation,
     sign,
 )
 from qscd.qscdff import convert, distinguish
 from qscd.selftest import RIGID6, RIGID7A, RIGID7B, planted_no_instance, planted_yes_instance
 
-from oracles import brute_automorphisms, from_cycles, has_nontrivial_automorphism
+from oracles import (
+    brute_automorphism_count,
+    brute_automorphisms,
+    from_cycles,
+    has_nontrivial_automorphism,
+)
 
 
 def path(n):
@@ -208,11 +217,13 @@ def scanned_queries():
     return [q for g in bases for q in scan_queries(g)]
 
 
-def refined_cells_reference(adj):
-    """The splitter loop as it was, grouping each step through a sorted list."""
-    cells = [set(range(len(adj)))]
-    colors = [0] * len(adj)
-    pending, queued = deque([0]), {0}
+def refined_cells_reference(adj, start):
+    """The splitter loop as it was, grouping each step through a sorted list,
+    from the cells of a starting colouring numbered in colour order."""
+    rank = {c: k for k, c in enumerate(sorted(set(start)))}
+    colors = [rank[c] for c in start]
+    cells = [{v for v in range(len(adj)) if colors[v] == k} for k in range(len(rank))]
+    pending, queued = deque(range(len(cells))), set(range(len(cells)))
     while pending:
         s = pending.popleft()
         queued.discard(s)
@@ -258,11 +269,20 @@ class TestRefinement:
         # n(n-1)/2 queries a scan: 455 for the paths, 410 for the small graphs
         assert len(scanned_queries) == 865
         for q in scanned_queries:
-            adj = q.adjacency()
-            assert _refined_cells(adj) == refined_cells_reference(adj)
+            adj, one_cell = q.adjacency(), [0] * q.node_count
+            assert _refined_cells(adj, one_cell) == refined_cells_reference(adj, one_cell)
+
+    def test_matches_reference_loop_on_kept_graphs(self, scanned_queries):
+        # the same queries contracted: the kept graph from its label colouring
+        coloured = 0
+        for q in scanned_queries:
+            adj, colors, _, _ = _contract(q)
+            assert _refined_cells(adj, colors) == refined_cells_reference(adj, colors)
+            coloured += len(set(colors)) > 1
+        assert coloured > 800
 
     def test_single_cell_rigid_graph_is_still_searched(self):
-        cells, _ = _refined_cells(FRUCHT.adjacency())
+        cells, _ = _refined_cells(FRUCHT.adjacency(), [0] * 12)
         assert len(cells) == 1
         assert [p.image for p in iter_automorphisms(FRUCHT)] == [identity(12).image]
 
@@ -275,7 +295,7 @@ class TestRefinement:
         graphs.extend((RIGID6, RIGID7A, RIGID7B))
         discrete = 0
         for g in graphs:
-            cells, _ = _refined_cells(g.adjacency())
+            cells, _ = _refined_cells(g.adjacency(), [0] * g.node_count)
             if len(cells) == g.node_count:
                 discrete += 1
                 assert len(brute_automorphisms(g.node_count, g.edges)) == 1
@@ -285,6 +305,143 @@ class TestRefinement:
     def test_query_graphs_equal_public_construction(self, scanned_queries):
         for q in scanned_queries:
             assert Graph(q.node_count, q.edges) == q
+
+
+@st.composite
+def forests(draw, max_nodes, max_extra=0):
+    """A random forest, shuffled: each node after the first hangs from an
+    earlier one or starts a tree. Up to max_extra random edges close cycles,
+    which leaves pendant trees on a 2-core."""
+    n = draw(st.integers(1, max_nodes))
+    edges = {(p, v) for v in range(2, n + 1) if (p := draw(st.integers(0, v - 1)))}
+    for _ in range(draw(st.integers(0, max_extra))):
+        u, v = draw(st.integers(1, n)), draw(st.integers(1, n))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    name = draw(st.permutations(range(1, n + 1)))
+    return Graph(n, frozenset((name[u - 1], name[v - 1]) for u, v in edges))
+
+
+@st.composite
+def twin_branches(draw, max_nodes):
+    """A random host with two or three copies of one small rooted tree hung
+    on one of its nodes, so that siblings share a label."""
+    host = draw(forests(3, max_extra=2))
+    room = max_nodes - host.node_count
+    size = draw(st.integers(1, min(3, room // 2)))  # nodes in each copy
+    tree = [draw(st.integers(0, k)) for k in range(size - 1)]  # tree[k]: parent of node k + 1
+    copies = draw(st.integers(2, min(3, room // size)))
+    at = draw(st.integers(1, host.node_count))
+    edges, count = set(host.edges), host.node_count
+    for _ in range(copies):
+        root = count + 1
+        edges.add((at, root))
+        edges.update((root + p, root + k + 1) for k, p in enumerate(tree))
+        count += size
+    return Graph(count, frozenset(edges))
+
+
+def promise_by_full_search(g):
+    """The promise verdict from the whole-graph search: the group, sorted by
+    image, or the refusal message."""
+    if not is_ff_degree(g.node_count):
+        return f"node count {g.node_count} is not 2 mod 4"
+    elements = sorted(itertools.islice(iter_automorphisms(g, 4000), 3), key=lambda p: p.image)
+    if len(elements) > 2:
+        return "3 or more automorphisms; the promise allows at most 2"
+    if len(elements) == 2 and not is_cyclic_class(elements[1], 2):
+        return "nontrivial automorphism is not a fixed-point-free involution"
+    return tuple(p.image for p in elements)
+
+
+def promise_verdict(g):
+    try:
+        elements = PromiseInstance(g).aut_elements()
+    except PromiseViolation as err:
+        with pytest.raises(PromiseViolation, match=str(err)):
+            unique_ga_ff_oracle(g)
+        return str(err)
+    assert unique_ga_ff_oracle(g) == len(elements) - 1
+    return tuple(p.image for p in elements)
+
+
+def networkx_order(g, cap=5000):
+    """|Aut(g)| counted by VF2, or cap + 1 when it is larger than cap."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx.Graph(list(g.edges))
+    h.add_nodes_from(range(1, g.node_count + 1))
+    return sum(1 for _ in itertools.islice(GraphMatcher(h, h).isomorphisms_iter(), cap + 1))
+
+
+class TestContraction:
+    """The promise oracle and group_order search the kept graph only: the
+    2-core plus each tree's centres, coloured by rooted-tree label."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(forests(8, max_extra=3), twin_branches(8)))
+    def test_group_order_matches_brute_force(self, g):
+        assert group_order(g) == brute_automorphism_count(g.node_count, g.edges)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(forests(11), forests(11, max_extra=4), twin_branches(11)))
+    def test_group_order_matches_networkx(self, g):
+        want = networkx_order(g)
+        if want <= 5000:
+            assert group_order(g) == want
+        else:
+            assert group_order(g) > 5000
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(forests(14), forests(14, max_extra=4), twin_branches(14)))
+    def test_promise_verdict_matches_the_full_search(self, g):
+        assert promise_verdict(g) == promise_by_full_search(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(forests(7, max_extra=3), twin_branches(7)))
+    def test_doubled_graph_verdict_matches_the_full_search(self, g):
+        # two copies of an odd-sized graph: a copy swap, YES when the copy is rigid
+        if g.node_count % 2 == 1:
+            doubled = disjoint_union(g, g)
+            assert promise_verdict(doubled) == promise_by_full_search(doubled)
+
+    def test_paths_isolated_nodes_and_edges(self):
+        edgeless = [Graph(n, frozenset()) for n in (1, 2, 6)]
+        matchings = [Graph(2 * k, frozenset((2 * t - 1, 2 * t) for t in range(1, k + 1))) for k in (1, 3)]
+        graphs = [*edgeless, *matchings, *(path(n) for n in range(1, 15))]
+        graphs += [disjoint_union(path(n), RIGID7A) for n in (3, 7)]  # odd paths, 2 mod 4 in all
+        graphs += [disjoint_union(K2, RIGID6), disjoint_union(Graph(1, frozenset()), path(5))]
+        for g in graphs:
+            assert group_order(g) == len(automorphisms(g)), g
+            assert promise_verdict(g) == promise_by_full_search(g), g
+        # even paths on 2 mod 4 nodes flip with no fixed point; odd paths fix their middle
+        for k in range(4):
+            flip = tuple(range(4 * k + 2, 0, -1))
+            assert promise_verdict(path(4 * k + 2)) == (identity(4 * k + 2).image, flip)
+        assert promise_verdict(disjoint_union(path(3), RIGID7A)).endswith("fixed-point-free involution")
+        assert promise_verdict(matchings[1]).startswith("3 or more")
+
+    def test_labels_ignore_the_order_children_are_peeled_in(self):
+        # Node 1 joins two copies of a tree: a root with a one-leaf child and
+        # a two-leaf child. The leaves are numbered so that the one-leaf
+        # child is peeled first in one copy and last in the other.
+        edges = {(1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (5, 7)}  # leaf 4 before 6, 7
+        edges |= {(1, 8), (8, 9), (9, 13), (8, 10), (10, 11), (10, 12)}  # leaves 11, 12 before 13
+        g = Graph(13, frozenset(edges))
+        assert group_order(g) == networkx_order(g) == 8
+
+    def test_star_order_is_the_tree_product(self):
+        star = Graph(10, frozenset((1, v) for v in range(2, 11)))
+        assert group_order(star) == math.factorial(9)
+        adj, colors, product, _ = _contract(star)
+        assert (adj, product) == ([set()], math.factorial(9))
+
+    def test_aut_elements_equal_the_full_search_on_scan_queries(self, scanned_queries):
+        # inside the promise the full search's first three elements are its whole group
+        verdicts = [promise_verdict(q) for q in scanned_queries]
+        assert verdicts == [promise_by_full_search(q) for q in scanned_queries]
+        assert sum(len(v) == 2 for v in verdicts if not isinstance(v, str)) > 100
 
 
 def hang_one(g, node, index):
@@ -454,6 +611,14 @@ class TestOracle:
             with pytest.raises(PromiseViolation, match="the promise allows at most 2"):
                 check(edgeless)
             assert time.perf_counter() - start < 1.0
+
+    def test_node_limit_counts_the_query_not_its_kept_graph(self):
+        # the 8-node path's first query: 398 nodes, of which a handful are kept
+        q = build_query(path(8), 7, 8)
+        assert len(_contract(q)[0]) < 20
+        with pytest.raises(ValueError, match="398 nodes exceeds the configured limit 397"):
+            unique_ga_ff_oracle(q, node_limit=397)
+        assert unique_ga_ff_oracle(q, node_limit=398) == 0
 
     def test_promise_violation_on_fixed_point_automorphism(self):
         # path 1-2-3 next to a rigid 7-node graph: 10 nodes, and the unique

@@ -191,6 +191,9 @@ class TestSecurityParam:
         for n in (1, 4, 8, 12, -2):  # -2 is 2 mod 4
             with pytest.raises(ValueError):
                 SecurityParam.ff(n)
+        # the wording of every ff degree refusal
+        with pytest.raises(ValueError, match="^degree 4 is not 2 mod 4$"):
+            SecurityParam.ff(4)
 
     def test_cyc_divisibility(self):
         SecurityParam.cyc(6, 3)

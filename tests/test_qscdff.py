@@ -93,6 +93,10 @@ class TestConvert:
         amps = list(converted.amps.values())
         assert amps[0].real * amps[1].real < 0
 
+    def test_refuses_a_degree_that_is_not_2_mod_4(self):
+        with pytest.raises(ValueError, match="^degree 4 is not 2 mod 4$"):
+            convert(SparseState(4, 1, {(0, identity(4)): 1.0}))
+
     def test_double_convert_is_exact_identity(self):
         rng = np.random.default_rng(37)
         sample = gen_plus(PI6, rng)
