@@ -101,12 +101,6 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph(a.node_count + b.node_count, frozenset(edges))
 
 
-def format_graph(g: Graph) -> str:
-    lines = [f"{g.node_count} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
-
-
 def parse_graph(text: str) -> Graph:
     lines = [(no, line.split()) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:

@@ -69,23 +69,18 @@ def keygen(params: SecurityParam, rng: np.random.Generator) -> KeyPair:
     return KeyPair(secret, params)
 
 
-def issue_key_copy(kp: KeyPair, rng: np.random.Generator, s: int | None = None) -> KeyCopy:
-    """One fresh encryption-key draw; multi-bit mode needs the symbol s, and
-    single-bit mode takes none."""
-    if kp.params.kind == FF:
-        if s is not None:
-            raise ValueError("ff mode takes no symbol")
-        return KeyCopy(gen_plus(kp.secret, rng))
-    if s is None:
-        raise ValueError("cyc mode needs a symbol")
-    return KeyCopy(gen_cyc(kp.secret, s, kp.params.m, rng), symbol=s)
+def issue_key_copy(kp: KeyPair, rng: np.random.Generator) -> KeyCopy:
+    """One fresh single-bit encryption-key draw."""
+    if kp.params.kind != FF:
+        raise ValueError("cyc key copies come only as a series: use issue_key_series")
+    return KeyCopy(gen_plus(kp.secret, rng))
 
 
 def issue_key_series(kp: KeyPair, rng: np.random.Generator) -> list[KeyCopy]:
     """The full multi-bit key series, one fresh copy per symbol of Z_m."""
     if kp.params.kind != CYC:
         raise ValueError("key series is a cyc-mode notion")
-    return [issue_key_copy(kp, rng, s=s) for s in range(kp.params.m)]
+    return [KeyCopy(gen_cyc(kp.secret, s, kp.params.m, rng), symbol=s) for s in range(kp.params.m)]
 
 
 def _consume(copy: KeyCopy) -> SparseState:

@@ -111,25 +111,23 @@ class SparseState:
         The circuit lifts this state to a control over Z_m in |0>, then runs
         ``fourier_control("inverse")``, ``controlled_power(pi)`` and
         ``fourier_control("forward")``: a symbol-s draw leaves the control in
-        |s>. This pass splits and keys each amplitude with the first three
-        steps' floating-point operations, in their order, dropping splits
-        below PRUNE_TOL before the key acts, and hands the keyed terms to the
-        forward map's own sum. Only the result is built and validated.
+        |s>. Row 0 of the inverse table is all ones, and 0j + amp * 1 * scale
+        equals 0j + amp * scale to the bit, so each entry splits once; a split
+        below PRUNE_TOL is dropped before the key acts, and its m keyed terms
+        go to the forward map's own sum. Only the result is built and validated.
         """
         if self.m != 1:
             raise ValueError("state already has a control register")
         m = cycle_type(pi)[0]
         require_cyclic_key(pi, m)
-        inverse_rows, scale = _fourier_table(m, "inverse")
-        split_row = inverse_rows[0]
+        scale = 1.0 / math.sqrt(m)
         table = powers(pi, m)
         terms = []
         for (_, perm), amp in self.amps.items():
-            for r in range(m):
-                split = 0j + amp * split_row[r] * scale
-                if abs(split) < PRUNE_TOL:
-                    continue
-                terms.append((r, compose(perm, table[r]), split))
+            split = 0j + amp * scale
+            if abs(split) < PRUNE_TOL:
+                continue
+            terms.extend((r, compose(perm, table[r]), split) for r in range(m))
         return SparseState(self.n, m, _fourier_amps(m, "forward", terms))
 
     def phase_by_sign(self) -> SparseState:

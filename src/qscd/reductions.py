@@ -10,7 +10,7 @@ empirical advantage estimator with Hoeffding confidence intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +42,8 @@ class DistinguisherReport:
             raise ValueError("need at least one trial per side")
         if not 0 <= self.acc0 <= self.trials0 or not 0 <= self.acc1 <= self.trials1:
             raise ValueError("acceptance counts out of range")
-        _require_confidence(self.confidence)
+        if not 0 < self.confidence < 1:  # NaN fails too
+            raise ValueError("confidence must be in (0, 1)")
 
     @property
     def advantage(self) -> float:
@@ -67,11 +68,6 @@ class DistinguisherReport:
             f"summary trials={self.trials0}/{self.trials1} "
             f"advantage={self.advantage:.6f} ci={self.ci_halfwidth:.6f}",
         ]
-
-
-def _require_confidence(confidence: float) -> None:
-    if not 0 < confidence < 1:  # NaN fails too
-        raise ValueError("confidence must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -225,13 +221,11 @@ def estimate_advantage(
     SPAWN_CHUNK trials at a time, which gives the same children as one
     spawn of all of them while memory stays flat in the trial count.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    _require_confidence(confidence)
+    report = DistinguisherReport(trials, trials, 0, 0, confidence)  # checks inputs before any spawn
     acc0 = acc1 = 0
     for start in range(0, trials, SPAWN_CHUNK):
         children = rng.spawn(2 * min(SPAWN_CHUNK, trials - start))
         for gen_a, gen_b in zip(children[0::2], children[1::2]):
             acc0 += dist(source_a(gen_a), gen_a)
             acc1 += dist(source_b(gen_b), gen_b)
-    return DistinguisherReport(trials, trials, acc0, acc1, confidence)
+    return replace(report, acc0=acc0, acc1=acc1)

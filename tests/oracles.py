@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+from qscd.graphauto import Graph
 from qscd.permgroup import Permutation
 
 
@@ -31,6 +32,17 @@ def from_cycles(n: int, cycles: list[tuple[int, ...]]) -> Permutation:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             image[a - 1] = b
     return Permutation(tuple(image))
+
+
+def format_graph(g: Graph) -> str:
+    """Graph file text, the format ``graphauto.parse_graph`` reads: a
+    ``nodes edges`` header, then one ``u v`` line per edge in sorted order.
+
+    No command writes a graph, so the package keeps only the parser.
+    """
+    lines = [f"{g.node_count} {len(g.edges)}"]
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    return "\n".join(lines) + "\n"
 
 
 def brute_fpf_involutions(n: int) -> set[tuple[int, ...]]:

@@ -6,6 +6,7 @@ selftest command and this module exercise identical code.
 """
 
 import hashlib
+import itertools
 import math
 import time
 
@@ -14,9 +15,21 @@ import pytest
 from scipy import stats
 
 from qscd import cli
+from qscd.graphauto import Graph
 from qscd.permgroup import Permutation, compose
 from qscd.qstate import SparseState
-from qscd.selftest import CRITERIA, _chisquare_pvalue, criterion_conjugation, run_selftest
+from qscd.selftest import (
+    CRITERIA,
+    RIGID6,
+    RIGID7A,
+    RIGID7B,
+    _chisquare_pvalue,
+    _has_nontrivial_automorphism,
+    criterion_conjugation,
+    run_selftest,
+)
+
+from oracles import has_nontrivial_automorphism
 
 SEED = 20260810
 # sha256 of the stdout of `qscd selftest --seed 20260810`, pinned so that a
@@ -148,3 +161,17 @@ class TestChisquarePvalue:
     def test_refuses_an_even_number_of_counts(self, length):
         with pytest.raises(ValueError, match="odd"):
             _chisquare_pvalue([10] * length)
+
+
+def test_ground_truth_agrees_with_brute_force():
+    # Criterion 5's ground truth against the oracles' scan of S_n, on every
+    # graph of 1-5 nodes and on the rigid 6- and 7-node witnesses.
+    graphs = [RIGID6, RIGID7A, RIGID7B]
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            graphs.append(Graph(n, frozenset(itertools.compress(pairs, bits))))
+    assert len(graphs) == 3 + 1 + 2 + 8 + 64 + 1024
+    answers = [_has_nontrivial_automorphism(g) for g in graphs]
+    assert answers == [has_nontrivial_automorphism(g.node_count, g.edges) for g in graphs]
+    assert answers[:4] == [False, False, False, False]  # the three witnesses and one node

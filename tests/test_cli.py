@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from qscd import cli
 from qscd.cli import run
-from qscd.graphauto import Graph, format_graph
+from qscd.graphauto import Graph
 from qscd.pkc import KeyPair, format_key
 from qscd.permgroup import MAX_DEGREE, MAX_POINTS, SecurityParam
 from qscd.selftest import RIGID6, RIGID7A, RIGID7B, planted_yes_instance
 from qscd.graphauto import disjoint_union
+
+from oracles import format_graph
 
 
 def run_cli(capsys, *argv):

@@ -11,10 +11,12 @@ import hashlib
 from pathlib import Path
 
 from qscd.cli import run
-from qscd.graphauto import Graph, disjoint_union, format_graph
+from qscd.graphauto import Graph, disjoint_union
 from qscd.permgroup import SecurityParam
 from qscd.pkc import KeyPair, format_key
 from qscd.selftest import RIGID7A, RIGID7B, path_graph, planted_yes_instance
+
+from oracles import format_graph
 
 # Outer 5-cycle 1..5, inner pentagram 6..10, and the five spokes.
 PETERSEN = Graph(10, frozenset(

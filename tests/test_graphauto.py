@@ -23,7 +23,6 @@ from qscd.graphauto import (
     complement,
     coset_sample,
     disjoint_union,
-    format_graph,
     group_order,
     is_connected,
     iter_automorphisms,
@@ -47,6 +46,7 @@ from qscd.selftest import RIGID6, RIGID7A, RIGID7B, planted_no_instance, planted
 from oracles import (
     brute_automorphism_count,
     brute_automorphisms,
+    format_graph,
     from_cycles,
     has_nontrivial_automorphism,
 )

@@ -66,23 +66,16 @@ class TestKeyCopies:
     def test_cyc_copy_decodes_to_its_symbol(self):
         rng = np.random.default_rng(94)
         kp = keygen(CYC63, rng)
-        for s in range(3):
-            copy = issue_key_copy(kp, rng, s=s)
+        for s, copy in enumerate(issue_key_series(kp, rng)):
             assert copy.symbol == s
             assert decode_cyc(copy.state, kp.secret, rng) == s
 
     def test_cyc_copy_requires_symbol(self):
+        # a cyc key's copies come only as a series, each with its symbol
         rng = np.random.default_rng(95)
         kp = keygen(CYC63, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cyc key copies come only as a series: use issue_key_series$"):
             issue_key_copy(kp, rng)
-
-    def test_ff_copy_refuses_a_symbol(self):
-        rng = np.random.default_rng(95)
-        kp = keygen(FF6, rng)
-        for s in (0, 1):
-            with pytest.raises(ValueError, match="ff mode takes no symbol"):
-                issue_key_copy(kp, rng, s=s)
 
     def test_series_covers_every_symbol(self):
         rng = np.random.default_rng(96)
@@ -135,7 +128,7 @@ class TestEncryptFF:
     def test_rejects_cyc_key_copy(self):
         rng = np.random.default_rng(115)
         for params in (CYC63, SecurityParam.cyc(6, 2)):
-            copy = issue_key_copy(keygen(params, rng), rng, s=0)
+            copy = issue_key_series(keygen(params, rng), rng)[0]
             with pytest.raises(ValueError):
                 encrypt_ff(0, copy)
             assert not copy.consumed

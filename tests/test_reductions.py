@@ -228,10 +228,15 @@ class TestEstimateAdvantage:
         assert report.advantage <= report.ci_halfwidth
 
     def test_requires_at_least_one_trial(self):
-        with pytest.raises(ValueError):
-            estimate_advantage(
-                coin_distinguisher(), plus_source(PI6), iota_source(6), 0, np.random.default_rng(0)
-            )
+        def never(states, rng):
+            raise AssertionError("a trial ran")
+
+        for trials in (0, -3):
+            rng, ref_rng = np.random.default_rng(88), np.random.default_rng(88)
+            with pytest.raises(ValueError, match="^need at least one trial per side$"):
+                estimate_advantage(never, plus_source(PI6), iota_source(6), trials, rng)
+            # no generator was spawned
+            assert rng.spawn(1)[0].random() == ref_rng.spawn(1)[0].random()
 
     @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, float("nan")])
     def test_refuses_confidence_before_any_trial(self, confidence):
