@@ -58,7 +58,8 @@ class Permutation:
         return f"Permutation({list(self.image)})"
 
     @cached_property
-    def _cycle_type(self) -> tuple[int, ...]:
+    def cycle_type(self) -> tuple[int, ...]:
+        """Sorted cycle lengths including fixed points."""
         seen, lengths = set(), []
         for start in self.image:
             length, point = 0, start
@@ -83,11 +84,6 @@ def _trusted(image: tuple[int, ...]) -> Permutation:
 
 def identity(n: int) -> Permutation:
     return _trusted(tuple(range(1, n + 1)))
-
-
-def cycle_type(sigma: Permutation) -> tuple[int, ...]:
-    """Sorted cycle lengths including fixed points (cached on sigma)."""
-    return sigma._cycle_type
 
 
 def compose(sigma: Permutation, tau: Permutation) -> Permutation:
@@ -119,13 +115,13 @@ def perm_pow(sigma: Permutation, r: int) -> Permutation:
     """sigma composed with itself r times (r >= 0)."""
     if r < 0:
         raise ValueError("negative power not supported")
-    r %= math.lcm(*cycle_type(sigma))
+    r %= math.lcm(*sigma.cycle_type)
     return powers(sigma, r + 1)[r]
 
 
 def sign(sigma: Permutation) -> int:
     """Parity bit: 0 for even permutations, 1 for odd."""
-    return (sigma.n - len(cycle_type(sigma))) % 2
+    return (sigma.n - len(sigma.cycle_type)) % 2
 
 
 def is_ff_degree(n: int) -> bool:
@@ -141,7 +137,7 @@ def require_ff_degree(n: int) -> None:
 
 def is_cyclic_class(sigma: Permutation, m: int) -> bool:
     """Membership in K_n^m: disjoint n/m cycles, all of length m (K_n is m = 2)."""
-    return m > 0 and cycle_type(sigma) == (m,) * (sigma.n // m)
+    return m > 0 and sigma.cycle_type == (m,) * (sigma.n // m)
 
 
 def require_cyclic_key(pi: Permutation, m: int) -> None:

@@ -30,7 +30,7 @@ from functools import cache
 
 import numpy as np
 
-from .permgroup import Permutation, compose, cycle_type, powers, random_permutation, require_cyclic_key
+from .permgroup import Permutation, compose, powers, random_permutation, require_cyclic_key
 from .qstate import SparseState
 
 
@@ -49,7 +49,7 @@ def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> Sparse
 def _coset_draw(pi: Permutation, s: int, rng: np.random.Generator) -> SparseState:
     # gen_cyc for a pi whose cycles all have one length m: a checked key, or
     # coset_sample's group generator, the identity or an fpf involution.
-    m = cycle_type(pi)[0]
+    m = pi.cycle_type[0]
     sigma = random_permutation(pi.n, rng)
     amps = {(0, compose(sigma, power)): amp for power, amp in zip(powers(pi, m), _phase_row(s, m))}
     return SparseState(pi.n, 1, amps)

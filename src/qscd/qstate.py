@@ -30,7 +30,6 @@ import numpy as np
 from .permgroup import (
     Permutation,
     compose,
-    cycle_type,
     format_permutation,
     int_fields,
     parse_permutation,
@@ -118,7 +117,7 @@ class SparseState:
         """
         if self.m != 1:
             raise ValueError("state already has a control register")
-        m = cycle_type(pi)[0]
+        m = pi.cycle_type[0]
         require_cyclic_key(pi, m)
         scale = 1.0 / math.sqrt(m)
         table = powers(pi, m)

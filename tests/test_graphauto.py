@@ -41,6 +41,7 @@ from qscd.permgroup import (
     sign,
 )
 from qscd.qscdff import convert, distinguish
+from qscd.reductions import AttackParams, ga_attack, omniscient_distinguisher
 from qscd.selftest import RIGID6, RIGID7A, RIGID7B, planted_no_instance, planted_yes_instance
 
 from oracles import (
@@ -671,6 +672,80 @@ class TestKoeblerReduce:
         koebler_reduce(K3, oracle=logging_oracle)
         assert answers[-1] == 1
         assert all(a == 0 for a in answers[:-1])
+
+
+@pytest.fixture(scope="module")
+def rigid_atlas():
+    """The asymmetric 6- and 7-node graphs of networkx's graph atlas, by node
+    count, each relabelled by a permutation from a seeded generator. VF2 finds
+    the identity alone on each, which is the ground truth."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    from networkx.generators.atlas import graph_atlas_g
+
+    rng = np.random.default_rng(68)
+    rigid = {6: [], 7: []}
+    for h in graph_atlas_g():
+        n = h.number_of_nodes()
+        if n in rigid and sum(1 for _ in itertools.islice(GraphMatcher(h, h).isomorphisms_iter(), 2)) == 1:
+            label = rng.permutation(n) + 1
+            edges = frozenset(tuple(sorted((int(label[u]), int(label[v])))) for u, v in h.edges())
+            rigid[n].append(Graph(n, edges))
+    return rigid
+
+
+def answers_yes(reduce, graphs):
+    """The graphs on which a reduction answers YES."""
+    return [g for g in graphs if reduce(g) != 0]
+
+
+class TestReductionOnRigidGraphs:
+    # No labelled graph on 2 to 5 nodes is rigid, so the small-graph tests
+    # above see a NO only on one node; these graphs put every query of a full
+    # scan through the NO path.
+    def test_every_rigid_atlas_graph_is_no(self, rigid_atlas):
+        assert [len(rigid_atlas[6]), len(rigid_atlas[7])] == [8, 152]
+        assert answers_yes(koebler_reduce, rigid_atlas[6] + rigid_atlas[7]) == []
+
+    def test_a_reduction_that_always_answers_yes_is_caught(self, rigid_atlas):
+        def always_yes(g):
+            return 1 if g.node_count >= 2 else 0
+
+        graphs = rigid_atlas[6] + rigid_atlas[7]
+        assert answers_yes(always_yes, graphs) == graphs
+
+
+def chain_verdicts(graphs, seed):
+    """The paper's chain GA -> QSCD_ff: koebler_reduce, with each promise
+    query answered by the attack pipeline around an omniscient distinguisher
+    for the query's hidden key, or for (1 2)(3 4)... on a NO query.
+    At 128 tuples a side and threshold 64, Hoeffding bounds a NO query's
+    chance of a YES by 2 exp(-32) < 3e-14."""
+    rng = np.random.default_rng(seed)
+    params = AttackParams(1, 1, 128, 64)
+
+    def oracle(q):
+        inst = PromiseInstance(q)
+        key = inst.hidden_key()
+        if key is None:
+            key = from_cycles(q.node_count, [(a, a + 1) for a in range(1, q.node_count, 2)])
+        return ga_attack(inst, omniscient_distinguisher(key), params, rng)
+
+    return [koebler_reduce(g, oracle=oracle) for g in graphs]
+
+
+class TestChainFromGraphAutomorphism:
+    def test_agrees_with_brute_force_up_to_three_nodes_and_on_rigid_graphs(self, rigid_atlas):
+        graphs = [g for n in (1, 2, 3) for g in all_graphs(n)] + rigid_atlas[6]
+        want = [int(has_nontrivial_automorphism(g.node_count, g.edges)) for g in graphs]
+        assert want.count(0) == 9  # the 1-node graph and the 8 rigid graphs
+        assert chain_verdicts(graphs, 69) == want
+
+    @pytest.mark.slow
+    def test_agrees_with_brute_force_on_four_nodes(self):
+        graphs = list(all_graphs(4))
+        want = [int(has_nontrivial_automorphism(4, g.edges)) for g in graphs]
+        assert chain_verdicts(graphs, 70) == want
 
 
 class TestPromiseInstance:

@@ -3,7 +3,6 @@ import pytest
 
 from qscd.permgroup import (
     SecurityParam,
-    cycle_type,
     sample_fpf_involution,
 )
 from qscd.pkc import (
@@ -47,7 +46,7 @@ class TestKeygen:
     def test_cyc_cycle_structure(self):
         rng = np.random.default_rng(92)
         for _ in range(20):
-            assert cycle_type(keygen(CYC63, rng).secret) == (3, 3)
+            assert keygen(CYC63, rng).secret.cycle_type == (3, 3)
 
     def test_keypair_validates_secret(self):
         with pytest.raises(ValueError):
