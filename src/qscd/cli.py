@@ -191,11 +191,11 @@ def cmd_attack(args) -> int:
     inst = PromiseInstance(g, certified=planted)
     dist = _named_distinguisher(args.dist, _read_secret(args.key) or planted)
     params = AttackParams(
-        k=args.k, p=args.p, tuples_per_side=args.tuples, threshold=args.threshold
+        k=args.k, p=args.p, tuples_per_side=args.tuples, threshold=args.threshold, l=args.l
     )
-    _require_tuple_points(args.k + args.l, 2, g.node_count)  # the promise allows |Aut| <= 2
+    _require_tuple_points(params.k + params.l, 2, g.node_count)  # the promise allows |Aut| <= 2
     rng = derive_rng(args.seed)
-    result = ga_attack(inst, dist, params, rng, l_key_copies=args.l)
+    result = ga_attack(inst, dist, params, rng)
     n = g.node_count
     print(
         f"dist={args.dist} k={params.k} tuples={params.tuples_per_side} "

@@ -159,11 +159,9 @@ def format_ciphertext(c: Ciphertext) -> str:
 
 
 def parse_ciphertext(text: str) -> Ciphertext:
-    no = 1
-    head, more, body = text.partition("\n")
-    while more and not head.strip():  # blank lines before the header
-        no += 1
-        head, more, body = body.partition("\n")
+    lines = text.splitlines() or [""]
+    no = next((no for no, line in enumerate(lines, 1) if line.strip()), 1)
+    head, lines[no - 1] = lines[no - 1], ""  # the state's errors keep their file line numbers
     fields = head.split()
     if len(fields) != 3 or fields[0] != "CIPHERTEXT" or fields[1] not in ("FF", "CYC"):
         raise ValueError(f"line {no}: bad ciphertext header: {head!r}")
@@ -171,4 +169,4 @@ def parse_ciphertext(text: str) -> Ciphertext:
     (m,) = int_fields(no, fields[2:], "modulus")
     if mode == FF and m != 2:
         raise ValueError("ff ciphertexts have modulus 2")
-    return Ciphertext(SparseState.from_text(body, first_line=no + 1), mode, m)
+    return Ciphertext(SparseState.from_text("\n".join(lines)), mode, m)

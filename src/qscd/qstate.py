@@ -168,10 +168,10 @@ class SparseState:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str, first_line: int = 1) -> SparseState:
-        """Parse ``to_text`` output whose first line is line first_line of its
-        file; errors name the line and the field."""
-        lines = [(no, line) for no, line in enumerate(text.splitlines(), first_line) if line.strip()]
+    def from_text(cls, text: str) -> SparseState:
+        """Parse ``to_text`` output; errors name the field and the line, counted
+        by ``str.splitlines`` with blank lines included."""
+        lines = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
         if not lines:
             raise ValueError("empty state text: no QSTATE header")
         no, head = lines[0]

@@ -72,7 +72,7 @@ class DistinguisherReport:
 
 @dataclass(frozen=True)
 class AttackParams:
-    """Tuple counts for the attack pipeline.
+    """Tuple shape (k challenges, l key copies) and counts for the attack.
 
     The analysis sizes the pipeline as 8 p^2 n tuples per side with
     acceptance threshold 4 p n for a nominal polynomial value p; desk-scale
@@ -84,6 +84,7 @@ class AttackParams:
     p: int
     tuples_per_side: int
     threshold: int
+    l: int = 0
 
     def __post_init__(self):
         if self.k < 1:
@@ -92,6 +93,8 @@ class AttackParams:
             raise ValueError("nominal polynomial value must be >= 1")
         if not 0 < self.threshold < self.tuples_per_side:
             raise ValueError("need 0 < threshold < tuples_per_side")
+        if self.l < 0:
+            raise ValueError("need l >= 0")
 
     def formula_tuples(self, n: int) -> int:
         return 8 * self.p * self.p * n
@@ -161,22 +164,19 @@ def ga_attack(
     dist: Distinguisher,
     params: AttackParams,
     rng: np.random.Generator,
-    l_key_copies: int = 0,
 ) -> int:
     """Decide a promise instance by feeding coset draws to a distinguisher.
 
-    A tuple holds k challenge draws followed by ``l_key_copies`` plus draws
-    standing in for encryption-key copies. The minus side sends its
+    A tuple holds ``params.k`` challenge draws followed by ``params.l`` plus
+    draws standing in for encryption-key copies. The minus side sends its
     challenges through ``convert``. Answers YES when the acceptance counts
     over tuples_per_side tuples a side differ by at least the threshold. On
     a NO instance every draw is iota, which ``convert`` fixes up to a global
     sign, so the counts concentrate together.
     """
-    if l_key_copies < 0:
-        raise ValueError("need l >= 0")
 
     def make_tuple(minus: bool) -> list[SparseState]:
-        draws = [coset_sample(inst, rng) for _ in range(params.k + l_key_copies)]
+        draws = [coset_sample(inst, rng) for _ in range(params.k + params.l)]
         if minus:
             draws[:params.k] = [convert(draw) for draw in draws[:params.k]]
         return draws

@@ -51,10 +51,8 @@ from .seeding import derive_rng
 
 TOL = 1e-12
 
-# Frozen planted instances: a rigid 6-node witness (triangle with pendant
-# tails of lengths 1 and 2), and two rigid, mutually non-isomorphic 7-node
+# Frozen planted instances: two rigid, mutually non-isomorphic 7-node
 # graphs (triangle with tails 1 and 3; the spider tree with legs 1, 2, 3).
-RIGID6 = Graph(6, frozenset({(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (5, 6)}))
 RIGID7A = Graph(7, frozenset({(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (5, 6), (6, 7)}))
 RIGID7B = Graph(7, frozenset({(1, 2), (1, 3), (3, 4), (1, 5), (5, 6), (6, 7)}))
 

@@ -6,12 +6,18 @@ code paths so expected values stay independent of what they check.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 
 import numpy as np
 
 from qscd.graphauto import Graph
 from qscd.permgroup import Permutation
+from qscd.qstate import PRUNE_TOL
+
+# A rigid 6-node graph: a triangle with pendant tails of lengths 1 and 2.
+RIGID6 = Graph(6, frozenset({(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (5, 6)}))
 
 
 def from_cycles(n: int, cycles: list[tuple[int, ...]]) -> Permutation:
@@ -200,6 +206,47 @@ class DenseSymmetricGroup:
         state = self.fourier_control(self.vector(amps, m), "inverse")
         state = self.controlled_power(state, key)
         return self.control_probabilities(self.fourier_control(state, "forward"))
+
+
+def _control_fourier(entries: dict, m: int, sgn: int) -> dict:
+    """|r>|sigma> -> sum_r' w^(sgn r r') / sqrt(m) |r'>|sigma> on a map
+    {(r, image): amp}, with w = exp(2 pi i / m).
+
+    Entries are grouped by image in order of arrival, each output sums its
+    terms from 0j in that order, and a sum under PRUNE_TOL is dropped, as a
+    state drops it.
+    """
+    omega = [[cmath.exp(sgn * 2j * math.pi * (r * r2 % m) / m) for r2 in range(m)] for r in range(m)]
+    scale = 1.0 / math.sqrt(m)
+    groups: dict[tuple[int, ...], list] = {}
+    for (r, image), amp in entries.items():
+        groups.setdefault(image, []).append((omega[r], amp))
+    out = {}
+    for image, group in groups.items():
+        for r2 in range(m):
+            total = 0j
+            for row, amp in group:
+                total = total + amp * row[r2] * scale
+            if not abs(total) < PRUNE_TOL:  # NaN is kept, as a state keeps it
+                out[(r2, image)] = total
+    return out
+
+
+def decoder_circuit(amps: dict, key: tuple[int, ...], m: int) -> dict:
+    """The decoder as its circuit of four operations, on its own arithmetic.
+
+    The control-free amplitude map ``amps`` is lifted to a control over Z_m
+    in |0>; then the inverse Fourier map, |r>|sigma> -> |r>|sigma key^r>, and
+    the forward Fourier map. Returns {(control, image): amplitude} in the
+    order the operations store their entries, so a caller can compare a
+    one-pass decoder to the bit and in order.
+    """
+    state = _control_fourier({(0, perm.image): amp for (_, perm), amp in amps.items()}, m, -1)
+    table = [tuple(range(1, len(key) + 1))]
+    while len(table) < m:
+        table.append(tuple(key[p - 1] for p in table[-1]))
+    moved = {(r, tuple(image[p - 1] for p in table[r])): amp for (r, image), amp in state.items()}
+    return _control_fourier(moved, m, 1)
 
 
 class StubRng:

@@ -20,7 +20,6 @@ from qscd.permgroup import Permutation, compose
 from qscd.qstate import SparseState
 from qscd.selftest import (
     CRITERIA,
-    RIGID6,
     RIGID7A,
     RIGID7B,
     _chisquare_pvalue,
@@ -29,7 +28,7 @@ from qscd.selftest import (
     run_selftest,
 )
 
-from oracles import has_nontrivial_automorphism
+from oracles import RIGID6, has_nontrivial_automorphism
 
 SEED = 20260810
 # sha256 of the stdout of `qscd selftest --seed 20260810`, pinned so that a

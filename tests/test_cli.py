@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,10 +19,10 @@ from qscd.cli import run
 from qscd.graphauto import Graph
 from qscd.pkc import KeyPair, format_key
 from qscd.permgroup import MAX_DEGREE, MAX_POINTS, SecurityParam
-from qscd.selftest import RIGID6, RIGID7A, RIGID7B, planted_yes_instance
+from qscd.selftest import RIGID7A, RIGID7B, planted_yes_instance
 from qscd.graphauto import disjoint_union
 
-from oracles import format_graph
+from oracles import RIGID6, format_graph
 
 
 def run_cli(capsys, *argv):
@@ -690,3 +691,99 @@ class TestFileTextFuzz:
             assert failures == [lines[-1]] and lines[-1].startswith(prefix), lines
         else:
             assert failures == [], lines
+
+
+# Argument fuzz: per subcommand, each option and the values it may take;
+# None leaves the option out, so required options never list it. In a third
+# of the vectors one option takes a value of ARG_WILD instead, which argparse
+# refuses for an int. {name} is a file of arg_fuzz_files.
+ARG_NUMBERS = ["-1", "0", "1", "2", "3", "6"]
+ARG_COUNTS = ["-1", "0", "1", "2", "3"]  # trials and tuples
+ARG_WILD = ["nan", "1e309"]
+ARG_KEYS = ["{ff_key}", "{cyc_key}", "{swap_key}", "{graph}", "{missing}"]
+ARG_GRAPHS = ["{graph}", "{path}", "{yes_graph}", "{ff_key}", "{missing}"]
+ARG_DISTS = ["omniscient", "coin", "basis-measure"]
+
+
+def maybe(values: list[str]) -> list[str | None]:
+    """The values of an option that is left out half the time."""
+    return [*values, *[None] * len(values)]
+
+
+ARG_FUZZ = {
+    "keygen": {
+        "--mode": ["ff", "cyc"], "--n": ARG_NUMBERS, "--m": maybe(ARG_NUMBERS), "--out": ["{out}"],
+        "--seed": ARG_NUMBERS,
+    },
+    "encrypt": {"--key": ARG_KEYS, "--message": ARG_NUMBERS, "--out": ["{out}"], "--seed": ARG_NUMBERS},
+    "decrypt": {
+        "--key": ARG_KEYS, "--ciphertext": ["{ff_ciphertext}", "{cyc_ciphertext}", "{ff_key}", "{missing}"],
+        "--seed": ARG_NUMBERS,
+    },
+    "demo": {"--mode": ["ff", "cyc"], "--n": ARG_NUMBERS, "--m": maybe(ARG_NUMBERS), "--seed": ARG_NUMBERS},
+    "ga": {"--graph": ARG_GRAPHS, "--limit": maybe(ARG_NUMBERS)},
+    "reduce-ga": {"--graph": ARG_GRAPHS, "--limit": maybe(ARG_NUMBERS)},
+    "attack": {
+        "--graph": ARG_GRAPHS, "--dist": ARG_DISTS, "--key": maybe(ARG_KEYS),
+        "--planted-key": maybe(ARG_KEYS), "--k": maybe(ARG_NUMBERS), "--tuples": maybe(ARG_COUNTS),
+        "--threshold": maybe(ARG_NUMBERS), "--p": maybe(ARG_NUMBERS), "--l": maybe(ARG_NUMBERS),
+        "--seed": ARG_NUMBERS,
+    },
+    "advantage": {
+        "--dist": ARG_DISTS, "--pair": maybe(["ff", "plus-iota", "cyc"]), "--n": ARG_NUMBERS,
+        "--m": maybe(ARG_NUMBERS), "--s0": maybe(ARG_NUMBERS), "--s1": maybe(ARG_NUMBERS),
+        "--k": maybe(ARG_NUMBERS), "--trials": ARG_COUNTS, "--confidence": maybe(ARG_NUMBERS),
+        "--key": maybe(ARG_KEYS), "--seed": ARG_NUMBERS,
+    },
+    # A valid seed runs the whole suite, which test_acceptance pins.
+    "selftest": {"--seed": ["-1"]},
+}
+
+
+def arg_fuzz_files(tmp: Path) -> dict[str, str]:
+    yes = planted_yes_instance()
+    texts = {
+        "ff_key": FF_KEY, "cyc_key": CYC_KEY, "ff_ciphertext": FF_CIPHERTEXT, "cyc_ciphertext": CYC_CIPHERTEXT,
+        "swap_key": format_key(KeyPair(yes.hidden_key(), SecurityParam.ff(14))),  # the yes graph's automorphism
+        "graph": format_graph(RIGID6), "path": PATH5, "yes_graph": format_graph(yes.graph),
+    }
+    paths = {name: str(tmp / name) for name in [*texts, "out", "missing"]}
+    for name, text in texts.items():
+        Path(paths[name]).write_text(text)
+    return paths
+
+
+class TestArgumentFuzz:
+    """Small argument vectors for every subcommand through cli.run, in
+    process: every run ends in exit 0, 2, 3 or 4 and prints no traceback. A
+    refusal inside a command is one failure line, the last on stdout; an
+    argparse rejection writes its usage to stderr and nothing to stdout."""
+
+    @pytest.mark.parametrize("command", sorted(ARG_FUZZ))
+    def test_argument_vectors_fail_cleanly(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)  # where a wild --out value writes
+        files = arg_fuzz_files(tmp_path)
+        draw = random.Random(command)  # string seeds hash the same in every run
+        options = ARG_FUZZ[command]
+        for _ in range(110):
+            wild = draw.choice([*options, *[None] * 2 * len(options)])
+            argv = [command]
+            for option, values in options.items():
+                value = draw.choice(ARG_WILD if option == wild else values)
+                if value is not None:
+                    argv += [option, value.format(**files)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(argv)
+            out, err = stdout.getvalue(), stderr.getvalue()
+            assert code in (0, 2, 3, 4) and "Traceback" not in out + err, (argv, out, err)
+            if err:
+                assert code == 2 and out == "" and err.startswith("usage: "), (argv, err)
+                continue
+            lines = out.splitlines()
+            failures = [line for line in lines if line.startswith(("error:", "promise-violation:"))]
+            if code in (2, 3):
+                prefix = "error: " if code == 2 else "promise-violation: "
+                assert failures == [lines[-1]] and lines[-1].startswith(prefix), (argv, lines)
+            else:
+                assert failures == [], (argv, lines)

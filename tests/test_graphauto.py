@@ -42,9 +42,10 @@ from qscd.permgroup import (
 )
 from qscd.qscdff import convert, distinguish
 from qscd.reductions import AttackParams, ga_attack, omniscient_distinguisher
-from qscd.selftest import RIGID6, RIGID7A, RIGID7B, planted_no_instance, planted_yes_instance
+from qscd.selftest import RIGID7A, RIGID7B, planted_no_instance, planted_yes_instance
 
 from oracles import (
+    RIGID6,
     brute_automorphism_count,
     brute_automorphisms,
     format_graph,

@@ -20,7 +20,7 @@ from qscd.qscdcyc import decode_cyc, decode_distribution, gen_cyc
 from qscd.qscdff import convert, distinguish, gen_plus
 from qscd.qstate import PRUNE_TOL, SparseState, _born_draw, inner_product, states_equal
 
-from oracles import DenseSymmetricGroup, StubRng, brute_cyclic_class, from_cycles
+from oracles import DenseSymmetricGroup, StubRng, brute_cyclic_class, decoder_circuit, from_cycles
 from test_qstate import KEYS6, small_states
 
 PI33 = from_cycles(3, [(1, 2, 3)])
@@ -187,15 +187,14 @@ class TestStructure:
                     assert state.amps[key] == pytest.approx(amp, abs=1e-9)
 
 
-def four_operation_circuit(state: SparseState, pi: Permutation, m: int) -> SparseState:
-    """The decoder as the composition of four state operations."""
-    lifted = SparseState(state.n, m, dict(state.amps))  # a control over Z_m in |0>
-    return lifted.fourier_control("inverse").controlled_power(pi).fourier_control("forward")
-
-
 def exact_entries(state: SparseState) -> list:
     # repr tells -0.0 from 0.0, which == does not and ciphertext text does
     return [(r, perm.image, repr(amp)) for (r, perm), amp in state.amps.items()]
+
+
+def circuit_entries(state: SparseState, pi: Permutation, m: int) -> list:
+    """The entries of the four-operation circuit of tests/oracles.py, as exact_entries lists them."""
+    return [(r, image, repr(amp)) for (r, image), amp in decoder_circuit(state.amps, pi.image, m).items()]
 
 
 class TestOnePassDecode:
@@ -205,7 +204,7 @@ class TestOnePassDecode:
     @given(small_states(ms=(1,)), st.sampled_from(sorted(KEYS6)))
     def test_matches_the_circuit_on_random_states(self, state, m):
         pi = KEYS6[m]
-        assert exact_entries(state.controlled_key_test(pi)) == exact_entries(four_operation_circuit(state, pi, m))
+        assert exact_entries(state.controlled_key_test(pi)) == circuit_entries(state, pi, m)
 
     def test_matches_the_circuit_on_coset_draws(self):
         rng = np.random.default_rng(58)
@@ -216,7 +215,7 @@ class TestOnePassDecode:
                 for s in range(m):
                     draw = gen_cyc(pi, s, m, rng)
                     for key in (pi, other):  # the draw's key, and mostly a wrong one
-                        want = exact_entries(four_operation_circuit(draw, key, m))
+                        want = circuit_entries(draw, key, m)
                         assert exact_entries(draw.controlled_key_test(key)) == want, (m, s)
 
     def test_split_terms_under_the_prune_tolerance_are_dropped_first(self):
@@ -229,7 +228,7 @@ class TestOnePassDecode:
                 tiny = factor * PRUNE_TOL * math.sqrt(m)
                 state = SparseState(6, 1, {(0, sigma): math.sqrt(1 - tiny**2), (0, compose(sigma, pi)): tiny})
                 assert len(state.amps) == 2
-                want = exact_entries(four_operation_circuit(state, pi, m))
+                want = circuit_entries(state, pi, m)
                 assert exact_entries(state.controlled_key_test(pi)) == want, (m, factor)
 
     def test_result_is_a_validated_state(self):

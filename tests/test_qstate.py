@@ -283,9 +283,9 @@ class TestSerialization:
         ],
     )
     def test_errors_name_the_line_of_the_file(self, entry, message):
-        # the text starts on line 3 of its file, and blank lines count
+        # the header is on line 3 of the text, and blank lines count
         with pytest.raises(ValueError) as info:
-            SparseState.from_text(f"QSTATE 2 1 1\n\n{entry}\n", first_line=3)
+            SparseState.from_text(f"\n\nQSTATE 2 1 1\n\n{entry}\n")
         assert str(info.value) == message
 
     @pytest.mark.parametrize("text", ["", "\n", "  \n\n"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -153,7 +154,7 @@ class TestGaAttack:
             seen.append(len(states))
             return omniscient_distinguisher(inst.hidden_key())(states, gen)
 
-        assert ga_attack(inst, probe, PARAMS, rng, l_key_copies=3) == 1
+        assert ga_attack(inst, probe, dataclasses.replace(PARAMS, l=3), rng) == 1
         assert set(seen) == {4}
 
     def test_tuple_shape_per_side(self):
@@ -162,16 +163,16 @@ class TestGaAttack:
         # converted, the key copies stay plus draws
         inst = planted_yes_instance()
         pi = inst.hidden_key()
-        params = AttackParams(k=3, p=1, tuples_per_side=5, threshold=1)
-        for kwargs in ({"l_key_copies": 2}, {}, {"l_key_copies": 0}):
+        base = AttackParams(k=3, p=1, tuples_per_side=5, threshold=1)
+        for params in (dataclasses.replace(base, l=2), base, dataclasses.replace(base, l=0)):
             seen = []
 
             def record(states, gen):
                 seen.append([distinguish(state, pi, gen) for state in states])
                 return 0
 
-            ga_attack(inst, record, params, np.random.default_rng(80), **kwargs)
-            copies = [1] * kwargs.get("l_key_copies", 0)
+            ga_attack(inst, record, params, np.random.default_rng(80))
+            copies = [1] * params.l
             assert seen == [[1] * 3 + copies] * 5 + [[0] * 3 + copies] * 5
 
 

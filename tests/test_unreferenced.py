@@ -1,10 +1,12 @@
-"""Every function, class and method in qscd is used somewhere in qscd.
+"""Every function, class, method and module-level name in qscd is used
+somewhere in qscd.
 
 A definition counts as used when its name appears in ``src/qscd`` as an
-``ast.Name`` or an ``ast.Attribute``; the definition itself is neither.
-Module-level functions and classes are checked, and every method whose name
-is not a dunder, which Python calls itself. A name that only the tests call
-belongs in ``tests/oracles.py``.
+``ast.Attribute`` or as an ``ast.Name`` that is read; the definition itself
+is neither. Module-level functions and classes are checked, every name a
+module-level assignment binds, and every method; dunder names are exempt,
+since Python reads them itself. A name that only the tests use belongs in
+``tests/oracles.py``.
 
 The one exemption is a name that ``perfbench/tracing.py`` lists in
 ``LAYERS``: every traced run resolves it, so it cannot go before the tracer
@@ -49,8 +51,16 @@ def unreferenced() -> list[str]:
                     for item in node.body
                     if isinstance(item, functions) and not is_dunder(item.name)
                 )
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend(
+                    (f"{path.stem}.{name.id}", name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and not is_dunder(name.id)
+                )
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
