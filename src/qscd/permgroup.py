@@ -11,20 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from operator import itemgetter
 
 import numpy as np
 
 FF = "ff"
 CYC = "cyc"
 # The largest key degree. At this degree keygen, demo and a one-trial
-# advantage each took under 2 s and 72 MB on a shared 2-CPU machine
-# (ff, and cyc with cycle length 2 or 3).
+# advantage each took under 2 s and 80 MB on a shared 2-CPU machine
+# (ff, and cyc with cycle length 2 or 3), the n-index gathers that compose
+# caches on the key's powers included.
 MAX_DEGREE = 100_000
 # The most permutation points a command builds at once: m*m*n for a cyc key
 # series (m states of m points), (k + l)*m*n for one distinguisher tuple.
-# At this size demo took under 0.5 s and 60 MB, and a one-trial advantage
-# at n = 6, where each state costs the most per point, 6.7 s and 130 MB.
+# At this size demo took under 0.8 s and 60 MB, and a one-trial advantage
+# at n = 6, where each state costs the most per point, 7.1-7.8 s and 120 MB.
 MAX_POINTS = 1_000_000
 
 
@@ -33,7 +35,8 @@ class Permutation:
     """Immutable permutation of {1..n}, stored as the tuple of images.
 
     ``image[i-1]`` is where point ``i`` maps. Only the constructor checks for a
-    bijection (see ``_trusted``); cycle type and powers are cached on the instance.
+    bijection (see ``_trusted``); cycle type, powers and the gather that
+    ``compose`` applies for a right factor are cached on the instance.
     """
 
     image: tuple[int, ...]
@@ -78,7 +81,7 @@ class Permutation:
 def _trusted(image: tuple[int, ...]) -> Permutation:
     """Permutation on an image of plain ints that is a bijection by construction."""
     perm = object.__new__(Permutation)
-    object.__setattr__(perm, "image", image)
+    perm.__dict__["image"] = image
     return perm
 
 
@@ -88,11 +91,19 @@ def identity(n: int) -> Permutation:
 
 def compose(sigma: Permutation, tau: Permutation) -> Permutation:
     """(sigma tau)(i) = sigma(tau(i)); right-multiplying sigma by pi is compose(sigma, pi).
-    Refuses a tau of another degree; the state operations rely on this check."""
+    Refuses a tau of another degree; the state operations rely on this check.
+    The gather of tau's 0-based images is built once and cached on tau."""
     image = sigma.image
     if len(image) != len(tau.image):
         raise ValueError(f"degree mismatch: {sigma.n} vs {tau.n}")
-    return _trusted(tuple([image[t - 1] for t in tau.image]))
+    cached = tau.__dict__
+    gather = cached.get("_gather")
+    if gather is None:
+        # itemgetter of one index returns the item, not a 1-tuple; at n = 1
+        # tau is the identity, and the whole-tuple slice gives its image
+        indices = [t - 1 for t in tau.image] if len(image) > 1 else [slice(None)]
+        gather = cached["_gather"] = itemgetter(*indices)
+    return _trusted(gather(image))
 
 
 def inverse(sigma: Permutation) -> Permutation:
@@ -120,8 +131,24 @@ def perm_pow(sigma: Permutation, r: int) -> Permutation:
 
 
 def sign(sigma: Permutation) -> int:
-    """Parity bit: 0 for even permutations, 1 for odd."""
-    return (sigma.n - len(sigma.cycle_type)) % 2
+    """Parity bit: 0 for even permutations, 1 for odd: n minus the cycle count.
+
+    Reads a cached cycle type (a key's); otherwise counts the cycles in one
+    pass and caches nothing, so a fresh draw pays for no sorted cycle type."""
+    image = sigma.image
+    cycle_type = sigma.__dict__.get("cycle_type")
+    if cycle_type is not None:
+        return (len(image) - len(cycle_type)) % 2
+    seen = bytearray(len(image) + 1)
+    cycles = 0
+    for start in image:
+        if not seen[start]:
+            cycles += 1
+            point = start
+            while not seen[point]:
+                seen[point] = 1
+                point = image[point - 1]
+    return (len(image) - cycles) % 2
 
 
 def is_ff_degree(n: int) -> bool:
@@ -193,8 +220,21 @@ class SecurityParam:
         return cls(n=n, kind=CYC, m=m)
 
 
+@cache
+def _points(n: int) -> np.ndarray:
+    return np.arange(1, n + 1)
+
+
+def _shuffled_points(n: int, rng: np.random.Generator) -> list[int]:
+    """1..n in the order of ``rng.permutation(n) + 1``, leaving rng in the same
+    state: permutation(n) runs this one shuffle on arange(n)."""
+    points = _points(n).copy()
+    rng.shuffle(points)
+    return points.tolist()
+
+
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    return _trusted(tuple((rng.permutation(n) + 1).tolist()))
+    return _trusted(tuple(_shuffled_points(n, rng)))
 
 
 def sample_fpf_involution(param: SecurityParam, rng: np.random.Generator) -> Permutation:
@@ -226,7 +266,7 @@ def sample_cyclic(param: SecurityParam, rng: np.random.Generator) -> Permutation
     """
     if param.kind != CYC:
         raise ValueError("sample_cyclic needs a cyc parameter")
-    points = (rng.permutation(param.n) + 1).tolist()
+    points = _shuffled_points(param.n, rng)
     image = [0] * param.n
     for start in range(0, param.n, param.m):
         block = points[start:start + param.m]

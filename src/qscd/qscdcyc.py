@@ -49,9 +49,11 @@ def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> Sparse
 def _coset_draw(pi: Permutation, s: int, rng: np.random.Generator) -> SparseState:
     # gen_cyc for a pi whose cycles all have one length m: a checked key, or
     # coset_sample's group generator, the identity or an fpf involution.
+    # The t = 0 term is sigma itself: pi^0 is the identity.
     m = pi.cycle_type[0]
     sigma = random_permutation(pi.n, rng)
-    amps = {(0, compose(sigma, power)): amp for power, amp in zip(powers(pi, m), _phase_row(s, m))}
+    table = powers(pi, m)
+    amps = {(0, compose(sigma, table[t]) if t else sigma): amp for t, amp in enumerate(_phase_row(s, m))}
     return SparseState(pi.n, 1, amps)
 
 

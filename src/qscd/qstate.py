@@ -126,7 +126,8 @@ class SparseState:
             split = 0j + amp * scale
             if abs(split) < PRUNE_TOL:
                 continue
-            terms.extend((r, compose(perm, table[r]), split) for r in range(m))
+            # pi^0 is the identity: the r = 0 term keeps perm itself
+            terms.extend((r, compose(perm, table[r]) if r else perm, split) for r in range(m))
         return SparseState(self.n, m, _fourier_amps(m, "forward", terms))
 
     def phase_by_sign(self) -> SparseState:

@@ -80,6 +80,12 @@ def brute_cyclic_class(n: int, m: int) -> set[tuple[int, ...]]:
     return out
 
 
+def inversion_parity(images: tuple[int, ...]) -> int:
+    """Parity of a permutation's image tuple by counting its inversions."""
+    n = len(images)
+    return sum(images[i] > images[j] for i in range(n) for j in range(i + 1, n)) % 2
+
+
 def brute_automorphisms(n: int, edges: frozenset[tuple[int, int]]) -> list[Permutation]:
     """All automorphisms by scanning S_n against the edge set."""
     out = []
@@ -256,10 +262,11 @@ class StubRng:
         self._perm = perm
         self._bits = list(bits or [])
 
-    def permutation(self, n: int):
+    def shuffle(self, x: np.ndarray) -> None:
+        """Reorder x in place by the scripted 0-based permutation, as
+        ``Generator.shuffle`` reorders it by its draw; x[:] = x[perm]."""
         if self._perm is not None:
-            return np.array(self._perm)
-        return np.arange(n)
+            x[:] = x[np.array(self._perm)]
 
     def integers(self, *args, **kwargs):
         if self._bits:

@@ -26,7 +26,7 @@ from qscd.permgroup import (
     sign,
 )
 
-from oracles import brute_cyclic_class, brute_fpf_involutions, from_cycles
+from oracles import StubRng, brute_cyclic_class, brute_fpf_involutions, from_cycles, inversion_parity
 
 perms6 = st.permutations(list(range(1, 7))).map(lambda xs: Permutation(tuple(xs)))
 
@@ -65,8 +65,29 @@ class TestCompose:
             assert compose(pi, pi) == identity(6)
 
     def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^degree mismatch: 3 vs 4$"):
             compose(identity(3), identity(4))
+        # a longer left factor: the gather of a degree-3 tau would keep three
+        # of its four images, so the check must come first, cached or not
+        tau = from_cycles(3, [(1, 2)])
+        with pytest.raises(ValueError, match="^degree mismatch: 4 vs 3$"):
+            compose(identity(4), tau)
+        compose(identity(3), tau)
+        assert "_gather" in vars(tau)
+        with pytest.raises(ValueError, match="^degree mismatch: 4 vs 3$"):
+            compose(identity(4), tau)
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 14, 1000])
+    def test_matches_tuple_composition(self, n):
+        rng = np.random.default_rng(n)
+        tau = random_permutation(n, rng)
+        for _ in range(20):
+            sigma = random_permutation(n, rng)
+            expected = tuple(sigma.image[t - 1] for t in tau.image)
+            for right in (tau, Permutation(tau.image)):  # reused, then fresh
+                got = compose(sigma, right)
+                assert got.image == expected
+                assert type(got.image) is tuple and all(type(x) is int for x in got.image)
 
     @settings(max_examples=50, deadline=None)
     @given(perms6, perms6, perms6)
@@ -103,6 +124,17 @@ class TestSign:
         assert len(oracle) == 15
         for images in oracle:
             assert sign(Permutation(images)) == 1
+
+    def test_matches_inversion_parity(self):
+        perms = [Permutation(images) for n in range(1, 7) for images in itertools.permutations(range(1, n + 1))]
+        rng = np.random.default_rng(32)
+        perms += [random_permutation(n, rng) for n in range(1, 15) for _ in range(50)]
+        for p in perms:
+            assert "cycle_type" not in vars(p)
+            assert sign(p) == inversion_parity(p.image), p
+            assert "cycle_type" not in vars(p)
+            assert len(p.cycle_type) >= 1  # cached now: sign reads it
+            assert sign(p) == inversion_parity(p.image), p
 
     @settings(max_examples=50, deadline=None)
     @given(perms6, perms6)
@@ -157,9 +189,9 @@ class TestTrustedResults:
         fresh = Permutation(pi.image)
         before = (hash(pi), repr(pi))
         assert is_cyclic_class(pi, 3) and sign(pi) == 0 and pi.cycle_type == (3, 3)
-        assert perm_pow(pi, 2) == from_cycles(6, [(1, 3, 2), (4, 6, 5)])
-        assert "_powers" in vars(pi) and "cycle_type" in vars(pi)
-        assert "_powers" not in vars(fresh)
+        assert perm_pow(pi, 2) == from_cycles(6, [(1, 3, 2), (4, 6, 5)])  # composes with pi
+        assert "_powers" in vars(pi) and "cycle_type" in vars(pi) and "_gather" in vars(pi)
+        assert "_powers" not in vars(fresh) and "_gather" not in vars(fresh)
         assert pi == fresh and fresh == pi
         assert (hash(pi), repr(pi)) == before == (hash(fresh), repr(fresh))
         assert {pi: 1}[fresh] == 1
@@ -219,6 +251,38 @@ class TestSecurityParam:
         assert SecurityParam.cyc(MAX_DEGREE - 1, 3).m == 3  # the degree ceiling at m = 3 stays open
         with pytest.raises(ValueError, match=f"holds {100 * (n + 10)} permutation points, over the ceiling"):
             SecurityParam.cyc(n + 10, 10)
+
+
+class TestDraw:
+    """random_permutation and sample_cyclic draw exactly as rng.permutation(n) + 1."""
+
+    def check(self, n, seed, m=None):
+        """random_permutation(n), or sample_cyclic at (n, m) when m is given:
+        the same images, and the same generator state after the draw."""
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        points = (want_rng.permutation(n) + 1).tolist()
+        if m is None:
+            assert random_permutation(n, got_rng) == Permutation(tuple(points))
+        else:
+            blocks = [tuple(points[i:i + m]) for i in range(0, n, m)]
+            assert sample_cyclic(SecurityParam.cyc(n, m), got_rng) == from_cycles(n, blocks)
+        assert got_rng.random() == want_rng.random()
+
+    def test_small_degrees_over_seeds(self):
+        for seed in range(500):
+            for n in range(1, 15):
+                self.check(n, seed)
+                for m in range(2, n + 1):
+                    if n % m == 0:
+                        self.check(n, seed, m)
+
+    def test_degree_ceiling(self):
+        self.check(MAX_DEGREE, 34)
+        self.check(MAX_DEGREE, 35, 2)
+
+    def test_stub_shuffle_is_the_scripted_permutation(self):
+        assert random_permutation(4, StubRng()) == identity(4)
+        assert random_permutation(3, StubRng([2, 0, 1])) == Permutation((3, 1, 2))
 
 
 class TestSampleFpfInvolution:

@@ -13,8 +13,10 @@ from qscd.permgroup import (
     compose,
     identity,
     perm_pow,
+    random_permutation,
     sample_cyclic,
     sample_fpf_involution,
+    sign,
 )
 from qscd.qscdcyc import decode_cyc, decode_distribution, gen_cyc
 from qscd.qscdff import convert, distinguish, gen_plus
@@ -284,3 +286,30 @@ def test_distinguish_timing():
     best = min(timeit.repeat(lambda: distinguish(state, PI6, rng), number=number, repeat=7)) / number
     print(f"\ndistinguish, two-entry n = 6 state: {best * 1e6:.1f} us (best of 7 runs of {number})")
     assert distinguish(state, PI6, rng) == 1
+
+
+@pytest.mark.slow
+def test_permgroup_kernel_timing():
+    # Not a gate: prints the best of 7 for the kernels on every draw and
+    # decode at n = 6. pytest -m slow -s tests/test_qscdcyc.py -k timing
+    rng = np.random.default_rng(62)
+    sigma, tau = random_permutation(6, rng), random_permutation(6, rng)
+    number = 20000
+    perms = []
+
+    def fresh_draws():  # new draws each run: a cycle type cached by a run before would be read
+        perms[:] = [random_permutation(6, rng) for _ in range(number)]
+
+    def sign_each():
+        for p in perms:
+            sign(p)
+
+    timings = {
+        "compose, reused right factor": timeit.repeat(lambda: compose(sigma, tau), number=number, repeat=7),
+        "sign, fresh permutation": timeit.repeat(sign_each, fresh_draws, number=1, repeat=7),
+        "random_permutation": timeit.repeat(lambda: random_permutation(6, rng), number=number, repeat=7),
+    }
+    print()
+    for name, runs in timings.items():
+        print(f"{name}, n = 6: {min(runs) / number * 1e6:.2f} us (best of 7 runs of {number})")
+    assert sign(compose(sigma, tau)) == sign(sigma) ^ sign(tau)
