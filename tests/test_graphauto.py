@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import timeit
 from collections import defaultdict, deque
 from itertools import groupby
 from operator import itemgetter
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qscd import graphauto
 from qscd.graphauto import (
     _contract,
+    _search,
     _refined_cells,
     Graph,
     PromiseInstance,
@@ -211,12 +214,30 @@ def scan_queries(g):
     return queries
 
 
+def scan_pairs(g):
+    """(base, i, j) of every query of koebler_reduce's full scan of g, in scan order."""
+    base = complement(g) if g.node_count > 1 and not is_connected(g) else g
+    n = base.node_count
+    return [(base, i, j) for i in range(n, 0, -1) for j in range(i + 1, n + 1)]
+
+
+def scanned_bases():
+    # the paths on 2..14 nodes and every graph on up to 4 nodes
+    return [path(n) for n in range(2, 15)] + [g for n in range(1, 5) for g in all_graphs(n)]
+
+
 @pytest.fixture(scope="module")
 def scanned_queries():
-    # the scans of the paths on 2..14 nodes and of every graph on up to 4 nodes
-    bases = [path(n) for n in range(2, 15)]
-    bases.extend(g for n in range(1, 5) for g in all_graphs(n))
-    return [q for g in bases for q in scan_queries(g)]
+    return [q for g in scanned_bases() for q in scan_queries(g)]
+
+
+def oracle_answer(q):
+    """The oracle's count, or its refusal: a full scan goes on past its
+    first YES, and some later queries break the promise."""
+    try:
+        return unique_ga_ff_oracle(q)
+    except PromiseViolation as err:
+        return str(err)
 
 
 def refined_cells_reference(adj, start):
@@ -629,6 +650,51 @@ class TestOracle:
         assert padded.node_count == 10
         with pytest.raises(PromiseViolation, match="fixed-point-free"):
             unique_ga_ff_oracle(padded)
+
+    def test_promise_violation_on_a_fixed_point_in_the_core(self):
+        # the triangle 1-2-3 with the path 1-4-5-6 hung on node 1: the unique
+        # nontrivial automorphism swaps 2 and 3 and fixes the core vertex 1
+        tadpole = Graph(6, frozenset({(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (5, 6)}))
+        assert len(automorphisms(tadpole)) == 2
+        message = "nontrivial automorphism is not a fixed-point-free involution"
+        with pytest.raises(PromiseViolation, match=message):
+            unique_ga_ff_oracle(tadpole)
+        with pytest.raises(PromiseViolation, match=message):
+            PromiseInstance(tadpole).aut_elements()
+
+    def test_answers_without_building_a_permutation(self, scanned_queries, monkeypatch):
+        # every scan query gets the same answer, a count or a refusal, when
+        # building a permutation in graphauto raises
+        want = [oracle_answer(q) for q in scanned_queries]
+
+        def refuse(image):
+            raise AssertionError("the oracle built a permutation")
+
+        monkeypatch.setattr(graphauto, "Permutation", refuse)
+        assert [oracle_answer(q) for q in scanned_queries] == want
+        assert want.count(1) > 100
+        with pytest.raises(AssertionError, match="built a permutation"):
+            PromiseInstance(build_query(K2, 1, 2)).aut_elements()
+
+
+@pytest.mark.slow
+def test_promise_query_layer_timing(scanned_queries):
+    # Not a gate: prints the best of 7 for each layer of a promise query, per
+    # query of the scans. pytest -m slow -s tests/test_graphauto.py -k timing
+    pairs = [pair for g in scanned_bases() for pair in scan_pairs(g)]
+    assert [build_query(*pair) for pair in pairs] == scanned_queries
+    kept = [_contract(q)[:2] for q in scanned_queries]
+    layers = {
+        "build_query": lambda: [build_query(*pair) for pair in pairs],
+        "_contract": lambda: [_contract(q) for q in scanned_queries],
+        "kept-graph search": lambda: [list(itertools.islice(_search(*k)[1](), 3)) for k in kept],
+        "unique_ga_ff_oracle": lambda: [oracle_answer(q) for q in scanned_queries],
+    }
+    number = len(scanned_queries)
+    print()
+    for name, run in layers.items():
+        best = min(timeit.repeat(run, number=1, repeat=7)) / number
+        print(f"{name}: {best * 1e6:.1f} us a query (best of 7 runs over {number} scan queries)")
 
 
 class TestKoeblerReduce:

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -206,6 +208,25 @@ class TestTrustedResults:
             image = tuple(image[t - 1] for t in sigma.image)
         assert [p.image for p in powers(sigma, count)[:count]] == expected
         assert [perm_pow(sigma, r).image for r in range(count)] == expected
+
+    def test_power_table_holds_the_key_itself(self):
+        # the key's gather is built once, on the key, and no equal copy of
+        # the key holds a second one; the cached table does not refer back
+        # to the key, which is freed once dropped, without a collection
+        for cycles, m in [([(1, 2), (3, 4), (5, 6)], 2), ([(1, 2, 3), (4, 5, 6)], 3)]:
+            pi = from_cycles(6, cycles)
+            table = powers(pi, m)
+            assert table[1] is pi and len(table) == m
+            assert [k for k, p in enumerate(table) if "_gather" in vars(p)] == ([1] if m > 2 else [])
+            compose(identity(6), table[1])
+            assert [k for k, p in enumerate(table) if "_gather" in vars(p)] == [1]
+            freed = weakref.ref(pi)
+            gc.disable()
+            try:
+                del pi, table
+                assert freed() is None
+            finally:
+                gc.enable()
 
     def test_power_table_stops_at_the_order(self):
         pi = from_cycles(6, [(1, 2, 3), (4, 5)])
