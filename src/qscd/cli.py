@@ -16,6 +16,7 @@ from pathlib import Path
 from .graphauto import (
     PromiseInstance,
     PromiseViolation,
+    check_node_limit,
     group_order,
     koebler_reduce,
     largest_query_nodes,
@@ -144,10 +145,8 @@ def cmd_ga(args) -> int:
 
 def cmd_reduce_ga(args) -> int:
     g = parse_graph(Path(args.graph).read_text())
-    largest = largest_query_nodes(g.node_count)
-    if largest > args.limit:
-        # the oracle's own refusal of the first query, before anything is built
-        raise ValueError(f"{largest} nodes exceeds the configured limit {args.limit}")
+    # the oracle's own refusal of the first query, before anything is built
+    check_node_limit(largest_query_nodes(g.node_count), args.limit)
     count = 0
 
     def logging_oracle(query):
@@ -161,6 +160,9 @@ def cmd_reduce_ga(args) -> int:
     print(f"queries={count}")
     print("YES" if result else "NO")
     return EXIT_OK
+
+
+DISTINGUISHERS = ["omniscient", "coin", "basis-measure"]
 
 
 def _named_distinguisher(name: str, secret: Permutation | None):
@@ -279,10 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_seed(p):
         p.add_argument("--seed", type=int, required=True, help="root seed; fixes all randomness")
 
+    def add_params(p):
+        # the flags that _params_from_args reads
+        p.add_argument("--mode", choices=["ff", "cyc"], required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, help="cycle length for cyc mode (default 2)")
+
     p = sub.add_parser("keygen", help="sample a key pair and write the key file")
-    p.add_argument("--mode", choices=["ff", "cyc"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, help="cycle length for cyc mode (default 2)")
+    add_params(p)
     p.add_argument("--out", required=True)
     add_seed(p)
     p.set_defaults(func=cmd_keygen)
@@ -301,9 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("demo", help="full key-transmission and message-transmission transcript")
-    p.add_argument("--mode", choices=["ff", "cyc"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, help="cycle length for cyc mode (default 2)")
+    add_params(p)
     add_seed(p)
     p.set_defaults(func=cmd_demo)
 
@@ -319,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="distinguisher-driven attack pipeline on an instance")
     p.add_argument("--graph", required=True)
-    p.add_argument("--dist", choices=["omniscient", "coin", "basis-measure"], required=True)
+    p.add_argument("--dist", choices=DISTINGUISHERS, required=True)
     p.add_argument("--key", help="key file holding the omniscient trapdoor")
     p.add_argument("--planted-key", help="key file: a planted automorphism, checked by the search")
     p.add_argument("--k", type=int, default=1, help="samples per tuple")
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("advantage", help="estimate a distinguisher's acceptance gap")
-    p.add_argument("--dist", choices=["omniscient", "coin", "basis-measure"], required=True)
+    p.add_argument("--dist", choices=DISTINGUISHERS, required=True)
     p.add_argument("--pair", choices=["ff", "plus-iota", "cyc"], default="ff")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, help="cycle length for the cyc pair (default 3)")

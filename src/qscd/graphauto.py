@@ -331,15 +331,16 @@ def _contract(g: Graph):
     return adj, [label[v] for v in kept], product, extend
 
 
-def _check_size(g: Graph, node_limit: int) -> None:
-    if g.node_count > node_limit:
-        raise ValueError(f"{g.node_count} nodes exceeds the configured limit {node_limit}")
+def check_node_limit(node_count: int, node_limit: int) -> None:
+    """The one node-limit check: refuses a graph of node_count nodes."""
+    if node_count > node_limit:
+        raise ValueError(f"{node_count} nodes exceeds the configured limit {node_limit}")
 
 
 def iter_automorphisms(g: Graph, node_limit: int = 40) -> Iterator[Permutation]:
     """Yield every automorphism of g once, in search order; callers may stop
     early. This is the complete search, from one colour on the whole graph."""
-    _check_size(g, node_limit)
+    check_node_limit(g.node_count, node_limit)
     backtrack = _search(g.adjacency(), [0] * g.node_count)[1]
     return (Permutation(tuple(x + 1 for x in image)) for image in backtrack())
 
@@ -359,7 +360,7 @@ def group_order(g: Graph, node_limit: int = 40) -> int:
     sparser one is contracted and searched. An oversized graph is refused
     before it is complemented."""
     n = g.node_count
-    _check_size(g, node_limit)
+    check_node_limit(n, node_limit)
     if 4 * len(g.edges) > n * (n - 1):
         g = complement(g)
     adj, colors, total, _ = _contract(g)
@@ -476,7 +477,7 @@ def _promise_images(g: Graph, node_limit: int = 4000):
     one on the kept vertices, which is what is checked."""
     if not is_ff_degree(g.node_count):
         raise PromiseViolation(f"node count {g.node_count} is not 2 mod 4")
-    _check_size(g, node_limit)
+    check_node_limit(g.node_count, node_limit)
     adj, colors, product, extend = _contract(g)
     images = sorted(islice(_search(adj, colors)[1](), 3))
     if len(images) * product > 2:

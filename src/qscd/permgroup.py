@@ -135,14 +135,9 @@ def perm_pow(sigma: Permutation, r: int) -> Permutation:
 
 
 def sign(sigma: Permutation) -> int:
-    """Parity bit: 0 for even permutations, 1 for odd: n minus the cycle count.
-
-    Reads a cached cycle type (a key's); otherwise counts the cycles in one
-    pass and caches nothing, so a fresh draw pays for no sorted cycle type."""
+    """Parity bit: 0 for even permutations, 1 for odd: n minus the cycle count,
+    counted in one pass with nothing cached, so a draw pays for no cycle type."""
     image = sigma.image
-    cycle_type = sigma.__dict__.get("cycle_type")
-    if cycle_type is not None:
-        return (len(image) - len(cycle_type)) % 2
     seen = bytearray(len(image) + 1)
     cycles = 0
     for start in image:

@@ -2,7 +2,7 @@
 
 A draw for key pi and symbol s is (1/sqrt(m)) sum_t w^(st) |sigma pi^t> with
 w = exp(2 pi i / m) and a uniform hiding translation sigma. ``_coset_draw``
-builds every such draw in the package: gen_cyc's, gen_plus's, and
+builds every such draw in the package: gen_cyc's (and so gen_plus's), and
 ``graphauto.coset_sample``'s symbol-0 draws over a cyclic Aut(G); it reads
 m from pi, whose cycles all have length m. The decoder runs the generalized
 controlled-key test and recovers s exactly. That test is the state-engine
@@ -10,12 +10,14 @@ operation ``SparseState.controlled_key_test``, which reads m from the key and
 checks it; this module reads out the control register.
 
 The fixed-point-free scheme (qscdff) is the m = 2 case: for a key in K_n,
-symbol 0 gives the plus state, symbol 1 the minus state, and the decoder is
-the trapdoor test. No key-free conversion between symbols is offered for
-m > 2, because none exists: the m = 2 conversion rides on the sign map, the
-only homomorphism from S_n onto a cyclic group (its kernel must be a normal
-subgroup, and for n > 4 those are just the trivial group, the alternating
-group, and S_n itself), so there is no analogous phase trick onto Z_m.
+symbol 0 gives the plus state, symbol 1 the minus state. qscdff's gen_plus
+is gen_cyc at m = 2 and symbol 0, and its trapdoor test is decode_cyc at
+m = 2, read as YES on symbol 0. No key-free conversion between symbols is
+offered for m > 2, because none exists: the m = 2 conversion rides on the
+sign map, the only homomorphism from S_n onto a cyclic group (its kernel
+must be a normal subgroup, and for n > 4 those are just the trivial group,
+the alternating group, and S_n itself), so there is no analogous phase
+trick onto Z_m.
 
 A mixed state is never held as a density matrix: each draw is one pure
 SparseState, and nothing else. Which key and symbol it came from is known

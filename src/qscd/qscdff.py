@@ -2,11 +2,12 @@
 
 For a hidden key pi in K_n (a fixed-point-free involution, n = 2 mod 4) the
 cyclic symbol-0 and symbol-1 states of qscdcyc are the plus and minus
-two-point coset states, and the cyclic decoder is the trapdoor test that
-decides plus/minus given pi. This module adds what only m = 2 has: the
-maximally mixed state iota, and the key-free sign-phase conversion between
-plus and minus. It also holds the distinguisher type that the reductions
-feed with tuples of bare states drawn from either scheme.
+two-point coset states: gen_plus is gen_cyc at m = 2 and symbol 0, and the
+trapdoor test is decode_cyc at m = 2 read as YES on symbol 0, each behind
+the ff degree check. This module adds what only m = 2 has: the maximally
+mixed state iota, and the key-free sign-phase conversion between plus and
+minus. It also holds the distinguisher type that the reductions feed with
+tuples of bare states drawn from either scheme.
 """
 
 from __future__ import annotations
@@ -16,16 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .permgroup import Permutation, random_permutation, require_cyclic_key, require_ff_degree
-from .qscdcyc import _coset_draw
+from .qscdcyc import decode_cyc, gen_cyc
 from .qstate import SparseState, basis_state
 
 # A distinguisher maps the visible states plus an RNG handle to a bit.
 Distinguisher = Callable[[Sequence[SparseState], np.random.Generator], int]
-
-
-def require_ff_key(pi: Permutation) -> None:
-    require_ff_degree(pi.n)
-    require_cyclic_key(pi, 2)
 
 
 def gen_plus(pi: Permutation, rng: np.random.Generator) -> SparseState:
@@ -33,8 +29,8 @@ def gen_plus(pi: Permutation, rng: np.random.Generator) -> SparseState:
 
     The result is (|sigma> + |sigma pi>) / sqrt(2) for a uniform sigma.
     """
-    require_ff_key(pi)
-    return _coset_draw(pi, 0, rng)
+    require_ff_degree(pi.n)
+    return gen_cyc(pi, 0, 2, rng)
 
 
 def gen_iota(n: int, rng: np.random.Generator) -> SparseState:
@@ -56,5 +52,6 @@ def convert(state: SparseState) -> SparseState:
 
 def distinguish(state: SparseState, pi: Permutation, rng: np.random.Generator) -> int:
     """Trapdoor test: 1 (YES, plus) on decoded symbol 0, else 0 (NO, minus)."""
-    require_ff_key(pi)
-    return 1 if state.controlled_key_test(pi).measure_control(rng) == 0 else 0
+    require_ff_degree(pi.n)
+    require_cyclic_key(pi, 2)
+    return 1 if decode_cyc(state, pi, rng) == 0 else 0

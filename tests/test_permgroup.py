@@ -135,7 +135,7 @@ class TestSign:
             assert "cycle_type" not in vars(p)
             assert sign(p) == inversion_parity(p.image), p
             assert "cycle_type" not in vars(p)
-            assert len(p.cycle_type) >= 1  # cached now: sign reads it
+            assert len(p.cycle_type) >= 1  # cached now: sign still counts the cycles
             assert sign(p) == inversion_parity(p.image), p
 
     @settings(max_examples=50, deadline=None)

@@ -6,10 +6,12 @@ from scipy import stats
 
 from qscd.permgroup import (
     Permutation,
+    SecurityParam,
     compose,
     identity,
+    sample_fpf_involution,
 )
-from qscd.qscdcyc import decode_distribution
+from qscd.qscdcyc import decode_cyc, decode_distribution, gen_cyc
 from qscd.qscdff import convert, distinguish, gen_iota, gen_plus
 from qscd.qstate import SparseState, states_equal
 
@@ -148,6 +150,49 @@ class TestDistinguish:
                 sample = handmade_plus(sigma, pi)
                 assert decode_distribution(sample, pi)[1] < 1e-12
                 assert decode_distribution(convert(sample), pi)[0] < 1e-12
+
+
+def amp_bits(state):
+    """The entries in order, each key with its amplitude's exact bits."""
+    return [(key, complex(amp).real.hex(), complex(amp).imag.hex()) for key, amp in state.amps.items()]
+
+
+class TestRoutedThroughTheCyclicPrimitive:
+    """gen_plus and distinguish are gen_cyc and decode_cyc at m = 2: given
+    equal generators, each pair of calls returns the same draw or verdict
+    and leaves the generators in the same state."""
+
+    @pytest.mark.parametrize("n", [2, 6, 10, 14])
+    def test_gen_plus_is_gen_cyc_at_m2(self, n):
+        for seed in range(25):
+            pi = sample_fpf_involution(SecurityParam.ff(n), np.random.default_rng(seed))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert amp_bits(gen_plus(pi, rng_a)) == amp_bits(gen_cyc(pi, 0, 2, rng_b))
+            assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("n", [2, 6, 10, 14])
+    def test_distinguish_is_decode_cyc_at_m2(self, n):
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            pi = sample_fpf_involution(SecurityParam.ff(n), rng)
+            plus = gen_plus(pi, rng)
+            for state in (plus, convert(plus), gen_iota(n, rng)):
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert distinguish(state, pi, rng_a) == (1 if decode_cyc(state, pi, rng_b) == 0 else 0)
+                assert rng_a.random() == rng_b.random()
+
+    def test_refusals_are_the_ff_checks(self):
+        # decode_cyc would read m = 3 from a key in K_6^3 and decode it, so
+        # distinguish checks the class of its key itself.
+        state = gen_plus(PI6, np.random.default_rng(0))
+        for key, message in (
+            (from_cycles(4, [(1, 2), (3, 4)]), "^degree 4 is not 2 mod 4$"),
+            (from_cycles(6, [(1, 2, 3), (4, 5, 6)]), "^key is not a product of disjoint 2-cycles$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                gen_plus(key, np.random.default_rng(0))
+            with pytest.raises(ValueError, match=message):
+                distinguish(state, key, np.random.default_rng(0))
 
 
 class TestBlindness:
