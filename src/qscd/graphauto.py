@@ -16,7 +16,7 @@ import math
 from collections import Counter, deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 
 import numpy as np
@@ -53,6 +53,12 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range")
             canonical.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(canonical))
+
+    @cached_property
+    def _contraction(self):
+        """``_contract(self)``; ``build_query`` sets it for a query from the
+        two base copies and the gadgets hung on them."""
+        return _contract(self)
 
     def adjacency(self) -> list[set[int]]:
         """0-based neighbor sets."""
@@ -241,60 +247,123 @@ def _search(adj: list[set[int]], colors: Sequence[int]):
     return order, backtrack
 
 
-def _contract(g: Graph):
+_LABELS: dict[tuple[int, ...], int] = {}  # the gadgets' rooted-tree labels, filled by _gadget
+
+
+@cache
+def _gadget(n: int, tail: int) -> tuple[int, int, int]:
+    """(label, height, product) of the tree that ``_hang_label`` hangs for
+    (n, tail), rooted at its first node: a path of n+2 nodes whose last node
+    holds an arm of n+1 nodes and a tail of tail nodes. Its labels are
+    interned in ``_LABELS``, and nothing else is, so the table holds the
+    subtrees of the gadgets asked for, however many queries hang them. The
+    height counts nodes: a tree's root is peeled in the round of its height."""
+
+    def intern(key: tuple[int, ...]) -> int:
+        return _LABELS.setdefault(key, len(_LABELS))
+
+    path = [intern(())]  # path[k]: a path of k+1 nodes hung by an end
+    while len(path) < max(n + 1, tail):
+        path.append(intern((path[-1],)))
+    label = intern(tuple(sorted([path[n], path[tail - 1]] if tail else [path[n]])))
+    for _ in range(n + 1):
+        label = intern((label,))
+    return label, max(n + 1, tail) + n + 2, 2 if tail == n + 1 else 1
+
+
+def _contract(g: Graph, hung: Sequence[tuple[int, int, int, int]] = ()):
     """Peel g's pendant trees: every current leaf at once, round after round,
     each recording the neighbour it hung from as its parent. What is left is
     the 2-core plus the centre, or the two centres, of each tree component.
     Each vertex is labelled bottom up by the sorted labels of its children,
     interned: the rooted-tree encoding of Aho, Hopcroft and Ullman (1974).
 
+    Each entry (node, root, n, tail) of hung, in node order, is a gadget
+    whose edges g leaves out: the tree ``_hang_label`` hangs on node for
+    (n, tail), numbered from root. Its root is peeled in the round of its
+    height with ``_gadget``'s label, as its own leaves would have brought it
+    there, and no other node of it is visited. That holds while its node
+    outlives the root. If the node becomes a leaf with the root as its last
+    neighbour, a centre lies inside the gadget, and the peel starts again
+    with that one gadget's edges in g. A label that ``_LABELS`` holds is
+    read from it; any other is a negative number local to the call.
+
     Returns (adj, colors, product, extend): the kept graph, renumbered from 0
     in node order; each kept vertex's label as its colour; the product over
     every vertex of k! for each k of its children that share a label; and
     ``extend(image)``, which carries a kept automorphism down the trees by
     matching children with equal labels, a match that is unique when the
-    product is 1. The (parent, label) map it matches through is built on its
-    first call and shared by the later ones. An automorphism of g keeps the
-    2-core, the centres and the labels, and each colour-preserving
-    automorphism of the kept graph extends in exactly product ways, so
-    |Aut(g)| is |Aut_col(kept)| times the product. The product's factorials
-    are counted only at a vertex whose children repeat a label."""
+    product is 1, and moves each gadget as its root moves. The
+    (parent, label) map it matches through is built on its first call and
+    shared by the later ones. An automorphism of g keeps the 2-core, the
+    centres and the labels, and each colour-preserving automorphism of the
+    kept graph extends in exactly product ways, so |Aut(g)| is
+    |Aut_col(kept)| times the product. The product's factorials are counted
+    only at a vertex whose children repeat a label."""
     n = g.node_count
     # Nodes are 1-based and parent 0 marks a kept node. rest[v] is the sum
-    # of v's unpeeled neighbours: its last one when deg[v] is 1.
+    # of v's unpeeled neighbours in g: its last one when deg[v] is 1, unless
+    # that one is a gadget's root.
     deg, rest = [0] * (n + 1), [0] * (n + 1)
     for u, v in g.edges:
         deg[u] += 1
         deg[v] += 1
         rest[u] += v
         rest[v] += u
-    parent = [0] * (n + 1)
-    children: list[list[int]] = [[] for _ in range(n + 1)]
+    parent, label = [0] * (n + 1), [0] * (n + 1)
+    product = 1
+    nodes: list[int] = []  # g's nodes outside the gadgets
+    spans: list[tuple[int, int]] = []  # (root, node count) of each gadget
+    due: dict[int, list[int]] = {}  # the gadget roots each round peels
+    after = 1
+    for node, root, base, tail in hung:
+        label[root], height, twins = _gadget(base, tail)
+        nodes.extend(range(after, root))
+        after = root + 2 * base + 3 + tail
+        spans.append((root, after - root))
+        parent[root] = node
+        deg[node] += 1
+        due.setdefault(height, []).append(root)
+        product *= twins
+    nodes.extend(range(after, n + 1))
+
+    children: dict[int, list[int]] = {}
     peeled: list[int] = []
-    leaves = [v for v in range(1, n + 1) if deg[v] == 1]
-    while leaves:
+    leaves = [v for v in nodes if deg[v] == 1]
+    height = 1  # each round peels the nodes of one height
+    while leaves or due:
+        if not leaves:  # no node of g is a leaf before the next gadget root
+            height = min(due)
         ends = set(leaves)
-        queued = []
+        first = len(peeled)
         for v in leaves:
             p = rest[v]
+            if not p:  # the last neighbour is the root of v's tallest gadget
+                inner = max((h for h in hung if h[0] == v), key=lambda h: _gadget(*h[2:])[1])
+                edges = set(g.edges)
+                _hang_label(edges, v, inner[1] - 1, *inner[2:])
+                return _contract(_trusted_graph(n, frozenset(edges)), [h for h in hung if h is not inner])
             if p in ends:  # the last edge of a tree: both ends are centres
                 continue
             parent[v] = p
-            children[p].append(v)
-            peeled.append(v)
-            deg[p] -= 1
             rest[p] -= v
+            peeled.append(v)
+        peeled.extend(due.pop(height, ()))
+        queued = []
+        for v in peeled[first:]:
+            p = parent[v]
+            children.setdefault(p, []).append(v)
+            deg[p] -= 1
             if deg[p] == 1:
                 queued.append(p)
         # a node queued at degree 1 may have dropped to 0 later in the round
         leaves = [v for v in queued if deg[v] == 1]
+        height += 1
 
-    kept = [v for v in range(1, n + 1) if not parent[v]]
-    label = [0] * (n + 1)
-    interned = {(): 0}
-    product = 1
+    kept = [v for v in nodes if not parent[v]]
+    local: dict[tuple[int, ...], int] = {}
     for v in (*peeled, *kept):
-        kids = children[v]
+        kids = children.get(v)
         if not kids:
             continue
         if len(kids) == 1:
@@ -304,7 +373,8 @@ def _contract(g: Graph):
             if len(set(key)) < len(key):
                 for k in Counter(key).values():
                     product *= math.factorial(k)
-        label[v] = interned.setdefault(key, len(interned))
+        shared = _LABELS.get(key)
+        label[v] = local.setdefault(key, ~len(local)) if shared is None else shared
 
     index = [-1] * (n + 1)
     for k, v in enumerate(kept):
@@ -326,6 +396,8 @@ def _contract(g: Graph):
             child.update(((parent[c], label[c]), c) for c in peeled)
         for v in reversed(peeled):  # parents before children
             full[v] = child[full[parent[v]], label[v]]
+        for root, size in spans:  # equal gadgets are numbered alike
+            full[root + 1:root + size] = range(full[root] + 1, full[root] + size)
         return Permutation(tuple(full[1:]))
 
     return adj, [label[v] for v in kept], product, extend
@@ -402,6 +474,10 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
     an internal swap, and to land the doubled total in {2, 6, 10, ...}. All
     sizes are computed against the node count of g itself, not of the
     partially labeled copies.
+
+    The query carries its contraction, which ``_promise_images`` reads: the
+    two copies' edges contracted with the gadgets hung on them, so that no
+    gadget is peeled node by node.
     """
     n = g.node_count
     if not 1 <= i < j <= n:
@@ -409,20 +485,24 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
     size, tails = _query_layout(n, i - 1)
 
     # Both labeled copies go into one edge set: the second copy's nodes are
-    # numbered after all of the first copy's.
-    edges: set[tuple[int, int]] = set()
+    # numbered after all of the first copy's. The query's contraction is
+    # taken from the copies' edges and the gadgets hung on them.
+    copies: set[tuple[int, int]] = set()
+    gadgets: set[tuple[int, int]] = set()
+    hung: list[tuple[int, int, int, int]] = []
     count = 0
     for a_node, b_node in ((i, j), (j, i)):
         shift = count
-        edges.update((u + shift, v + shift) for u, v in g.edges)
+        copies.update((u + shift, v + shift) for u, v in g.edges)
         count += n
-        for t in range(1, i):
-            count = _hang_label(edges, t + shift, count, n, t)
-        count = _hang_label(edges, a_node + shift, count, n, tails[0])
-        count = _hang_label(edges, b_node + shift, count, n, tails[1])
+        for node, tail in (*((t, t) for t in range(1, i)), (a_node, tails[0]), (b_node, tails[1])):
+            hung.append((node + shift, count + 1, n, tail))
+            count = _hang_label(gadgets, node + shift, count, n, tail)
     if count != size or count % 4 != 2:
         raise AssertionError(f"padding failed: {count} nodes, planned {size}; need 2 mod 4")
-    return _trusted_graph(count, frozenset(edges))
+    query = _trusted_graph(count, frozenset(copies | gadgets))
+    query.__dict__["_contraction"] = _contract(_trusted_graph(count, frozenset(copies)), hung)
+    return query
 
 
 def _query_layout(n: int, k: int) -> tuple[int, tuple[int, int]]:
@@ -463,7 +543,8 @@ def _promise_images(g: Graph, node_limit: int = 4000):
     """Verify the promise on the contracted graph; return (images, extend):
     the kept graph's colour-preserving automorphisms as 0-based images,
     sorted, so the identity comes first, and ``_contract``'s ``extend``,
-    which turns each into its one automorphism of g.
+    which turns each into its one automorphism of g. The contraction is the
+    one a query carries, or else g's own peel.
 
     Aut(g) has order |Aut_col(kept)| times the tree product, so the search
     stops at a third image, which already breaks the promise. A product of
@@ -478,7 +559,7 @@ def _promise_images(g: Graph, node_limit: int = 4000):
     if not is_ff_degree(g.node_count):
         raise PromiseViolation(f"node count {g.node_count} is not 2 mod 4")
     check_node_limit(g.node_count, node_limit)
-    adj, colors, product, extend = _contract(g)
+    adj, colors, product, extend = g._contraction
     images = sorted(islice(_search(adj, colors)[1](), 3))
     if len(images) * product > 2:
         raise PromiseViolation("3 or more automorphisms; the promise allows at most 2")

@@ -1,10 +1,15 @@
+import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 import timeit
 from collections import defaultdict, deque
 from itertools import groupby
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from qscd.graphauto import (
     PromiseInstance,
     PromiseViolation,
     _hang_label,
+    _query_layout,
     automorphisms,
     build_query,
     largest_query_nodes,
@@ -677,18 +683,170 @@ class TestOracle:
             PromiseInstance(build_query(K2, 1, 2)).aut_elements()
 
 
+def kept_summary(contraction):
+    """What a contraction decides by: the kept adjacency, the colour
+    partition (labels up to renaming), the tree product, and, when the
+    product is 1, every kept image with its extension's image."""
+    adj, colors, product, extend = contraction
+    cells = defaultdict(list)
+    for k, c in enumerate(colors):
+        cells[c].append(k)
+    images = []
+    if product == 1:
+        images = [(image, extend(image).image) for image in _search(adj, colors)[1]()]
+    return adj, sorted(cells.values()), product, images
+
+
+def tree_centres(g):
+    """The centre, or the two centres, of each component of the forest g,
+    from the middle of a longest path (two breadth-first searches)."""
+    adj = g.adjacency()
+
+    def farthest(start):
+        back = {start: -1}
+        queue = deque([start])
+        while queue:
+            last = queue.popleft()
+            for w in adj[last]:
+                if w not in back:
+                    back[w] = last
+                    queue.append(w)
+        return last, back
+
+    centres, seen = [], set()
+    for start in range(g.node_count):
+        if start not in seen:
+            a, component = farthest(start)
+            seen.update(component)
+            b, back = farthest(a)
+            line = [b]
+            while back[line[-1]] >= 0:
+                line.append(back[line[-1]])
+            centres += line[(len(line) - 1) // 2:len(line) // 2 + 1]
+    return sorted(v + 1 for v in centres)
+
+
+@st.composite
+def hung_gadgets(draw):
+    """(full, base, hung): a forest or twin-branch graph with one or two
+    gadgets hung through hang_one, and the same graph as ``_contract`` takes
+    it, the graph's own edges with the gadgets in hung. Tail lengths reach
+    n+1, the tail that gives a gadget an internal swap."""
+    g = draw(st.one_of(forests(8), forests(8, max_extra=3), twin_branches(8)))
+    base, hung = g, []
+    for _ in range(draw(st.integers(1, 2))):
+        node = draw(st.integers(1, base.node_count))
+        tail = draw(st.integers(1, base.node_count + 2))
+        hung.append((node, g.node_count + 1, g.node_count, tail))
+        g = hang_one(g, node, tail)
+    return g, Graph(g.node_count, base.edges), hung
+
+
+class TestAttachedContraction:
+    """A query carries the contraction of its base copies with the gadgets
+    hung on them, and it equals the peel of the whole query."""
+
+    def test_equals_the_peel_of_every_scan_query(self, scanned_queries):
+        for q in scanned_queries:
+            assert kept_summary(q._contraction) == kept_summary(_contract(q))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hung_gadgets())
+    def test_equals_the_peel_with_gadgets_hung_on_forests(self, case):
+        full, base, hung = case
+        assert kept_summary(_contract(base, hung)) == kept_summary(_contract(full))
+
+    def test_a_centre_inside_a_gadget(self, scanned_queries):
+        # In a query on a tree, each copy keeps its centres, and some lie on
+        # a gadget's chain; that gadget alone is then hung node by node.
+        bases = [base for g in scanned_bases() for base, _, _ in scan_pairs(g)]
+        found = []
+        for base, q in zip(bases, scanned_queries):
+            if len(base.edges) == base.node_count - 1:
+                half, n = q.node_count // 2, base.node_count
+                centres = tree_centres(q)
+                if any(n < v <= half or v > half + n for v in centres):
+                    found.append((n, sorted(base.edges), centres, q))
+        assert sum(len(b.edges) == b.node_count - 1 for b in bases) == 595
+        assert [(n, centres) for n, _, centres, _ in found] == (
+            [(3, [3, 41, 64]), (3, [3, 25, 41]), (3, [3, 41, 64]), (3, [3, 41, 64]), (3, [3, 25, 41])]
+            + [(4, [4, 44, 64]), (4, [4, 64, 105]), (4, [4, 64, 105]), (4, [4, 44, 64])]
+        )
+        for _, _, _, q in found:
+            parsed = Graph(q.node_count, q.edges)  # carries no contraction
+            assert oracle_answer(q) == oracle_answer(parsed)
+            assert promise_verdict(q) == promise_verdict(parsed)
+            assert kept_summary(q._contraction) == kept_summary(_contract(parsed))
+
+    def test_label_table_holds_gadget_subtrees_only(self, monkeypatch):
+        monkeypatch.setattr(graphauto, "_LABELS", {})
+        monkeypatch.setattr(graphauto, "_gadget", functools.cache(graphauto._gadget.__wrapped__))
+        for g in scanned_bases():
+            scan_queries(g)
+        table = dict(graphauto._LABELS)
+        for g in scanned_bases():
+            scan_queries(g)
+        assert graphauto._LABELS == table  # a second scan adds nothing
+
+        # every label is a subtree of a gadget some query hangs, by shape
+        shape = {}
+        for key, label in sorted(table.items(), key=itemgetter(1)):
+            shape[label] = tuple(sorted(shape[c] for c in key))
+        gadget_shapes = set()
+        for n in range(2, 15):
+            for k in range(n - 1):
+                for tail in (*range(1, k + 1), *_query_layout(n, k)[1]):
+                    edges = set()
+                    _hang_label(edges, 0, 0, n, tail)  # the gadget on node 0, from node 1
+                    gadget_shapes |= rooted_subtree_shapes(edges - {(0, 1)}, 1)
+        assert len(set(shape.values())) == len(table)
+        assert set(shape.values()) <= gadget_shapes
+
+    def test_import_fills_no_table(self):
+        script = (
+            "import qscd\n"
+            "g = qscd.graphauto\n"
+            "print(len(g._LABELS), g._gadget.cache_info().currsize)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.split() == ["0", "0"]
+
+
+def rooted_subtree_shapes(edges, root):
+    """The shape of every subtree of the tree on edges rooted at root, each a
+    sorted tuple of its children's shapes."""
+    adj = defaultdict(list)
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    order, parent = [root], {root: None}
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    shapes = {}
+    for v in reversed(order):
+        shapes[v] = tuple(sorted(shapes[w] for w in adj[v] if parent.get(w) == v))
+    return set(shapes.values())
+
+
 @pytest.mark.slow
 def test_promise_query_layer_timing(scanned_queries):
     # Not a gate: prints the best of 7 for each layer of a promise query, per
     # query of the scans. pytest -m slow -s tests/test_graphauto.py -k timing
     pairs = [pair for g in scanned_bases() for pair in scan_pairs(g)]
     assert [build_query(*pair) for pair in pairs] == scanned_queries
-    kept = [_contract(q)[:2] for q in scanned_queries]
+    kept = [q._contraction[:2] for q in scanned_queries]
     layers = {
-        "build_query": lambda: [build_query(*pair) for pair in pairs],
-        "_contract": lambda: [_contract(q) for q in scanned_queries],
+        "build_query, with its contraction": lambda: [build_query(*pair) for pair in pairs],
+        "_contract of the built query, as a parsed graph is peeled": lambda: [_contract(q) for q in scanned_queries],
         "kept-graph search": lambda: [list(itertools.islice(_search(*k)[1](), 3)) for k in kept],
-        "unique_ga_ff_oracle": lambda: [oracle_answer(q) for q in scanned_queries],
+        "unique_ga_ff_oracle on the carried contraction": lambda: [oracle_answer(q) for q in scanned_queries],
     }
     number = len(scanned_queries)
     print()
