@@ -74,6 +74,14 @@ class Permutation:
         return tuple(sorted(lengths))
 
     @cached_property
+    def _gather(self) -> itemgetter:
+        # sigma.image -> (sigma self).image for a sigma of this degree, the
+        # gather that compose applies for this right factor. itemgetter of
+        # one index returns the item, not a 1-tuple; at n = 1 the permutation
+        # is the identity, and the whole-tuple slice gives sigma's image
+        return itemgetter(*[t - 1 for t in self.image] if len(self.image) > 1 else [slice(None)])
+
+    @cached_property
     def _powers(self) -> list[Permutation]:
         # sigma^0, sigma^2, sigma^3, ...: sigma^1 is the permutation itself,
         # which this table leaves out so that the permutation does not refer
@@ -99,14 +107,7 @@ def compose(sigma: Permutation, tau: Permutation) -> Permutation:
     image = sigma.image
     if len(image) != len(tau.image):
         raise ValueError(f"degree mismatch: {sigma.n} vs {tau.n}")
-    cached = tau.__dict__
-    gather = cached.get("_gather")
-    if gather is None:
-        # itemgetter of one index returns the item, not a 1-tuple; at n = 1
-        # tau is the identity, and the whole-tuple slice gives its image
-        indices = [t - 1 for t in tau.image] if len(image) > 1 else [slice(None)]
-        gather = cached["_gather"] = itemgetter(*indices)
-    return _trusted(gather(image))
+    return _trusted(tau._gather(image))
 
 
 def inverse(sigma: Permutation) -> Permutation:

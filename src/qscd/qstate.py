@@ -14,6 +14,8 @@ Conventions fixed here:
 
 The decoder is one operation here, ``controlled_key_test``: it gives to the
 bit what its circuit of ``fourier_control`` and ``controlled_power`` gives.
+It shares one grouped Fourier sum with ``fourier_control``, which checks the
+result in the pass that builds it; any other state is checked on construction.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .permgroup import (
     Permutation,
+    _trusted,
     compose,
     format_permutation,
     int_fields,
@@ -63,6 +66,7 @@ class SparseState:
             raise ValueError("need n >= 1 and m >= 1")
         # The copy reuses the stored hashes; editing in place keeps the order.
         amps = dict(self.amps)
+        sizes = []
         try:
             for key, amp in self.amps.items():
                 control, perm = key
@@ -72,17 +76,15 @@ class SparseState:
                     raise ValueError(f"entry of degree {perm.n} in a state of degree {self.n}")
                 if type(amp) is not complex:
                     amp = amps[key] = complex(amp)
-                if abs(amp) < PRUNE_TOL:  # NaN is kept, and fails the norm check
+                size = abs(amp)
+                if size < PRUNE_TOL:  # NaN is kept, and fails the norm check
                     del amps[key]
-            object.__setattr__(self, "amps", amps)
-            norm = self.norm()
-        except OverflowError:  # a finite amplitude too large for abs() or its square
-            norm = math.inf
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state norm {norm} not 1 within {NORM_TOL}")
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
+                else:
+                    sizes.append(size)
+        except OverflowError:  # a finite amplitude too large for abs()
+            sizes = [math.inf]
+        _require_unit_norm(sizes)
+        object.__setattr__(self, "amps", amps)
 
     def fourier_control(self, direction: str) -> SparseState:
         """Fourier map on the control register.
@@ -92,8 +94,10 @@ class SparseState:
         """
         if direction not in ("forward", "inverse"):
             raise ValueError(f"unknown direction {direction!r}")
-        terms = [(r, perm, amp) for (r, perm), amp in self.amps.items()]
-        return SparseState(self.n, self.m, _fourier_amps(self.m, direction, terms))
+        groups: dict[tuple[int, ...], list] = {}
+        for (r, perm), amp in self.amps.items():
+            groups.setdefault(perm.image, [perm]).append((r, amp))
+        return _fourier_state(self.n, self.m, direction, groups)
 
     def controlled_power(self, pi: Permutation) -> SparseState:
         """|r>|sigma> -> |r>|sigma pi^r>."""
@@ -112,23 +116,31 @@ class SparseState:
         ``fourier_control("forward")``: a symbol-s draw leaves the control in
         |s>. Row 0 of the inverse table is all ones, and 0j + amp * 1 * scale
         equals 0j + amp * scale to the bit, so each entry splits once; a split
-        below PRUNE_TOL is dropped before the key acts, and its m keyed terms
-        go to the forward map's own sum. Only the result is built and validated.
+        below PRUNE_TOL is dropped before the key acts. Its m keyed terms,
+        gathered as ``compose`` gathers, are grouped by image with no
+        permutation built for one, and go to the forward map's own sum.
         """
         if self.m != 1:
             raise ValueError("state already has a control register")
         m = pi.cycle_type[0]
         require_cyclic_key(pi, m)
+        if pi.n != self.n:
+            raise ValueError(f"degree mismatch: {self.n} vs {pi.n}")
         scale = 1.0 / math.sqrt(m)
-        table = powers(pi, m)
-        terms = []
+        # pi^0 is the identity: the r = 0 term keeps the entry's image, and
+        # its group the entry's permutation
+        gathers = [power._gather for power in powers(pi, m)[1:]]
+        groups: dict[tuple[int, ...], list] = {}
         for (_, perm), amp in self.amps.items():
             split = 0j + amp * scale
             if abs(split) < PRUNE_TOL:
                 continue
-            # pi^0 is the identity: the r = 0 term keeps perm itself
-            terms.extend((r, compose(perm, table[r]) if r else perm, split) for r in range(m))
-        return SparseState(self.n, m, _fourier_amps(m, "forward", terms))
+            group = groups.setdefault(perm.image, [perm])
+            group[0] = perm
+            group.append((0, split))
+            for r, gather in enumerate(gathers, 1):
+                groups.setdefault(gather(perm.image), [None]).append((r, split))
+        return _fourier_state(self.n, m, "forward", groups)
 
     def phase_by_sign(self) -> SparseState:
         """Multiply each amplitude by (-1)^parity of its permutation."""
@@ -206,24 +218,41 @@ def _fourier_table(m: int, direction: str) -> tuple[tuple[tuple[complex, ...], .
     return rows, 1.0 / math.sqrt(m)
 
 
-def _fourier_amps(
-    m: int, direction: str, terms: list[tuple[int, Permutation, complex]]
-) -> dict[BasisVector, complex]:
-    """The Fourier map on the control of (control, permutation, amplitude)
-    terms. Terms are grouped by permutation in order of arrival, and each
-    output amplitude sums its terms from 0j in that order."""
+def _fourier_state(n: int, m: int, direction: str, groups: dict[tuple[int, ...], list]) -> SparseState:
+    """The Fourier map on the control of (control, amplitude) terms grouped by
+    image in order of arrival, each group led by the permutation to reuse for
+    its image, or None. Each output amplitude sums its terms from 0j in arrival
+    order, and is pruned and its norm checked as the constructor does, in the
+    same pass; control range, amplitude type and degree hold by construction,
+    and terms of a norm-1 state are too small for abs() to overflow."""
     rows, scale = _fourier_table(m, direction)
-    groups: dict[tuple[int, ...], tuple[Permutation, list]] = {}
-    for r, perm, amp in terms:
-        groups.setdefault(perm.image, (perm, []))[1].append((rows[r], amp))
-    out: dict[BasisVector, complex] = {}
-    for perm, group in groups.values():
+    amps: dict[BasisVector, complex] = {}
+    sizes = []
+    for image, (perm, *terms) in groups.items():
+        perm = perm or _trusted(image)
         for r2 in range(m):
+            row = rows[r2]  # w^(r r2) = w^(r2 r): the table is symmetric
             total = 0j
-            for row, amp in group:
-                total = total + amp * row[r2] * scale
-            out[(r2, perm)] = total
-    return out
+            for r, amp in terms:
+                total = total + amp * row[r] * scale
+            size = abs(total)
+            if not size < PRUNE_TOL:  # NaN is kept, and fails the norm check
+                amps[(r2, perm)] = total
+                sizes.append(size)
+    _require_unit_norm(sizes)
+    state = object.__new__(SparseState)
+    state.__dict__.update(n=n, m=m, amps=amps)
+    return state
+
+
+def _require_unit_norm(sizes: list[float]) -> None:
+    """The norm check of every state, on its kept entries' magnitudes in order."""
+    try:
+        norm = math.sqrt(sum(size ** 2 for size in sizes))
+    except OverflowError:  # a finite magnitude too large to square
+        norm = math.inf
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"state norm {norm} not 1 within {NORM_TOL}")
 
 
 def _born_draw(weights: list[float], rng: np.random.Generator) -> int:

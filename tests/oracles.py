@@ -238,6 +238,11 @@ def _control_fourier(entries: dict, m: int, sgn: int) -> dict:
     return out
 
 
+def norm(state) -> float:
+    """The 2-norm of a state's stored amplitudes, computed test-side."""
+    return math.sqrt(sum(abs(amp) ** 2 for amp in state.amps.values()))
+
+
 def decoder_circuit(amps: dict, key: tuple[int, ...], m: int) -> dict:
     """The decoder as its circuit of four operations, on its own arithmetic.
 

@@ -18,11 +18,12 @@ from qscd.permgroup import (
     sample_fpf_involution,
     sign,
 )
+from qscd import qstate
 from qscd.qscdcyc import decode_cyc, decode_distribution, gen_cyc
 from qscd.qscdff import convert, distinguish, gen_plus
 from qscd.qstate import PRUNE_TOL, SparseState, _born_draw, inner_product, states_equal
 
-from oracles import DenseSymmetricGroup, StubRng, brute_cyclic_class, decoder_circuit, from_cycles
+from oracles import DenseSymmetricGroup, StubRng, brute_cyclic_class, decoder_circuit, from_cycles, norm
 from test_qstate import KEYS6, small_states
 
 PI33 = from_cycles(3, [(1, 2, 3)])
@@ -233,11 +234,62 @@ class TestOnePassDecode:
                 want = circuit_entries(state, pi, m)
                 assert exact_entries(state.controlled_key_test(pi)) == want, (m, factor)
 
+    @settings(max_examples=150, deadline=None)
+    @given(small_states(ms=(1,)), st.sampled_from(sorted(KEYS6)))
+    def test_rebuilding_the_result_changes_nothing_on_random_states(self, state, m):
+        out = state.controlled_key_test(KEYS6[m])
+        assert exact_entries(SparseState(out.n, out.m, dict(out.amps))) == exact_entries(out)
+
+    def test_rebuilding_the_result_changes_nothing_on_coset_draws(self):
+        # The decoder checks its result as it builds it and skips the
+        # constructor; the constructor, run on that result, finds nothing to
+        # prune, coerce or refuse.
+        rng = np.random.default_rng(63)
+        for m in (2, 3, 6):
+            params = SecurityParam.cyc(6, m)
+            for _ in range(10):
+                pi, other = sample_cyclic(params, rng), sample_cyclic(params, rng)
+                for s in range(m):
+                    draw = gen_cyc(pi, s, m, rng)
+                    for key in (pi, other):
+                        out = draw.controlled_key_test(key)
+                        rebuilt = SparseState(out.n, out.m, dict(out.amps))
+                        assert (rebuilt.n, rebuilt.m) == (out.n, out.m) == (6, m)
+                        assert exact_entries(rebuilt) == exact_entries(out), (m, s)
+
+    def test_the_inline_norm_check_is_live(self, monkeypatch):
+        # A forward table scaled by 1.01 scales the result's norm by 1.01,
+        # which the decoder's own pass must refuse.
+        rows, scale = qstate._fourier_table(3, "forward")
+        monkeypatch.setattr(qstate, "_fourier_table", lambda m, direction: (rows, 1.01 * scale))
+        state = gen_cyc(PI63, 1, 3, np.random.default_rng(64))
+        with pytest.raises(ValueError, match=r"^state norm 1\.01\d* not 1 within 1e-09$"):
+            state.controlled_key_test(PI63)
+
+    def test_output_entries_under_the_prune_tolerance_are_dropped(self):
+        # A symbol-0 draw with a tiny symbol-1 part: the decoder leaves each
+        # coset point an entry at control 1 of magnitude factor * PRUNE_TOL,
+        # dropped just under the tolerance and kept just over it.
+        sigma = from_cycles(6, [(1, 4, 2), (3, 6)])
+        for m, pi in KEYS6.items():
+            coset = [compose(sigma, perm_pow(pi, t)) for t in range(m)]
+            w = cmath.exp(2j * math.pi / m)
+            for factor, kept in ((0.99, m), (1.01, 2 * m)):
+                tiny = factor * PRUNE_TOL * math.sqrt(m)
+                big = math.sqrt(1 - tiny**2)
+                state = SparseState(6, 1, {
+                    (0, perm): (big + tiny * w**t) / math.sqrt(m) for t, perm in enumerate(coset)
+                })
+                out = state.controlled_key_test(pi)
+                assert len(out.amps) == kept, (m, factor)
+                assert exact_entries(out) == circuit_entries(state, pi, m), (m, factor)
+                assert all(abs(amp) >= PRUNE_TOL for amp in out.amps.values())
+
     def test_result_is_a_validated_state(self):
         state = gen_cyc(PI63, 1, 3, np.random.default_rng(59))
         out = state.controlled_key_test(PI63)
         assert (out.n, out.m) == (6, 3)
-        assert abs(out.norm() - 1.0) <= 1e-9
+        assert abs(norm(out) - 1.0) <= 1e-9
         assert all(abs(amp) >= PRUNE_TOL for amp in out.amps.values())
 
     def test_refuses_a_state_with_a_control_register(self):
@@ -279,13 +331,26 @@ class TestDenseDecodeOracle:
 @pytest.mark.slow
 def test_distinguish_timing():
     # Not a gate: prints the best of 7 for one trapdoor test on a two-entry
-    # n = 6 state. pytest -m slow -s tests/test_qscdcyc.py -k timing
+    # n = 6 state, and for decode_cyc on the draws that make the protocol
+    # workload's tail: a (12,6) coset draw and an ff n = 14 draw.
+    # pytest -m slow -s tests/test_qscdcyc.py -k timing
     rng = np.random.default_rng(61)
     state = gen_plus(PI6, rng)
+    pi12 = sample_cyclic(SecurityParam.cyc(12, 6), rng)
+    pi14 = sample_fpf_involution(SecurityParam.ff(14), rng)
+    draw12, draw14 = gen_cyc(pi12, 5, 6, rng), gen_plus(pi14, rng)
     number = 2000
-    best = min(timeit.repeat(lambda: distinguish(state, PI6, rng), number=number, repeat=7)) / number
-    print(f"\ndistinguish, two-entry n = 6 state: {best * 1e6:.1f} us (best of 7 runs of {number})")
+    timings = {
+        "distinguish, two-entry n = 6 state": lambda: distinguish(state, PI6, rng),
+        "decode_cyc, (12,6) coset draw": lambda: decode_cyc(draw12, pi12, rng),
+        "decode_cyc, ff n = 14 draw": lambda: decode_cyc(draw14, pi14, rng),
+    }
+    print()
+    for name, run in timings.items():
+        best = min(timeit.repeat(run, number=number, repeat=7)) / number
+        print(f"{name}: {best * 1e6:.1f} us (best of 7 runs of {number})")
     assert distinguish(state, PI6, rng) == 1
+    assert decode_cyc(draw12, pi12, rng) == 5 and decode_cyc(draw14, pi14, rng) == 0
 
 
 @pytest.mark.slow
