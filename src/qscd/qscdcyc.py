@@ -33,7 +33,7 @@ from functools import cache
 import numpy as np
 
 from .permgroup import Permutation, compose, powers, random_permutation, require_cyclic_key
-from .qstate import SparseState
+from .qstate import SparseState, _require_unit_norm, _state
 
 
 def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> SparseState:
@@ -50,20 +50,25 @@ def gen_cyc(pi: Permutation, s: int, m: int, rng: np.random.Generator) -> Sparse
 
 def _coset_draw(pi: Permutation, s: int, rng: np.random.Generator) -> SparseState:
     # gen_cyc for a pi whose cycles all have one length m: a checked key, or
-    # coset_sample's group generator, the identity or an fpf involution.
-    # The t = 0 term is sigma itself: pi^0 is the identity.
+    # coset_sample's group generator, the identity or an fpf involution the
+    # promise search checked. So the m entries sigma pi^t are distinct, and
+    # the row's norm is checked where it is cached; its magnitudes 1/sqrt(m)
+    # are far above PRUNE_TOL. The t = 0 term is sigma: pi^0 is the identity.
     m = pi.cycle_type[0]
     sigma = random_permutation(pi.n, rng)
     table = powers(pi, m)
     amps = {(0, compose(sigma, table[t]) if t else sigma): amp for t, amp in enumerate(_phase_row(s, m))}
-    return SparseState(pi.n, 1, amps)
+    return _state(pi.n, 1, amps)
 
 
 @cache
 def _phase_row(s: int, m: int) -> tuple[complex, ...]:
-    """The draw amplitudes w^(st) / sqrt(m) for t in Z_m."""
+    """The draw amplitudes w^(st) / sqrt(m) for t in Z_m. Their norm is checked
+    once, on the magnitudes in t order: the sum the constructor runs on a draw."""
     scale = 1.0 / math.sqrt(m)
-    return tuple(scale * cmath.exp(2j * math.pi * s * t / m) for t in range(m))
+    row = tuple(scale * cmath.exp(2j * math.pi * s * t / m) for t in range(m))
+    _require_unit_norm([abs(amp) for amp in row])
+    return row
 
 
 def decode_cyc(state: SparseState, pi: Permutation, rng: np.random.Generator) -> int:

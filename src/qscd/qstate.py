@@ -15,7 +15,9 @@ Conventions fixed here:
 The decoder is one operation here, ``controlled_key_test``: it gives to the
 bit what its circuit of ``fourier_control`` and ``controlled_power`` gives.
 It shares one grouped Fourier sum with ``fourier_control``, which checks the
-result in the pass that builds it; any other state is checked on construction.
+result in the pass that builds it. States are validated once, where they enter:
+the constructor, ``from_text`` and ``basis_state``. Every operation builds its
+result with ``_state``, which runs no check; its docstring says why none is due.
 """
 
 from __future__ import annotations
@@ -100,13 +102,14 @@ class SparseState:
         return _fourier_state(self.n, self.m, direction, groups)
 
     def controlled_power(self, pi: Permutation) -> SparseState:
-        """|r>|sigma> -> |r>|sigma pi^r>."""
+        """|r>|sigma> -> |r>|sigma pi^r>: a bijection for each control value,
+        amplitudes unchanged; ``compose`` refuses a pi of another degree."""
         table = powers(pi, self.m)
         out = {
             (r, compose(perm, table[r])): amp
             for (r, perm), amp in self.amps.items()
         }
-        return SparseState(self.n, self.m, out)
+        return _state(self.n, self.m, out)
 
     def controlled_key_test(self, pi: Permutation) -> SparseState:
         """The decoder's final state for a key pi in K_n^m; m is pi's cycle length, checked.
@@ -143,17 +146,19 @@ class SparseState:
         return _fourier_state(self.n, m, "forward", groups)
 
     def phase_by_sign(self) -> SparseState:
-        """Multiply each amplitude by (-1)^parity of its permutation."""
+        """Multiply each amplitude by (-1)^parity of its permutation. Negation
+        keeps every magnitude to the bit, and the entries do not change."""
         out = {
             key: (-amp if sign(key[1]) else amp)
             for key, amp in self.amps.items()
         }
-        return SparseState(self.n, self.m, out)
+        return _state(self.n, self.m, out)
 
     def translate(self, tau: Permutation) -> SparseState:
-        """Right translation: |r>|sigma> -> |r>|sigma tau>."""
+        """Right translation: |r>|sigma> -> |r>|sigma tau>: a bijection, amplitudes
+        unchanged; ``compose`` refuses a tau of another degree."""
         out = {(r, compose(perm, tau)): amp for (r, perm), amp in self.amps.items()}
-        return SparseState(self.n, self.m, out)
+        return _state(self.n, self.m, out)
 
     def control_probabilities(self) -> list[float]:
         """Born probabilities of the control outcomes 0..m-1."""
@@ -240,6 +245,11 @@ def _fourier_state(n: int, m: int, direction: str, groups: dict[tuple[int, ...],
                 amps[(r2, perm)] = total
                 sizes.append(size)
     _require_unit_norm(sizes)
+    return _state(n, m, amps)
+
+
+def _state(n: int, m: int, amps: dict[BasisVector, complex]) -> SparseState:
+    """The state with these fields and no check: for results that keep the invariants."""
     state = object.__new__(SparseState)
     state.__dict__.update(n=n, m=m, amps=amps)
     return state

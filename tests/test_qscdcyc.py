@@ -18,13 +18,15 @@ from qscd.permgroup import (
     sample_fpf_involution,
     sign,
 )
-from qscd import qstate
+from qscd import qscdcyc, qstate
+from qscd.graphauto import coset_sample
 from qscd.qscdcyc import decode_cyc, decode_distribution, gen_cyc
 from qscd.qscdff import convert, distinguish, gen_plus
-from qscd.qstate import PRUNE_TOL, SparseState, _born_draw, inner_product, states_equal
+from qscd.qstate import PRUNE_TOL, SparseState, _born_draw, basis_state, inner_product, states_equal
+from qscd.selftest import planted_no_instance, planted_yes_instance
 
 from oracles import DenseSymmetricGroup, StubRng, brute_cyclic_class, decoder_circuit, from_cycles, norm
-from test_qstate import KEYS6, small_states
+from test_qstate import KEYS6, operations, small_states
 
 PI33 = from_cycles(3, [(1, 2, 3)])
 PI63 = from_cycles(6, [(1, 2, 3), (4, 5, 6)])
@@ -200,6 +202,14 @@ def circuit_entries(state: SparseState, pi: Permutation, m: int) -> list:
     return [(r, image, repr(amp)) for (r, image), amp in decoder_circuit(state.amps, pi.image, m).items()]
 
 
+def assert_rebuilds(out: SparseState, label) -> None:
+    """The constructor, run on a result built without it, finds nothing to
+    prune, coerce or refuse."""
+    rebuilt = SparseState(out.n, out.m, dict(out.amps))
+    assert (rebuilt.n, rebuilt.m) == (out.n, out.m), label
+    assert exact_entries(rebuilt) == exact_entries(out), label
+
+
 class TestOnePassDecode:
     """The one-pass decoder equals the four-operation circuit to the bit, in key order."""
 
@@ -237,13 +247,10 @@ class TestOnePassDecode:
     @settings(max_examples=150, deadline=None)
     @given(small_states(ms=(1,)), st.sampled_from(sorted(KEYS6)))
     def test_rebuilding_the_result_changes_nothing_on_random_states(self, state, m):
-        out = state.controlled_key_test(KEYS6[m])
-        assert exact_entries(SparseState(out.n, out.m, dict(out.amps))) == exact_entries(out)
+        assert_rebuilds(state.controlled_key_test(KEYS6[m]), m)
 
     def test_rebuilding_the_result_changes_nothing_on_coset_draws(self):
-        # The decoder checks its result as it builds it and skips the
-        # constructor; the constructor, run on that result, finds nothing to
-        # prune, coerce or refuse.
+        # The decoder checks its result as it builds it and skips the constructor.
         rng = np.random.default_rng(63)
         for m in (2, 3, 6):
             params = SecurityParam.cyc(6, m)
@@ -253,9 +260,8 @@ class TestOnePassDecode:
                     draw = gen_cyc(pi, s, m, rng)
                     for key in (pi, other):
                         out = draw.controlled_key_test(key)
-                        rebuilt = SparseState(out.n, out.m, dict(out.amps))
-                        assert (rebuilt.n, rebuilt.m) == (out.n, out.m) == (6, m)
-                        assert exact_entries(rebuilt) == exact_entries(out), (m, s)
+                        assert (out.n, out.m) == (6, m)
+                        assert_rebuilds(out, (m, s))
 
     def test_the_inline_norm_check_is_live(self, monkeypatch):
         # A forward table scaled by 1.01 scales the result's norm by 1.01,
@@ -295,6 +301,103 @@ class TestOnePassDecode:
     def test_refuses_a_state_with_a_control_register(self):
         with pytest.raises(ValueError, match="control register"):
             SparseState(6, 3, {(0, identity(6)): 1.0}).controlled_key_test(PI63)
+
+
+class TestCheckedAtTheBoundary:
+    """States are checked where they enter; draws, sign conversions and
+    translations build theirs without the constructor and skip no check."""
+
+    def test_rebuilding_a_draw_changes_nothing(self):
+        rng = np.random.default_rng(65)
+        for n, m in ((6, 2), (6, 3), (6, 6), (12, 6)):
+            params = SecurityParam.cyc(n, m)
+            for _ in range(10):
+                pi = sample_cyclic(params, rng)
+                for s in range(m):
+                    assert_rebuilds(gen_cyc(pi, s, m, rng), (n, m, s))
+        for _ in range(20):
+            assert_rebuilds(gen_plus(PI6, rng), "gen_plus")
+
+    def test_rebuilding_a_promise_draw_changes_nothing(self):
+        rng = np.random.default_rng(66)
+        for inst in (planted_yes_instance(), planted_no_instance()):
+            for _ in range(20):
+                assert_rebuilds(coset_sample(inst, rng), len(inst.aut_elements()))
+
+    def test_rebuilding_a_moved_draw_changes_nothing(self):
+        rng = np.random.default_rng(67)
+        for m, pi in KEYS6.items():
+            for s in range(m):
+                draw = gen_cyc(pi, s, m, rng)
+                assert_rebuilds(convert(draw), ("convert", m, s))
+                assert_rebuilds(draw.translate(random_permutation(6, rng)), ("translate", m, s))
+                lifted = SparseState(6, m, {(0, perm): amp for (_, perm), amp in draw.amps.items()})
+                split = lifted.fourier_control("inverse")
+                assert_rebuilds(split.controlled_power(pi), ("controlled_power", m, s))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_states())
+    def test_rebuilding_any_operation_result_changes_nothing(self, state):
+        for name, moved in operations(state).items():
+            assert_rebuilds(moved, name)
+        assert_rebuilds(convert(state), "convert")
+
+    def test_the_row_norm_check_is_live(self):
+        # A row scaled by 1.01 has norm 1.01. The draw runs no constructor,
+        # so only the check where the row is cached can refuse it.
+        class ScaledMath:
+            pi = math.pi
+
+            @staticmethod
+            def sqrt(x):
+                return math.sqrt(x) / 1.01
+
+        qscdcyc._phase_row.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qscdcyc, "math", ScaledMath)
+                with pytest.raises(ValueError, match=r"^state norm 1\.01\d* not 1 within 1e-09$"):
+                    gen_cyc(PI63, 1, 3, np.random.default_rng(68))
+        finally:
+            qscdcyc._phase_row.cache_clear()
+        assert abs(norm(gen_cyc(PI63, 1, 3, np.random.default_rng(68))) - 1.0) <= 1e-9
+
+    def test_the_trial_path_runs_no_constructor(self, monkeypatch):
+        # Every state of a trial is a draw, a conversion, a translation or a
+        # decoder result: the same entries and symbols come out when the
+        # constructor raises, and the entry points still run it.
+        yes, no = planted_yes_instance(), planted_no_instance()
+        key14 = yes.hidden_key()
+
+        def trials():
+            rng = np.random.default_rng(69)
+            pi12 = sample_cyclic(SecurityParam.cyc(12, 6), rng)
+            out = []
+            for _ in range(10):
+                plus, draw = gen_plus(PI6, rng), gen_cyc(pi12, 5, 6, rng)
+                minus, moved = convert(plus), draw.translate(random_permutation(12, rng))
+                yes_draw, no_draw = coset_sample(yes, rng), coset_sample(no, rng)
+                symbols = [
+                    decode_cyc(plus, PI6, rng), decode_cyc(minus, PI6, rng),
+                    decode_cyc(draw, pi12, rng), decode_cyc(moved, pi12, rng),
+                    decode_cyc(yes_draw, key14, rng), decode_cyc(no_draw, key14, rng),
+                ]
+                states = (plus, draw, minus, moved, yes_draw, no_draw)
+                out.append(([exact_entries(state) for state in states], symbols))
+            return out
+
+        want = trials()
+        text = gen_plus(PI6, np.random.default_rng(70)).to_text()
+
+        def refuse(self):
+            raise AssertionError("a state went through the constructor")
+
+        monkeypatch.setattr(SparseState, "__post_init__", refuse)
+        assert trials() == want
+        with pytest.raises(AssertionError, match="through the constructor"):
+            basis_state(0, PI6, 1)
+        with pytest.raises(AssertionError, match="through the constructor"):
+            SparseState.from_text(text)
 
 
 class TestDenseDecodeOracle:
@@ -356,9 +459,12 @@ def test_distinguish_timing():
 @pytest.mark.slow
 def test_permgroup_kernel_timing():
     # Not a gate: prints the best of 7 for the kernels on every draw and
-    # decode at n = 6. pytest -m slow -s tests/test_qscdcyc.py -k timing
+    # decode at n = 6, and for the draws and state operations of a trial.
+    # pytest -m slow -s tests/test_qscdcyc.py -k timing
     rng = np.random.default_rng(62)
     sigma, tau = random_permutation(6, rng), random_permutation(6, rng)
+    pi12 = sample_cyclic(SecurityParam.cyc(12, 6), rng)
+    draw = gen_plus(PI6, rng)
     number = 20000
     perms = []
 
@@ -370,11 +476,15 @@ def test_permgroup_kernel_timing():
             sign(p)
 
     timings = {
-        "compose, reused right factor": timeit.repeat(lambda: compose(sigma, tau), number=number, repeat=7),
-        "sign, fresh permutation": timeit.repeat(sign_each, fresh_draws, number=1, repeat=7),
-        "random_permutation": timeit.repeat(lambda: random_permutation(6, rng), number=number, repeat=7),
+        "compose, reused right factor, n = 6": timeit.repeat(lambda: compose(sigma, tau), number=number, repeat=7),
+        "sign, fresh permutation, n = 6": timeit.repeat(sign_each, fresh_draws, number=1, repeat=7),
+        "random_permutation, n = 6": timeit.repeat(lambda: random_permutation(6, rng), number=number, repeat=7),
+        "gen_plus, ff n = 6": timeit.repeat(lambda: gen_plus(PI6, rng), number=number, repeat=7),
+        "gen_cyc, (12,6)": timeit.repeat(lambda: gen_cyc(pi12, 5, 6, rng), number=number, repeat=7),
+        "convert, n = 6 draw": timeit.repeat(lambda: convert(draw), number=number, repeat=7),
+        "translate, n = 6 draw": timeit.repeat(lambda: draw.translate(tau), number=number, repeat=7),
     }
     print()
     for name, runs in timings.items():
-        print(f"{name}, n = 6: {min(runs) / number * 1e6:.2f} us (best of 7 runs of {number})")
+        print(f"{name}: {min(runs) / number * 1e6:.2f} us (best of 7 runs of {number})")
     assert sign(compose(sigma, tau)) == sign(sigma) ^ sign(tau)
