@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import islice
 
@@ -36,10 +36,16 @@ class PromiseViolation(Exception):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph on nodes {1..node_count}; canonical edge storage."""
+    """Undirected graph on nodes {1..node_count}; canonical edge storage.
+
+    A query from ``build_query`` builds its edges, gadgets included, on
+    first read and keeps them. Equality, hash, repr, selftest's
+    ``criterion_labels`` and any caller-supplied oracle read them; the
+    promise oracle, ``PromiseInstance``, ``koebler_reduce`` and
+    ``reduce-ga`` never do."""
 
     node_count: int
-    edges: frozenset[tuple[int, int]] = frozenset()
+    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -53,6 +59,15 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range")
             canonical.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(canonical))
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: a query's edges
+        unhung = self.__dict__.get("_unhung") if name == "edges" else None
+        if unhung is None:
+            raise AttributeError(f"'Graph' object has no attribute {name!r}")
+        edges = self.__dict__["edges"] = _with_gadgets(*unhung)
+        del self.__dict__["_unhung"]
+        return edges
 
     @cached_property
     def _contraction(self):
@@ -340,9 +355,7 @@ def _contract(g: Graph, hung: Sequence[tuple[int, int, int, int]] = ()):
             p = rest[v]
             if not p:  # the last neighbour is the root of v's tallest gadget
                 inner = max((h for h in hung if h[0] == v), key=lambda h: _gadget(*h[2:])[1])
-                edges = set(g.edges)
-                _hang_label(edges, v, inner[1] - 1, *inner[2:])
-                return _contract(_trusted_graph(n, frozenset(edges)), [h for h in hung if h is not inner])
+                return _contract(_trusted_graph(n, _with_gadgets(g.edges, [inner])), [h for h in hung if h is not inner])
             if p in ends:  # the last edge of a tree: both ends are centres
                 continue
             parent[v] = p
@@ -455,6 +468,16 @@ def _hang_label(edges: set[tuple[int, int]], node: int, count: int, n: int, tail
     return count + 2 * n + 3 + tail_len
 
 
+def _with_gadgets(edges: frozenset[tuple[int, int]], hung: Sequence[tuple[int, int, int, int]]) -> frozenset[tuple[int, int]]:
+    """edges with each gadget (node, root, n, tail) of hung hung on node,
+    numbered from root, as ``_hang_label`` hangs it: the one way gadget
+    edges join an edge set."""
+    full = set(edges)
+    for node, root, n, tail in hung:
+        _hang_label(full, node, root - 1, n, tail)
+    return frozenset(full)
+
+
 def build_query(g: Graph, i: int, j: int) -> Graph:
     """Promise-problem query graph for the pair i < j, nodes 1..i-1 pinned.
 
@@ -477,7 +500,9 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
 
     The query carries its contraction, which ``_promise_images`` reads: the
     two copies' edges contracted with the gadgets hung on them, so that no
-    gadget is peeled node by node.
+    gadget is peeled node by node. Only the copies' edges are built here,
+    the gadgets' on first read (see ``Graph``); the node count, which
+    ``--limit`` counts, includes them.
     """
     n = g.node_count
     if not 1 <= i < j <= n:
@@ -485,10 +510,9 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
     size, tails = _query_layout(n, i - 1)
 
     # Both labeled copies go into one edge set: the second copy's nodes are
-    # numbered after all of the first copy's. The query's contraction is
-    # taken from the copies' edges and the gadgets hung on them.
+    # numbered after all of the first copy's. Each gadget of hung takes the
+    # 2n+3+tail nodes after the last one numbered.
     copies: set[tuple[int, int]] = set()
-    gadgets: set[tuple[int, int]] = set()
     hung: list[tuple[int, int, int, int]] = []
     count = 0
     for a_node, b_node in ((i, j), (j, i)):
@@ -497,11 +521,12 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
         count += n
         for node, tail in (*((t, t) for t in range(1, i)), (a_node, tails[0]), (b_node, tails[1])):
             hung.append((node + shift, count + 1, n, tail))
-            count = _hang_label(gadgets, node + shift, count, n, tail)
+            count += 2 * n + 3 + tail
     if count != size or count % 4 != 2:
         raise AssertionError(f"padding failed: {count} nodes, planned {size}; need 2 mod 4")
-    query = _trusted_graph(count, frozenset(copies | gadgets))
-    query.__dict__["_contraction"] = _contract(_trusted_graph(count, frozenset(copies)), hung)
+    base = _trusted_graph(count, frozenset(copies))
+    query = object.__new__(Graph)
+    query.__dict__.update(node_count=count, _unhung=(base.edges, hung), _contraction=_contract(base, hung))
     return query
 
 

@@ -586,14 +586,24 @@ class TestBuildQuery:
         assert is_cyclic_class([p for p in auts if p != identity(p.n)][0], 2)
 
     def test_matches_chain_by_chain_construction(self):
-        # every query of the path scans on 2..8 nodes, against the earlier
-        # construction that built a new graph for every chain
-        for n in range(2, 9):
+        # every query of the path scans on 2..8 nodes and of every labelled
+        # graph on up to 4 nodes, against the earlier construction that built
+        # a new graph for every chain. A query builds its edges on first
+        # read, so equality both ways, hash and repr each get a fresh one.
+        bases = [path(n) for n in range(2, 9)] + [g for n in range(1, 5) for g in all_graphs(n)]
+        for g in bases:
+            n = g.node_count
             for i in range(n, 0, -1):
                 for j in range(i + 1, n + 1):
-                    count, edges = chain_by_chain_query(n, path(n).edges, list(range(1, i)), i, j)
-                    q = build_query(path(n), i, j)
+                    count, edges = chain_by_chain_query(n, g.edges, list(range(1, i)), i, j)
+                    eager = Graph(count, frozenset(edges))
+                    assert build_query(g, i, j) == eager
+                    assert eager == build_query(g, i, j)
+                    assert hash(build_query(g, i, j)) == hash(eager)
+                    shown = repr(build_query(g, i, j))
+                    q = build_query(g, i, j)
                     assert (q.node_count, q.edges) == (count, edges)
+                    assert shown == f"Graph(node_count={count}, edges={q.edges!r})"
 
     def test_largest_query_is_the_first_and_its_size_is_known_in_advance(self):
         # the scan's queries, built, against the arithmetic the CLI checks
@@ -681,6 +691,31 @@ class TestOracle:
         assert want.count(1) > 100
         with pytest.raises(AssertionError, match="built a permutation"):
             PromiseInstance(build_query(K2, 1, 2)).aut_elements()
+
+    def test_decides_without_building_gadget_edges(self, scanned_queries, monkeypatch):
+        # every scan, built and answered with _hang_label counted: the only
+        # gadget hung edge by edge is the restart path's one, on the 9 tree
+        # bases whose copy centre lies on a gadget's chain, and no query's
+        # edge set is built. The answers equal those of the full edge sets
+        # peeled as parsed graphs.
+        want = [oracle_answer(Graph(q.node_count, q.edges)) for q in scanned_queries]
+        calls, hang_label = [], graphauto._hang_label
+        monkeypatch.setattr(graphauto, "_hang_label", lambda *args: calls.append(args) or hang_label(*args))
+        got, hung_before = [], []
+
+        def answer(q):
+            hung_before.append(len(calls))  # the calls made building q
+            got.append(oracle_answer(q))
+            assert "edges" not in vars(q)
+            return 0
+
+        for g in scanned_bases():
+            koebler_reduce(g, oracle=answer)
+        pairs = [pair for g in scanned_bases() for pair in scan_pairs(g)]
+        per_query = np.diff([0, *hung_before])
+        restarts = [(base.node_count, i, j, k) for (base, i, j), k in zip(pairs, per_query) if k]
+        assert restarts == [(3, 2, 3, 1)] * 5 + [(4, 3, 4, 1)] * 4
+        assert got == want
 
 
 def kept_summary(contraction):
@@ -842,8 +877,10 @@ def test_promise_query_layer_timing(scanned_queries):
     pairs = [pair for g in scanned_bases() for pair in scan_pairs(g)]
     assert [build_query(*pair) for pair in pairs] == scanned_queries
     kept = [q._contraction[:2] for q in scanned_queries]
+    unhung = [vars(build_query(*pair))["_unhung"] for pair in pairs]
     layers = {
         "build_query, with its contraction": lambda: [build_query(*pair) for pair in pairs],
+        "a query's edge set, built on first read": lambda: [graphauto._with_gadgets(*u) for u in unhung],
         "_contract of the built query, as a parsed graph is peeled": lambda: [_contract(q) for q in scanned_queries],
         "kept-graph search": lambda: [list(itertools.islice(_search(*k)[1](), 3)) for k in kept],
         "unique_ga_ff_oracle on the carried contraction": lambda: [oracle_answer(q) for q in scanned_queries],
