@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 
 from .graphauto import (
+    QUERY_NODE_LIMIT,
+    SEARCH_NODE_LIMIT,
     PromiseInstance,
     PromiseViolation,
     check_node_limit,
@@ -313,12 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ga", help="automorphism count by orbit-stabilizer, and existence decision")
     p.add_argument("--graph", required=True, help="graph file: 'n m' then 'u v' lines")
-    p.add_argument("--limit", type=int, default=40, help="node limit for the search")
+    p.add_argument("--limit", type=int, default=SEARCH_NODE_LIMIT, help="node limit for the search")
     p.set_defaults(func=cmd_ga)
 
     p = sub.add_parser("reduce-ga", help="decide automorphism existence via promise queries")
     p.add_argument("--graph", required=True)
-    p.add_argument("--limit", type=int, default=4000)
+    p.add_argument("--limit", type=int, default=QUERY_NODE_LIMIT)
     p.set_defaults(func=cmd_reduce_ga)
 
     p = sub.add_parser("attack", help="distinguisher-driven attack pipeline on an instance")

@@ -29,6 +29,9 @@ from .permgroup import (
 from .qscdcyc import _coset_draw
 from .qstate import SparseState
 
+SEARCH_NODE_LIMIT = 40  # default node limit of a whole-graph search
+QUERY_NODE_LIMIT = 4000  # default node limit of a promise query
+
 
 class PromiseViolation(Exception):
     """An oracle query fell outside the promise."""
@@ -38,11 +41,11 @@ class PromiseViolation(Exception):
 class Graph:
     """Undirected graph on nodes {1..node_count}; canonical edge storage.
 
-    A query from ``build_query`` builds its edges, gadgets included, on
-    first read and keeps them. Equality, hash, repr, selftest's
-    ``criterion_labels`` and any caller-supplied oracle read them; the
-    promise oracle, ``PromiseInstance``, ``koebler_reduce`` and
-    ``reduce-ga`` never do."""
+    A query from ``build_query`` holds its copies' edges and its gadget
+    list, and makes its edge set and its contraction from that list, each
+    on first read. Equality, hash, repr, selftest's ``criterion_labels``
+    and caller-supplied oracles read its edges; the promise oracle and
+    ``PromiseInstance`` read only its contraction."""
 
     node_count: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
@@ -65,15 +68,13 @@ class Graph:
         unhung = self.__dict__.get("_unhung") if name == "edges" else None
         if unhung is None:
             raise AttributeError(f"'Graph' object has no attribute {name!r}")
-        edges = self.__dict__["edges"] = _with_gadgets(*unhung)
-        del self.__dict__["_unhung"]
-        return edges
+        return self.__dict__.setdefault("edges", _with_gadgets(*unhung))
 
     @cached_property
     def _contraction(self):
-        """``_contract(self)``; ``build_query`` sets it for a query from the
-        two base copies and the gadgets hung on them."""
-        return _contract(self)
+        """``_contract``'s peel, made on first read: of a query's copies'
+        edges with its gadget list, or of another graph's edges."""
+        return _contract(self.node_count, *(self.__dict__.get("_unhung") or (self.edges,)))
 
     def adjacency(self) -> list[set[int]]:
         """0-based neighbor sets."""
@@ -82,14 +83,6 @@ class Graph:
             adj[u - 1].add(v - 1)
             adj[v - 1].add(u - 1)
         return adj
-
-
-def _trusted_graph(node_count: int, edges: frozenset[tuple[int, int]]) -> Graph:
-    """Graph whose edges are in range and canonical (u < v) by construction."""
-    g = object.__new__(Graph)
-    object.__setattr__(g, "node_count", node_count)
-    object.__setattr__(g, "edges", edges)
-    return g
 
 
 def complement(g: Graph) -> Graph:
@@ -286,22 +279,22 @@ def _gadget(n: int, tail: int) -> tuple[int, int, int]:
     return label, max(n + 1, tail) + n + 2, 2 if tail == n + 1 else 1
 
 
-def _contract(g: Graph, hung: Sequence[tuple[int, int, int, int]] = ()):
-    """Peel g's pendant trees: every current leaf at once, round after round,
-    each recording the neighbour it hung from as its parent. What is left is
-    the 2-core plus the centre, or the two centres, of each tree component.
-    Each vertex is labelled bottom up by the sorted labels of its children,
-    interned: the rooted-tree encoding of Aho, Hopcroft and Ullman (1974).
+def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[int, int, int, int]] = ()):
+    """Peel the pendant trees of g, the graph of edges on nodes 1..n: all
+    leaves at once, round after round, each recording the neighbour it hung
+    from as its parent. The 2-core and each tree component's one or two
+    centres are kept. Each vertex is labelled bottom up by the sorted,
+    interned labels of its children (Aho, Hopcroft and Ullman, 1974).
 
-    Each entry (node, root, n, tail) of hung, in node order, is a gadget
+    Each entry (node, root, m, tail) of hung, in node order, is a gadget
     whose edges g leaves out: the tree ``_hang_label`` hangs on node for
-    (n, tail), numbered from root. Its root is peeled in the round of its
+    (m, tail), numbered from root. Its root is peeled in the round of its
     height with ``_gadget``'s label, as its own leaves would have brought it
-    there, and no other node of it is visited. That holds while its node
-    outlives the root. If the node becomes a leaf with the root as its last
-    neighbour, a centre lies inside the gadget, and the peel starts again
-    with that one gadget's edges in g. A label that ``_LABELS`` holds is
-    read from it; any other is a negative number local to the call.
+    there, and no other node of it is visited. If a node becomes a leaf with
+    a gadget root as its last neighbour, a centre lies on that gadget's
+    chain, and the peel starts again on g with every gadget of hung hung in
+    it. A label that ``_LABELS`` holds is read from it; any other is a
+    negative number local to the call.
 
     Returns (adj, colors, product, extend): the kept graph, renumbered from 0
     in node order; each kept vertex's label as its colour; the product over
@@ -315,12 +308,11 @@ def _contract(g: Graph, hung: Sequence[tuple[int, int, int, int]] = ()):
     kept graph extends in exactly product ways, so |Aut(g)| is
     |Aut_col(kept)| times the product. The product's factorials are counted
     only at a vertex whose children repeat a label."""
-    n = g.node_count
     # Nodes are 1-based and parent 0 marks a kept node. rest[v] is the sum
     # of v's unpeeled neighbours in g: its last one when deg[v] is 1, unless
     # that one is a gadget's root.
     deg, rest = [0] * (n + 1), [0] * (n + 1)
-    for u, v in g.edges:
+    for u, v in edges:
         deg[u] += 1
         deg[v] += 1
         rest[u] += v
@@ -353,9 +345,8 @@ def _contract(g: Graph, hung: Sequence[tuple[int, int, int, int]] = ()):
         first = len(peeled)
         for v in leaves:
             p = rest[v]
-            if not p:  # the last neighbour is the root of v's tallest gadget
-                inner = max((h for h in hung if h[0] == v), key=lambda h: _gadget(*h[2:])[1])
-                return _contract(_trusted_graph(n, _with_gadgets(g.edges, [inner])), [h for h in hung if h is not inner])
+            if not p:  # the last neighbour is a gadget root: a centre lies in a gadget
+                return _contract(n, _with_gadgets(edges, hung))
             if p in ends:  # the last edge of a tree: both ends are centres
                 continue
             parent[v] = p
@@ -393,7 +384,7 @@ def _contract(g: Graph, hung: Sequence[tuple[int, int, int, int]] = ()):
     for k, v in enumerate(kept):
         index[v] = k
     adj: list[set[int]] = [set() for _ in kept]
-    for u, v in g.edges:
+    for u, v in edges:
         a, b = index[u], index[v]
         if a >= 0 and b >= 0:
             adj[a].add(b)
@@ -422,7 +413,7 @@ def check_node_limit(node_count: int, node_limit: int) -> None:
         raise ValueError(f"{node_count} nodes exceeds the configured limit {node_limit}")
 
 
-def iter_automorphisms(g: Graph, node_limit: int = 40) -> Iterator[Permutation]:
+def iter_automorphisms(g: Graph, node_limit: int = SEARCH_NODE_LIMIT) -> Iterator[Permutation]:
     """Yield every automorphism of g once, in search order; callers may stop
     early. This is the complete search, from one colour on the whole graph."""
     check_node_limit(g.node_count, node_limit)
@@ -430,12 +421,12 @@ def iter_automorphisms(g: Graph, node_limit: int = 40) -> Iterator[Permutation]:
     return (Permutation(tuple(x + 1 for x in image)) for image in backtrack())
 
 
-def automorphisms(g: Graph, node_limit: int = 40) -> list[Permutation]:
+def automorphisms(g: Graph, node_limit: int = SEARCH_NODE_LIMIT) -> list[Permutation]:
     """Complete automorphism list, sorted by image."""
     return sorted(iter_automorphisms(g, node_limit), key=lambda p: p.image)
 
 
-def group_order(g: Graph, node_limit: int = 40) -> int:
+def group_order(g: Graph, node_limit: int = SEARCH_NODE_LIMIT) -> int:
     """|Aut(g)|, never listed: the tree product of ``_contract`` times
     |Aut_col(kept)|, which is the product over k of the orbit size of
     order[k] under the automorphisms fixing order[:k]. Each w in order[k:]
@@ -448,7 +439,7 @@ def group_order(g: Graph, node_limit: int = 40) -> int:
     check_node_limit(n, node_limit)
     if 4 * len(g.edges) > n * (n - 1):
         g = complement(g)
-    adj, colors, total, _ = _contract(g)
+    adj, colors, total, _ = g._contraction
     order, backtrack = _search(adj, colors)
     for k in range(len(order)):
         if len(list(islice(backtrack(order[:k]), 2))) < 2:
@@ -498,11 +489,10 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
     sizes are computed against the node count of g itself, not of the
     partially labeled copies.
 
-    The query carries its contraction, which ``_promise_images`` reads: the
-    two copies' edges contracted with the gadgets hung on them, so that no
-    gadget is peeled node by node. Only the copies' edges are built here,
-    the gadgets' on first read (see ``Graph``); the node count, which
-    ``--limit`` counts, includes them.
+    The query holds its node count, gadgets included, which ``--limit``
+    counts, and its copies' edges with its gadget list. Its edge set and
+    its contraction are each made from that list on first read (``Graph``),
+    so the oracle refuses an oversized query before contracting any of it.
     """
     n = g.node_count
     if not 1 <= i < j <= n:
@@ -524,9 +514,8 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
             count += 2 * n + 3 + tail
     if count != size or count % 4 != 2:
         raise AssertionError(f"padding failed: {count} nodes, planned {size}; need 2 mod 4")
-    base = _trusted_graph(count, frozenset(copies))
     query = object.__new__(Graph)
-    query.__dict__.update(node_count=count, _unhung=(base.edges, hung), _contraction=_contract(base, hung))
+    query.__dict__.update(node_count=count, _unhung=(frozenset(copies), hung))
     return query
 
 
@@ -551,7 +540,7 @@ def largest_query_nodes(n: int) -> int:
     return _query_layout(n, n - 2)[0] if n >= 2 else 0
 
 
-def unique_ga_ff_oracle(g: Graph, node_limit: int = 4000) -> int:
+def unique_ga_ff_oracle(g: Graph, node_limit: int = QUERY_NODE_LIMIT) -> int:
     """Decide the promise problem, verifying the promise first.
 
     Returns 1 (YES) when the graph has its unique fixed-point-free involutive
@@ -564,12 +553,12 @@ def unique_ga_ff_oracle(g: Graph, node_limit: int = 4000) -> int:
     return len(_promise_images(g, node_limit)[0]) - 1
 
 
-def _promise_images(g: Graph, node_limit: int = 4000):
+def _promise_images(g: Graph, node_limit: int = QUERY_NODE_LIMIT):
     """Verify the promise on the contracted graph; return (images, extend):
     the kept graph's colour-preserving automorphisms as 0-based images,
     sorted, so the identity comes first, and ``_contract``'s ``extend``,
-    which turns each into its one automorphism of g. The contraction is the
-    one a query carries, or else g's own peel.
+    which turns each into its one automorphism of g. The node limit is
+    checked before ``g._contraction`` is made, a query's from its gadgets.
 
     Aut(g) has order |Aut_col(kept)| times the tree product, so the search
     stops at a third image, which already breaks the promise. A product of

@@ -305,7 +305,7 @@ class TestRefinement:
         # the same queries contracted: the kept graph from its label colouring
         coloured = 0
         for q in scanned_queries:
-            adj, colors, _, _ = _contract(q)
+            adj, colors, _, _ = _contract(q.node_count, q.edges)
             assert _refined_cells(adj, colors) == refined_cells_reference(adj, colors)
             coloured += len(set(colors)) > 1
         assert coloured > 800
@@ -463,7 +463,7 @@ class TestContraction:
     def test_star_order_is_the_tree_product(self):
         star = Graph(10, frozenset((1, v) for v in range(2, 11)))
         assert group_order(star) == math.factorial(9)
-        adj, colors, product, _ = _contract(star)
+        adj, colors, product, _ = _contract(star.node_count, star.edges)
         assert (adj, product) == ([set()], math.factorial(9))
 
     def test_aut_elements_equal_the_full_search_on_scan_queries(self, scanned_queries):
@@ -474,7 +474,7 @@ class TestContraction:
 
 
 def hang_one(g, node, index):
-    """g with one gadget of the given index hung on `node`, as build_query hangs it."""
+    """g with one gadget of the given index hung on `node`, as a query's gadgets are hung."""
     edges = set(g.edges)
     count = _hang_label(edges, node, g.node_count, g.node_count, index)
     return Graph(count, frozenset(edges))
@@ -652,11 +652,13 @@ class TestOracle:
             assert time.perf_counter() - start < 1.0
 
     def test_node_limit_counts_the_query_not_its_kept_graph(self):
-        # the 8-node path's first query: 398 nodes, of which a handful are kept
+        # the 8-node path's first query: 398 nodes, of which a handful are
+        # kept; the oversized query is refused before any of it is contracted
         q = build_query(path(8), 7, 8)
-        assert len(_contract(q)[0]) < 20
         with pytest.raises(ValueError, match="398 nodes exceeds the configured limit 397"):
             unique_ga_ff_oracle(q, node_limit=397)
+        assert "_contraction" not in vars(q)
+        assert len(_contract(q.node_count, q.edges)[0]) < 20
         assert unique_ga_ff_oracle(q, node_limit=398) == 0
 
     def test_promise_violation_on_fixed_point_automorphism(self):
@@ -693,28 +695,31 @@ class TestOracle:
             PromiseInstance(build_query(K2, 1, 2)).aut_elements()
 
     def test_decides_without_building_gadget_edges(self, scanned_queries, monkeypatch):
-        # every scan, built and answered with _hang_label counted: the only
-        # gadget hung edge by edge is the restart path's one, on the 9 tree
-        # bases whose copy centre lies on a gadget's chain, and no query's
-        # edge set is built. The answers equal those of the full edge sets
-        # peeled as parsed graphs.
+        # every scan, built and answered with _hang_label counted: a query
+        # arrives with neither its contraction nor its edges, and is
+        # contracted while it is decided. The only gadgets hung edge by edge
+        # are a whole query's list, 6 or 8, on the 9 tree bases whose copy
+        # centre lies on a gadget's chain, and no query's edge set is built.
+        # The answers equal those of the full edge sets peeled as parsed graphs.
         want = [oracle_answer(Graph(q.node_count, q.edges)) for q in scanned_queries]
         calls, hang_label = [], graphauto._hang_label
         monkeypatch.setattr(graphauto, "_hang_label", lambda *args: calls.append(args) or hang_label(*args))
-        got, hung_before = [], []
+        got, hung_deciding = [], []
 
         def answer(q):
-            hung_before.append(len(calls))  # the calls made building q
+            assert "_contraction" not in vars(q) and "edges" not in vars(q)
+            before = len(calls)
             got.append(oracle_answer(q))
+            hung_deciding.append(len(calls) - before)
             assert "edges" not in vars(q)
             return 0
 
         for g in scanned_bases():
             koebler_reduce(g, oracle=answer)
         pairs = [pair for g in scanned_bases() for pair in scan_pairs(g)]
-        per_query = np.diff([0, *hung_before])
-        restarts = [(base.node_count, i, j, k) for (base, i, j), k in zip(pairs, per_query) if k]
-        assert restarts == [(3, 2, 3, 1)] * 5 + [(4, 3, 4, 1)] * 4
+        restarts = [(base.node_count, i, j, k) for (base, i, j), k in zip(pairs, hung_deciding) if k]
+        assert restarts == [(3, 2, 3, 6)] * 5 + [(4, 3, 4, 8)] * 4
+        assert len(calls) == sum(hung_deciding)  # building a query hangs nothing
         assert got == want
 
 
@@ -765,8 +770,8 @@ def tree_centres(g):
 def hung_gadgets(draw):
     """(full, base, hung): a forest or twin-branch graph with one or two
     gadgets hung through hang_one, and the same graph as ``_contract`` takes
-    it, the graph's own edges with the gadgets in hung. Tail lengths reach
-    n+1, the tail that gives a gadget an internal swap."""
+    it, the graph's own edges (base) with the gadgets in hung. Tail lengths
+    reach n+1, the tail that gives a gadget an internal swap."""
     g = draw(st.one_of(forests(8), forests(8, max_extra=3), twin_branches(8)))
     base, hung = g, []
     for _ in range(draw(st.integers(1, 2))):
@@ -774,26 +779,36 @@ def hung_gadgets(draw):
         tail = draw(st.integers(1, base.node_count + 2))
         hung.append((node, g.node_count + 1, g.node_count, tail))
         g = hang_one(g, node, tail)
-    return g, Graph(g.node_count, base.edges), hung
+    return g, base.edges, hung
 
 
 class TestAttachedContraction:
-    """A query carries the contraction of its base copies with the gadgets
-    hung on them, and it equals the peel of the whole query."""
+    """A query's contraction is made on first read from its base copies and
+    the gadgets hung on them, and it equals the peel of the whole query."""
 
-    def test_equals_the_peel_of_every_scan_query(self, scanned_queries):
-        for q in scanned_queries:
-            assert kept_summary(q._contraction) == kept_summary(_contract(q))
+    def test_equals_the_peel_of_every_scan_query(self):
+        # every scan query, fresh twice: once contracted before anything else
+        # is read, once after its edge set was read, which keeps the gadget
+        # list the contraction is made from
+        for pair in (pair for g in scanned_bases() for pair in scan_pairs(g)):
+            first, late = build_query(*pair), build_query(*pair)
+            want = kept_summary(_contract(late.node_count, late.edges))
+            assert kept_summary(first._contraction) == want
+            assert "edges" not in vars(first)
+            assert "_unhung" in vars(late)
+            assert kept_summary(late._contraction) == want
 
     @settings(max_examples=150, deadline=None)
     @given(hung_gadgets())
     def test_equals_the_peel_with_gadgets_hung_on_forests(self, case):
         full, base, hung = case
-        assert kept_summary(_contract(base, hung)) == kept_summary(_contract(full))
+        n = full.node_count
+        assert kept_summary(_contract(n, base, hung)) == kept_summary(_contract(n, full.edges))
 
     def test_a_centre_inside_a_gadget(self, scanned_queries):
         # In a query on a tree, each copy keeps its centres, and some lie on
-        # a gadget's chain; that gadget alone is then hung node by node.
+        # a gadget's chain; the whole query then hangs all of its gadgets
+        # and is peeled again.
         bases = [base for g in scanned_bases() for base, _, _ in scan_pairs(g)]
         found = []
         for base, q in zip(bases, scanned_queries):
@@ -808,10 +823,10 @@ class TestAttachedContraction:
             + [(4, [4, 44, 64]), (4, [4, 64, 105]), (4, [4, 64, 105]), (4, [4, 44, 64])]
         )
         for _, _, _, q in found:
-            parsed = Graph(q.node_count, q.edges)  # carries no contraction
+            parsed = Graph(q.node_count, q.edges)  # holds no gadget list
             assert oracle_answer(q) == oracle_answer(parsed)
             assert promise_verdict(q) == promise_verdict(parsed)
-            assert kept_summary(q._contraction) == kept_summary(_contract(parsed))
+            assert kept_summary(q._contraction) == kept_summary(_contract(parsed.node_count, parsed.edges))
 
     def test_label_table_holds_gadget_subtrees_only(self, monkeypatch):
         monkeypatch.setattr(graphauto, "_LABELS", {})
@@ -877,11 +892,14 @@ def test_promise_query_layer_timing(scanned_queries):
     pairs = [pair for g in scanned_bases() for pair in scan_pairs(g)]
     assert [build_query(*pair) for pair in pairs] == scanned_queries
     kept = [q._contraction[:2] for q in scanned_queries]
-    unhung = [vars(build_query(*pair))["_unhung"] for pair in pairs]
+    unhung = [(q.node_count, vars(build_query(*pair))["_unhung"]) for q, pair in zip(scanned_queries, pairs)]
     layers = {
-        "build_query, with its contraction": lambda: [build_query(*pair) for pair in pairs],
-        "a query's edge set, built on first read": lambda: [graphauto._with_gadgets(*u) for u in unhung],
-        "_contract of the built query, as a parsed graph is peeled": lambda: [_contract(q) for q in scanned_queries],
+        "build_query": lambda: [build_query(*pair) for pair in pairs],
+        "a query's contraction, made on first read from its gadget list": lambda: [_contract(n, *u) for n, u in unhung],
+        "a query's edge set, built on first read": lambda: [graphauto._with_gadgets(*u) for _, u in unhung],
+        "_contract of the built query, as a parsed graph is peeled": lambda: [
+            _contract(q.node_count, q.edges) for q in scanned_queries
+        ],
         "kept-graph search": lambda: [list(itertools.islice(_search(*k)[1](), 3)) for k in kept],
         "unique_ga_ff_oracle on the carried contraction": lambda: [oracle_answer(q) for q in scanned_queries],
     }
