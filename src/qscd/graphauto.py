@@ -43,9 +43,10 @@ class Graph:
 
     A query from ``build_query`` holds its copies' edges and its gadget
     list, and makes its edge set and its contraction from that list, each
-    on first read. Equality, hash, repr, selftest's ``criterion_labels``
-    and caller-supplied oracles read its edges; the promise oracle and
-    ``PromiseInstance`` read only its contraction."""
+    on first read, the contraction with each gadget as a labelled leaf of
+    its host. Equality, hash, repr, ``criterion_labels`` and caller-supplied
+    oracles read its edges; the promise oracle and ``PromiseInstance`` read
+    only its contraction."""
 
     node_count: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
@@ -259,13 +260,13 @@ _LABELS: dict[tuple[int, ...], int] = {}  # the gadgets' rooted-tree labels, fil
 
 
 @cache
-def _gadget(n: int, tail: int) -> tuple[int, int, int]:
-    """(label, height, product) of the tree that ``_hang_label`` hangs for
-    (n, tail), rooted at its first node: a path of n+2 nodes whose last node
-    holds an arm of n+1 nodes and a tail of tail nodes. Its labels are
-    interned in ``_LABELS``, and nothing else is, so the table holds the
-    subtrees of the gadgets asked for, however many queries hang them. The
-    height counts nodes: a tree's root is peeled in the round of its height."""
+def _gadget(n: int, tail: int) -> tuple[int, int]:
+    """(label, product) of the tree that ``_hang_label`` hangs for (n, tail),
+    rooted at its first node: a path of n+2 nodes whose last node holds an
+    arm of n+1 nodes and a tail of tail nodes. The product is 2 when the
+    tail mirrors the arm, else 1. Its labels are interned in ``_LABELS``,
+    and nothing else is, so the table holds the subtrees of the gadgets
+    asked for, however many queries hang them."""
 
     def intern(key: tuple[int, ...]) -> int:
         return _LABELS.setdefault(key, len(_LABELS))
@@ -276,7 +277,7 @@ def _gadget(n: int, tail: int) -> tuple[int, int, int]:
     label = intern(tuple(sorted([path[n], path[tail - 1]] if tail else [path[n]])))
     for _ in range(n + 1):
         label = intern((label,))
-    return label, max(n + 1, tail) + n + 2, 2 if tail == n + 1 else 1
+    return label, 2 if tail == n + 1 else 1
 
 
 def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[int, int, int, int]] = ()):
@@ -286,31 +287,32 @@ def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[in
     centres are kept. Each vertex is labelled bottom up by the sorted,
     interned labels of its children (Aho, Hopcroft and Ullman, 1974).
 
-    Each entry (node, root, m, tail) of hung, in node order, is a gadget
-    whose edges g leaves out: the tree ``_hang_label`` hangs on node for
-    (m, tail), numbered from root. Its root is peeled in the round of its
-    height with ``_gadget``'s label, as its own leaves would have brought it
-    there, and no other node of it is visited. If a node becomes a leaf with
-    a gadget root as its last neighbour, a centre lies on that gadget's
-    chain, and the peel starts again on g with every gadget of hung hung in
-    it. A label that ``_LABELS`` holds is read from it; any other is a
-    negative number local to the call.
+    Each entry (node, root, m, tail) of hung, in node order, is a gadget whose
+    edges g leaves out: the tree ``_hang_label`` hangs on node for (m, tail),
+    numbered from root. Its root is a child of node from the start, with
+    ``_gadget``'s label and outside node's degree, so only g's own nodes are
+    peeled. That is exact when every automorphism of g with its gadgets keeps
+    g's own nodes. It fails only for a single gadget on one end of a path
+    component whose tail mirrors the path, as on the 2-node path with gadget
+    (1, 3, 2, 5); with gadgets on two distinct nodes of a connected base it
+    cannot occur, so ``build_query`` refuses a disconnected base. A label
+    ``_LABELS`` holds is read from it; any other is negative, local to the
+    call.
 
     Returns (adj, colors, product, extend): the kept graph, renumbered from 0
     in node order; each kept vertex's label as its colour; the product over
-    every vertex of k! for each k of its children that share a label; and
-    ``extend(image)``, which carries a kept automorphism down the trees by
-    matching children with equal labels, a match that is unique when the
-    product is 1, and moves each gadget as its root moves. The
+    every vertex, gadgets' included, of k! for each k of its children that
+    share a label; and ``extend(image)``, which carries a kept automorphism
+    down the trees by matching children with equal labels, a match that is
+    unique when the product is 1, and moves each gadget as its root moves. The
     (parent, label) map it matches through is built on its first call and
-    shared by the later ones. An automorphism of g keeps the 2-core, the
-    centres and the labels, and each colour-preserving automorphism of the
-    kept graph extends in exactly product ways, so |Aut(g)| is
-    |Aut_col(kept)| times the product. The product's factorials are counted
-    only at a vertex whose children repeat a label."""
+    shared by the later ones. An automorphism keeps the 2-core, the centres and
+    the labels, and each colour-preserving automorphism of the kept graph
+    extends in exactly product ways, so |Aut| is |Aut_col(kept)| times the
+    product. The product's factorials are counted only at a vertex whose
+    children repeat a label."""
     # Nodes are 1-based and parent 0 marks a kept node. rest[v] is the sum
-    # of v's unpeeled neighbours in g: its last one when deg[v] is 1, unless
-    # that one is a gadget's root.
+    # of v's unpeeled neighbours in g: its last one when deg[v] is 1.
     deg, rest = [0] * (n + 1), [0] * (n + 1)
     for u, v in edges:
         deg[u] += 1
@@ -321,48 +323,36 @@ def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[in
     product = 1
     nodes: list[int] = []  # g's nodes outside the gadgets
     spans: list[tuple[int, int]] = []  # (root, node count) of each gadget
-    due: dict[int, list[int]] = {}  # the gadget roots each round peels
+    peeled: list[int] = []  # gadget roots first, so that extend maps them after their hosts
+    children: dict[int, list[int]] = {}
     after = 1
     for node, root, base, tail in hung:
-        label[root], height, twins = _gadget(base, tail)
+        label[root], twins = _gadget(base, tail)
         nodes.extend(range(after, root))
         after = root + 2 * base + 3 + tail
         spans.append((root, after - root))
         parent[root] = node
-        deg[node] += 1
-        due.setdefault(height, []).append(root)
+        peeled.append(root)
+        children.setdefault(node, []).append(root)
         product *= twins
     nodes.extend(range(after, n + 1))
 
-    children: dict[int, list[int]] = {}
-    peeled: list[int] = []
     leaves = [v for v in nodes if deg[v] == 1]
-    height = 1  # each round peels the nodes of one height
-    while leaves or due:
-        if not leaves:  # no node of g is a leaf before the next gadget root
-            height = min(due)
-        ends = set(leaves)
-        first = len(peeled)
+    while leaves:
+        ends, queued = set(leaves), []
         for v in leaves:
             p = rest[v]
-            if not p:  # the last neighbour is a gadget root: a centre lies in a gadget
-                return _contract(n, _with_gadgets(edges, hung))
             if p in ends:  # the last edge of a tree: both ends are centres
                 continue
             parent[v] = p
             rest[p] -= v
             peeled.append(v)
-        peeled.extend(due.pop(height, ()))
-        queued = []
-        for v in peeled[first:]:
-            p = parent[v]
             children.setdefault(p, []).append(v)
             deg[p] -= 1
             if deg[p] == 1:
                 queued.append(p)
         # a node queued at degree 1 may have dropped to 0 later in the round
         leaves = [v for v in queued if deg[v] == 1]
-        height += 1
 
     kept = [v for v in nodes if not parent[v]]
     local: dict[tuple[int, ...], int] = {}
@@ -461,8 +451,7 @@ def _hang_label(edges: set[tuple[int, int]], node: int, count: int, n: int, tail
 
 def _with_gadgets(edges: frozenset[tuple[int, int]], hung: Sequence[tuple[int, int, int, int]]) -> frozenset[tuple[int, int]]:
     """edges with each gadget (node, root, n, tail) of hung hung on node,
-    numbered from root, as ``_hang_label`` hangs it: the one way gadget
-    edges join an edge set."""
+    numbered from root, as ``_hang_label`` hangs it: a query's edge set."""
     full = set(edges)
     for node, root, n, tail in hung:
         _hang_label(full, node, root - 1, n, tail)
@@ -493,10 +482,13 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
     counts, and its copies' edges with its gadget list. Its edge set and
     its contraction are each made from that list on first read (``Graph``),
     so the oracle refuses an oversized query before contracting any of it.
+    A disconnected g is refused, as its contraction may miss a flip.
     """
     n = g.node_count
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= {n}, got i={i}, j={j}")
+    if not is_connected(g):
+        raise ValueError("need a connected base graph; complement a disconnected one")
     size, tails = _query_layout(n, i - 1)
 
     # Both labeled copies go into one edge set: the second copy's nodes are
@@ -588,10 +580,9 @@ def koebler_reduce(g: Graph, oracle=None) -> int:
 
     Scans target pairs (i, j) with i from n down to 1 and j from i+1 up to n,
     querying the oracle on the corresponding two-copy gadget graph, and
-    answers YES at the first YES. Disconnected inputs are replaced by their
-    complement first: relabeling symmetries are identical for a graph and its
-    complement, the complement of a disconnected graph is connected, and a
-    disconnected base would hand the query copies spurious automorphisms.
+    answers YES at the first YES. A disconnected input, which ``build_query``
+    refuses, is replaced by its complement, which is connected and has the
+    same relabeling symmetries.
     """
     if oracle is None:
         oracle = unique_ga_ff_oracle

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qscd import graphauto
@@ -302,13 +302,14 @@ class TestRefinement:
             assert _refined_cells(adj, one_cell) == refined_cells_reference(adj, one_cell)
 
     def test_matches_reference_loop_on_kept_graphs(self, scanned_queries):
-        # the same queries contracted: the kept graph from its label colouring
+        # the same queries contracted, each as a parsed graph and as the
+        # oracle contracts it: the kept graph from its label colouring
         coloured = 0
         for q in scanned_queries:
-            adj, colors, _, _ = _contract(q.node_count, q.edges)
-            assert _refined_cells(adj, colors) == refined_cells_reference(adj, colors)
-            coloured += len(set(colors)) > 1
-        assert coloured > 800
+            for adj, colors, _, _ in (_contract(q.node_count, q.edges), q._contraction):
+                assert _refined_cells(adj, colors) == refined_cells_reference(adj, colors)
+                coloured += len(set(colors)) > 1
+        assert coloured > 1600
 
     def test_single_cell_rigid_graph_is_still_searched(self):
         cells, _ = _refined_cells(FRUCHT.adjacency(), [0] * 12)
@@ -337,12 +338,13 @@ class TestRefinement:
 
 
 @st.composite
-def forests(draw, max_nodes, max_extra=0):
+def forests(draw, max_nodes, max_extra=0, connected=False):
     """A random forest, shuffled: each node after the first hangs from an
-    earlier one or starts a tree. Up to max_extra random edges close cycles,
-    which leaves pendant trees on a 2-core."""
+    earlier one or starts a tree, or, when connected, always hangs. Up to
+    max_extra random edges close cycles, which leaves pendant trees on a
+    2-core."""
     n = draw(st.integers(1, max_nodes))
-    edges = {(p, v) for v in range(2, n + 1) if (p := draw(st.integers(0, v - 1)))}
+    edges = {(p, v) for v in range(2, n + 1) if (p := draw(st.integers(int(connected), v - 1)))}
     for _ in range(draw(st.integers(0, max_extra))):
         u, v = draw(st.integers(1, n)), draw(st.integers(1, n))
         if u != v:
@@ -352,10 +354,10 @@ def forests(draw, max_nodes, max_extra=0):
 
 
 @st.composite
-def twin_branches(draw, max_nodes):
+def twin_branches(draw, max_nodes, connected=False):
     """A random host with two or three copies of one small rooted tree hung
     on one of its nodes, so that siblings share a label."""
-    host = draw(forests(3, max_extra=2))
+    host = draw(forests(3, max_extra=2, connected=connected))
     room = max_nodes - host.node_count
     size = draw(st.integers(1, min(3, room // 2)))  # nodes in each copy
     tree = [draw(st.integers(0, k)) for k in range(size - 1)]  # tree[k]: parent of node k + 1
@@ -587,23 +589,21 @@ class TestBuildQuery:
 
     def test_matches_chain_by_chain_construction(self):
         # every query of the path scans on 2..8 nodes and of every labelled
-        # graph on up to 4 nodes, against the earlier construction that built
+        # graph on up to 4 nodes, a disconnected one complemented as
+        # koebler_reduce does, against the earlier construction that built
         # a new graph for every chain. A query builds its edges on first
         # read, so equality both ways, hash and repr each get a fresh one.
-        bases = [path(n) for n in range(2, 9)] + [g for n in range(1, 5) for g in all_graphs(n)]
-        for g in bases:
-            n = g.node_count
-            for i in range(n, 0, -1):
-                for j in range(i + 1, n + 1):
-                    count, edges = chain_by_chain_query(n, g.edges, list(range(1, i)), i, j)
-                    eager = Graph(count, frozenset(edges))
-                    assert build_query(g, i, j) == eager
-                    assert eager == build_query(g, i, j)
-                    assert hash(build_query(g, i, j)) == hash(eager)
-                    shown = repr(build_query(g, i, j))
-                    q = build_query(g, i, j)
-                    assert (q.node_count, q.edges) == (count, edges)
-                    assert shown == f"Graph(node_count={count}, edges={q.edges!r})"
+        graphs = [path(n) for n in range(2, 9)] + [g for n in range(1, 5) for g in all_graphs(n)]
+        for g, i, j in (pair for h in graphs for pair in scan_pairs(h)):
+            count, edges = chain_by_chain_query(g.node_count, g.edges, list(range(1, i)), i, j)
+            eager = Graph(count, frozenset(edges))
+            assert build_query(g, i, j) == eager
+            assert eager == build_query(g, i, j)
+            assert hash(build_query(g, i, j)) == hash(eager)
+            shown = repr(build_query(g, i, j))
+            q = build_query(g, i, j)
+            assert (q.node_count, q.edges) == (count, edges)
+            assert shown == f"Graph(node_count={count}, edges={q.edges!r})"
 
     def test_largest_query_is_the_first_and_its_size_is_known_in_advance(self):
         # the scan's queries, built, against the arithmetic the CLI checks
@@ -622,6 +622,15 @@ class TestBuildQuery:
         for i, j in [(1, 1), (2, 1), (0, 2), (1, 4)]:
             with pytest.raises(ValueError, match=r"need 1 <= i < j <= 3"):
                 build_query(K3, i, j)
+
+    def test_refuses_a_disconnected_base(self):
+        # a disconnected base is refused before anything is built;
+        # koebler_reduce queries its complement, the path 1-3-2
+        lone = Graph(3, frozenset({(1, 2)}))
+        for i, j in [(1, 2), (1, 3), (2, 3)]:
+            with pytest.raises(ValueError, match="connected base"):
+                build_query(lone, i, j)
+        assert koebler_reduce(lone) == 1
 
 
 class TestOracle:
@@ -694,47 +703,55 @@ class TestOracle:
         with pytest.raises(AssertionError, match="built a permutation"):
             PromiseInstance(build_query(K2, 1, 2)).aut_elements()
 
+    def test_yes_keys_restrict_to_a_base_automorphism(self, scanned_queries):
+        # each YES query's key, checked with no search: it carries the first
+        # copy onto the second, and shifted back by half the query's nodes,
+        # its first copy's base nodes are an automorphism of the base that
+        # fixes 1..i-1 and swaps i and j
+        pairs = [pair for g in scanned_bases() for pair in scan_pairs(g)]
+        yes = 0
+        for (base, i, j), q in zip(pairs, scanned_queries):
+            if oracle_answer(q) == 1:
+                yes += 1
+                n, half, key = base.node_count, q.node_count // 2, PromiseInstance(q).hidden_key()
+                sigma = [key(v) - half for v in range(1, n + 1)]
+                assert sorted(sigma) == list(range(1, n + 1))
+                assert {tuple(sorted((sigma[u - 1], sigma[v - 1]))) for u, v in base.edges} == base.edges
+                assert sigma[:i - 1] == list(range(1, i)) and (sigma[i - 1], sigma[j - 1]) == (j, i)
+        assert yes == 123
+
     def test_decides_without_building_gadget_edges(self, scanned_queries, monkeypatch):
         # every scan, built and answered with _hang_label counted: a query
         # arrives with neither its contraction nor its edges, and is
-        # contracted while it is decided. The only gadgets hung edge by edge
-        # are a whole query's list, 6 or 8, on the 9 tree bases whose copy
-        # centre lies on a gadget's chain, and no query's edge set is built.
+        # contracted while it is decided with its gadgets as labelled
+        # leaves, so no gadget is hung edge by edge and no edge set is built.
         # The answers equal those of the full edge sets peeled as parsed graphs.
         want = [oracle_answer(Graph(q.node_count, q.edges)) for q in scanned_queries]
         calls, hang_label = [], graphauto._hang_label
         monkeypatch.setattr(graphauto, "_hang_label", lambda *args: calls.append(args) or hang_label(*args))
-        got, hung_deciding = [], []
+        got = []
 
         def answer(q):
             assert "_contraction" not in vars(q) and "edges" not in vars(q)
-            before = len(calls)
             got.append(oracle_answer(q))
-            hung_deciding.append(len(calls) - before)
             assert "edges" not in vars(q)
             return 0
 
         for g in scanned_bases():
             koebler_reduce(g, oracle=answer)
-        pairs = [pair for g in scanned_bases() for pair in scan_pairs(g)]
-        restarts = [(base.node_count, i, j, k) for (base, i, j), k in zip(pairs, hung_deciding) if k]
-        assert restarts == [(3, 2, 3, 6)] * 5 + [(4, 3, 4, 8)] * 4
-        assert len(calls) == sum(hung_deciding)  # building a query hangs nothing
+        assert calls == []
         assert got == want
 
 
-def kept_summary(contraction):
-    """What a contraction decides by: the kept adjacency, the colour
-    partition (labels up to renaming), the tree product, and, when the
-    product is 1, every kept image with its extension's image."""
+def group_summary(contraction):
+    """What the oracle relies on from a contraction: the group order,
+    |Aut_col(kept)| times the tree product, and, when the product is 1, the
+    automorphisms that the kept images extend to, sorted by image. With a
+    larger product the oracle refuses by the order alone."""
     adj, colors, product, extend = contraction
-    cells = defaultdict(list)
-    for k, c in enumerate(colors):
-        cells[c].append(k)
-    images = []
-    if product == 1:
-        images = [(image, extend(image).image) for image in _search(adj, colors)[1]()]
-    return adj, sorted(cells.values()), product, images
+    images = list(_search(adj, colors)[1]())
+    extended = sorted(extend(image).image for image in images) if product == 1 else []
+    return len(images) * product, extended
 
 
 def tree_centres(g):
@@ -768,15 +785,22 @@ def tree_centres(g):
 
 @st.composite
 def hung_gadgets(draw):
-    """(full, base, hung): a forest or twin-branch graph with one or two
-    gadgets hung through hang_one, and the same graph as ``_contract`` takes
-    it, the graph's own edges (base) with the gadgets in hung. Tail lengths
-    reach n+1, the tail that gives a gadget an internal swap."""
-    g = draw(st.one_of(forests(8), forests(8, max_extra=3), twin_branches(8)))
+    """(full, base, hung): a connected tree, cyclic or twin-branch graph
+    with two or three gadgets hung through hang_one on two or more distinct
+    nodes, as a query's copy carries them, and the same graph as
+    ``_contract`` takes it, the graph's own edges (base) with the gadgets in
+    hung. Tail lengths reach 2n+1, past n+1, the tail that gives a gadget an
+    internal swap, and every tail that mirrors a path from a gadget's host."""
+    g = draw(st.one_of(
+        forests(8, connected=True), forests(8, max_extra=3, connected=True), twin_branches(8, connected=True)
+    ))
+    assume(g.node_count > 1)
+    n = g.node_count
+    first, second = draw(st.integers(1, n)), draw(st.integers(1, n - 1))
+    hosts = [first, second + (second >= first), *draw(st.lists(st.integers(1, n), max_size=1))]
     base, hung = g, []
-    for _ in range(draw(st.integers(1, 2))):
-        node = draw(st.integers(1, base.node_count))
-        tail = draw(st.integers(1, base.node_count + 2))
+    for node in hosts:
+        tail = draw(st.integers(1, 2 * n + 1))
         hung.append((node, g.node_count + 1, g.node_count, tail))
         g = hang_one(g, node, tail)
     return g, base.edges, hung
@@ -792,23 +816,23 @@ class TestAttachedContraction:
         # list the contraction is made from
         for pair in (pair for g in scanned_bases() for pair in scan_pairs(g)):
             first, late = build_query(*pair), build_query(*pair)
-            want = kept_summary(_contract(late.node_count, late.edges))
-            assert kept_summary(first._contraction) == want
+            want = group_summary(_contract(late.node_count, late.edges))
+            assert group_summary(first._contraction) == want
             assert "edges" not in vars(first)
             assert "_unhung" in vars(late)
-            assert kept_summary(late._contraction) == want
+            assert group_summary(late._contraction) == want
 
     @settings(max_examples=150, deadline=None)
     @given(hung_gadgets())
     def test_equals_the_peel_with_gadgets_hung_on_forests(self, case):
         full, base, hung = case
         n = full.node_count
-        assert kept_summary(_contract(n, base, hung)) == kept_summary(_contract(n, full.edges))
+        assert group_summary(_contract(n, base, hung)) == group_summary(_contract(n, full.edges))
 
     def test_a_centre_inside_a_gadget(self, scanned_queries):
-        # In a query on a tree, each copy keeps its centres, and some lie on
-        # a gadget's chain; the whole query then hangs all of its gadgets
-        # and is peeled again.
+        # In a query on a tree, the whole copy's centres may lie on a
+        # gadget's chain, while its contraction keeps the centres of the
+        # base tree, with the gadgets as labelled leaves.
         bases = [base for g in scanned_bases() for base, _, _ in scan_pairs(g)]
         found = []
         for base, q in zip(bases, scanned_queries):
@@ -826,7 +850,7 @@ class TestAttachedContraction:
             parsed = Graph(q.node_count, q.edges)  # holds no gadget list
             assert oracle_answer(q) == oracle_answer(parsed)
             assert promise_verdict(q) == promise_verdict(parsed)
-            assert kept_summary(q._contraction) == kept_summary(_contract(parsed.node_count, parsed.edges))
+            assert group_summary(q._contraction) == group_summary(_contract(parsed.node_count, parsed.edges))
 
     def test_label_table_holds_gadget_subtrees_only(self, monkeypatch):
         monkeypatch.setattr(graphauto, "_LABELS", {})
