@@ -16,7 +16,7 @@ import math
 from collections import Counter, deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -77,6 +77,19 @@ class Graph:
         edges with its gadget list, or of another graph's edges."""
         return _contract(self.node_count, *(self.__dict__.get("_unhung") or (self.edges,)))
 
+    @cached_property
+    def _connected(self) -> bool:
+        """Whether the graph is connected, from one search on first read, so
+        a scan's queries of one base share it."""
+        adj = self.adjacency()
+        seen, stack = {0}, [0]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == self.node_count
+
     def adjacency(self) -> list[set[int]]:
         """0-based neighbor sets."""
         adj: list[set[int]] = [set() for _ in range(self.node_count)]
@@ -94,18 +107,6 @@ def complement(g: Graph) -> Graph:
         if (u, v) not in g.edges
     }
     return Graph(g.node_count, frozenset(edges))
-
-
-def is_connected(g: Graph) -> bool:
-    adj = g.adjacency()
-    seen = {0}
-    stack = [0]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.node_count
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -256,48 +257,33 @@ def _search(adj: list[set[int]], colors: Sequence[int]):
     return order, backtrack
 
 
-_LABELS: dict[tuple[int, ...], int] = {}  # the gadgets' rooted-tree labels, filled by _gadget
-
-
-@cache
-def _gadget(n: int, tail: int) -> tuple[int, int]:
-    """(label, product) of the tree that ``_hang_label`` hangs for (n, tail),
-    rooted at its first node: a path of n+2 nodes whose last node holds an
-    arm of n+1 nodes and a tail of tail nodes. The product is 2 when the
-    tail mirrors the arm, else 1. Its labels are interned in ``_LABELS``,
-    and nothing else is, so the table holds the subtrees of the gadgets
-    asked for, however many queries hang them."""
-
-    def intern(key: tuple[int, ...]) -> int:
-        return _LABELS.setdefault(key, len(_LABELS))
-
-    path = [intern(())]  # path[k]: a path of k+1 nodes hung by an end
-    while len(path) < max(n + 1, tail):
-        path.append(intern((path[-1],)))
-    label = intern(tuple(sorted([path[n], path[tail - 1]] if tail else [path[n]])))
-    for _ in range(n + 1):
-        label = intern((label,))
-    return label, 2 if tail == n + 1 else 1
-
-
 def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[int, int, int, int]] = ()):
     """Peel the pendant trees of g, the graph of edges on nodes 1..n: all
     leaves at once, round after round, each recording the neighbour it hung
     from as its parent. The 2-core and each tree component's one or two
-    centres are kept. Each vertex is labelled bottom up by the sorted,
-    interned labels of its children (Aho, Hopcroft and Ullman, 1974).
+    centres are kept. Each vertex is labelled bottom up by the sorted labels
+    of its children (Aho, Hopcroft and Ullman, 1974), each new key numbered
+    in a table local to the call: a leaf is 0, the rest count from 1.
 
     Each entry (node, root, m, tail) of hung, in node order, is a gadget whose
-    edges g leaves out: the tree ``_hang_label`` hangs on node for (m, tail),
-    numbered from root. Its root is a child of node from the start, with
-    ``_gadget``'s label and outside node's degree, so only g's own nodes are
-    peeled. That is exact when every automorphism of g with its gadgets keeps
-    g's own nodes. It fails only for a single gadget on one end of a path
-    component whose tail mirrors the path, as on the 2-node path with gadget
-    (1, 3, 2, 5); with gadgets on two distinct nodes of a connected base it
-    cannot occur, so ``build_query`` refuses a disconnected base. A label
-    ``_LABELS`` holds is read from it; any other is negative, local to the
-    call.
+    edges g leaves out: the tree ``_with_gadgets`` hangs on node for (m, tail),
+    numbered from root. Its root is a child of node from the start, outside
+    node's degree, named in the same table by its (m, tail), so only g's own
+    nodes are peeled; it swaps inside when its tail mirrors its arm, at
+    tail = m + 1. With every m at least the node count of g's largest
+    component the names are exact: a gadget's chain to its first branch has
+    m+2 nodes, longer than any path of g's own nodes in a pendant tree, and a
+    path that enters another gadget of the same m branches even deeper, so
+    two subtrees get equal names exactly when they have equal shapes. The
+    view is exact when, besides, every automorphism of g with its gadgets
+    keeps g's own nodes. Each can fail: a gadget smaller than its base, as on
+    the tree of 7 nodes with edges (1,2) .. (5,6) and (4,7) and gadget
+    (1, 8, 1, 1), which mirrors the rest of the tree about node 1; and a
+    single gadget on one end of a path component whose tail mirrors the
+    path, as on the 2-node path with gadget (1, 3, 2, 5). The second cannot
+    occur with gadgets on two distinct nodes of a connected base.
+    ``build_query`` hangs every gadget with m the base's node count, and
+    refuses a disconnected base.
 
     Returns (adj, colors, product, extend): the kept graph, renumbered from 0
     in node order; each kept vertex's label as its colour; the product over
@@ -320,21 +306,22 @@ def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[in
         rest[u] += v
         rest[v] += u
     parent, label = [0] * (n + 1), [0] * (n + 1)
+    local: dict[tuple, int] = {}  # a gadget's ("gadget", m, tail), or a vertex's children's labels
     product = 1
     nodes: list[int] = []  # g's nodes outside the gadgets
     spans: list[tuple[int, int]] = []  # (root, node count) of each gadget
     peeled: list[int] = []  # gadget roots first, so that extend maps them after their hosts
     children: dict[int, list[int]] = {}
     after = 1
-    for node, root, base, tail in hung:
-        label[root], twins = _gadget(base, tail)
+    for node, root, m, tail in hung:
+        label[root] = local.setdefault(("gadget", m, tail), len(local) + 1)
         nodes.extend(range(after, root))
-        after = root + 2 * base + 3 + tail
+        after = root + 2 * m + 3 + tail
         spans.append((root, after - root))
         parent[root] = node
         peeled.append(root)
         children.setdefault(node, []).append(root)
-        product *= twins
+        product *= 2 if tail == m + 1 else 1
     nodes.extend(range(after, n + 1))
 
     leaves = [v for v in nodes if deg[v] == 1]
@@ -355,7 +342,6 @@ def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[in
         leaves = [v for v in queued if deg[v] == 1]
 
     kept = [v for v in nodes if not parent[v]]
-    local: dict[tuple[int, ...], int] = {}
     for v in (*peeled, *kept):
         kids = children.get(v)
         if not kids:
@@ -367,8 +353,7 @@ def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[in
             if len(set(key)) < len(key):
                 for k in Counter(key).values():
                     product *= math.factorial(k)
-        shared = _LABELS.get(key)
-        label[v] = local.setdefault(key, ~len(local)) if shared is None else shared
+        label[v] = local.setdefault(key, len(local) + 1)
 
     index = [-1] * (n + 1)
     for k, v in enumerate(kept):
@@ -438,23 +423,17 @@ def group_order(g: Graph, node_limit: int = SEARCH_NODE_LIMIT) -> int:
     return total
 
 
-def _hang_label(edges: set[tuple[int, int]], node: int, count: int, n: int, tail_len: int) -> int:
-    # Hang a chain of 2n+3 new nodes on `node`, then a tail of tail_len new
-    # nodes on the chain's (n+2)-nd node: a tree of 2n+3+tail_len new nodes and
-    # edges, numbered from count + 1 in creation order. Returns the node count.
-    chain = [node, *range(count + 1, count + 2 * n + 4)]
-    tail = [count + n + 2, *range(count + 2 * n + 4, count + 2 * n + 4 + tail_len)]
-    edges.update(zip(chain, chain[1:]))
-    edges.update(zip(tail, tail[1:]))
-    return count + 2 * n + 3 + tail_len
-
-
 def _with_gadgets(edges: frozenset[tuple[int, int]], hung: Sequence[tuple[int, int, int, int]]) -> frozenset[tuple[int, int]]:
-    """edges with each gadget (node, root, n, tail) of hung hung on node,
-    numbered from root, as ``_hang_label`` hangs it: a query's edge set."""
+    """edges with each gadget (node, root, n, tail) of hung hung on node: a
+    chain of 2n+3 new nodes from node, then a tail of tail new nodes on the
+    chain's (n+2)-nd node, 2n+3+tail nodes numbered from root in that order.
+    A query's edge set."""
     full = set(edges)
     for node, root, n, tail in hung:
-        _hang_label(full, node, root - 1, n, tail)
+        chain = [node, *range(root, root + 2 * n + 3)]
+        branch = [root + n + 1, *range(root + 2 * n + 3, root + 2 * n + 3 + tail)]
+        full.update(zip(chain, chain[1:]))
+        full.update(zip(branch, branch[1:]))
     return frozenset(full)
 
 
@@ -487,7 +466,7 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
     n = g.node_count
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= {n}, got i={i}, j={j}")
-    if not is_connected(g):
+    if not g._connected:
         raise ValueError("need a connected base graph; complement a disconnected one")
     size, tails = _query_layout(n, i - 1)
 
@@ -587,7 +566,7 @@ def koebler_reduce(g: Graph, oracle=None) -> int:
     if oracle is None:
         oracle = unique_ga_ff_oracle
     base = g
-    if g.node_count > 1 and not is_connected(g):
+    if g.node_count > 1 and not g._connected:
         base = complement(g)
     n = base.node_count
     for i in range(n, 0, -1):

@@ -15,7 +15,7 @@ from .graphauto import (
     Graph,
     PromiseInstance,
     PromiseViolation,
-    _hang_label,
+    _with_gadgets,
     build_query,
     disjoint_union,
     koebler_reduce,
@@ -222,8 +222,7 @@ def criterion_labels(seed: int) -> tuple[bool, str]:
     bad_sizes = 0
     for n in range(1, 7):
         for j in range(1, 7):
-            edges = set(path_graph(n).edges)
-            _hang_label(edges, 1, n, n, j)
+            edges = _with_gadgets(path_graph(n).edges, [(1, n + 1, n, j)])
             nodes = {v for e in edges for v in e}
             if not len(edges) - (n - 1) == len(nodes) - n == 2 * n + j + 3:
                 bad_sizes += 1

@@ -1,15 +1,10 @@
-import functools
 import itertools
 import math
-import os
-import subprocess
-import sys
 import time
 import timeit
 from collections import defaultdict, deque
 from itertools import groupby
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +19,7 @@ from qscd.graphauto import (
     Graph,
     PromiseInstance,
     PromiseViolation,
-    _hang_label,
-    _query_layout,
+    _with_gadgets,
     automorphisms,
     build_query,
     largest_query_nodes,
@@ -33,7 +27,6 @@ from qscd.graphauto import (
     coset_sample,
     disjoint_union,
     group_order,
-    is_connected,
     iter_automorphisms,
     koebler_reduce,
     parse_graph,
@@ -102,9 +95,9 @@ class TestGraph:
             parse_graph("3 1\n3 1\n")
 
     def test_connectivity_and_complement(self):
-        assert is_connected(P3)
+        assert P3._connected
         two_isolated = Graph(2, frozenset())
-        assert not is_connected(two_isolated)
+        assert not two_isolated._connected
         assert complement(two_isolated) == K2
         # complementing preserves the automorphism list exactly
         for g in all_graphs(4):
@@ -222,7 +215,7 @@ def scan_queries(g):
 
 def scan_pairs(g):
     """(base, i, j) of every query of koebler_reduce's full scan of g, in scan order."""
-    base = complement(g) if g.node_count > 1 and not is_connected(g) else g
+    base = complement(g) if g.node_count > 1 and not g._connected else g
     n = base.node_count
     return [(base, i, j) for i in range(n, 0, -1) for j in range(i + 1, n + 1)]
 
@@ -477,9 +470,8 @@ class TestContraction:
 
 def hang_one(g, node, index):
     """g with one gadget of the given index hung on `node`, as a query's gadgets are hung."""
-    edges = set(g.edges)
-    count = _hang_label(edges, node, g.node_count, g.node_count, index)
-    return Graph(count, frozenset(edges))
+    n = g.node_count
+    return Graph(3 * n + 3 + index, _with_gadgets(g.edges, [(node, n + 1, n, index)]))
 
 
 class TestAttachLabel:
@@ -623,6 +615,17 @@ class TestBuildQuery:
             with pytest.raises(ValueError, match=r"need 1 <= i < j <= 3"):
                 build_query(K3, i, j)
 
+    def test_a_scan_searches_its_base_for_connectivity_once(self, monkeypatch):
+        # koebler_reduce and every build_query of a scan read one answer,
+        # kept on the base; a second scan of the same base searches nothing
+        calls, adjacency = [], Graph.adjacency
+        monkeypatch.setattr(Graph, "adjacency", lambda g: calls.append(g) or adjacency(g))
+        g = path(6)
+        assert len(scan_queries(g)) == 15
+        assert calls == [g]
+        scan_queries(g)
+        assert calls == [g]
+
     def test_refuses_a_disconnected_base(self):
         # a disconnected base is refused before anything is built;
         # koebler_reduce queries its complement, the path 1-3-2
@@ -721,14 +724,14 @@ class TestOracle:
         assert yes == 123
 
     def test_decides_without_building_gadget_edges(self, scanned_queries, monkeypatch):
-        # every scan, built and answered with _hang_label counted: a query
+        # every scan, built and answered with _with_gadgets counted: a query
         # arrives with neither its contraction nor its edges, and is
         # contracted while it is decided with its gadgets as labelled
         # leaves, so no gadget is hung edge by edge and no edge set is built.
         # The answers equal those of the full edge sets peeled as parsed graphs.
         want = [oracle_answer(Graph(q.node_count, q.edges)) for q in scanned_queries]
-        calls, hang_label = [], graphauto._hang_label
-        monkeypatch.setattr(graphauto, "_hang_label", lambda *args: calls.append(args) or hang_label(*args))
+        calls, with_gadgets = [], graphauto._with_gadgets
+        monkeypatch.setattr(graphauto, "_with_gadgets", lambda *args: calls.append(args) or with_gadgets(*args))
         got = []
 
         def answer(q):
@@ -785,25 +788,28 @@ def tree_centres(g):
 
 @st.composite
 def hung_gadgets(draw):
-    """(full, base, hung): a connected tree, cyclic or twin-branch graph
-    with two or three gadgets hung through hang_one on two or more distinct
-    nodes, as a query's copy carries them, and the same graph as
-    ``_contract`` takes it, the graph's own edges (base) with the gadgets in
-    hung. Tail lengths reach 2n+1, past n+1, the tail that gives a gadget an
-    internal swap, and every tail that mirrors a path from a gadget's host."""
+    """(full, base, hung): a connected tree, cyclic or twin-branch graph of n
+    nodes with two to four gadgets hung on two or more distinct nodes, each
+    with m = n and numbered after the last node, as a query's copy carries
+    them, and the same graph as ``_contract`` takes it, the graph's own
+    edges (base) with the gadgets in hung. The tails come from a pool of one
+    or two, so equal gadgets often hang on distinct nodes. Tail lengths
+    reach 2n+1, past n+1, the tail that gives a gadget an internal swap, and
+    every tail that mirrors a path from a gadget's host."""
     g = draw(st.one_of(
         forests(8, connected=True), forests(8, max_extra=3, connected=True), twin_branches(8, connected=True)
     ))
     assume(g.node_count > 1)
     n = g.node_count
     first, second = draw(st.integers(1, n)), draw(st.integers(1, n - 1))
-    hosts = [first, second + (second >= first), *draw(st.lists(st.integers(1, n), max_size=1))]
-    base, hung = g, []
+    hosts = [first, second + (second >= first), *draw(st.lists(st.integers(1, n), max_size=2))]
+    tails = draw(st.lists(st.integers(1, 2 * n + 1), min_size=1, max_size=2))
+    hung, count = [], n
     for node in hosts:
-        tail = draw(st.integers(1, 2 * n + 1))
-        hung.append((node, g.node_count + 1, g.node_count, tail))
-        g = hang_one(g, node, tail)
-    return g, base.edges, hung
+        tail = draw(st.sampled_from(tails))
+        hung.append((node, count + 1, n, tail))
+        count += 2 * n + 3 + tail
+    return Graph(count, _with_gadgets(g.edges, hung)), g.edges, hung
 
 
 class TestAttachedContraction:
@@ -852,61 +858,15 @@ class TestAttachedContraction:
             assert promise_verdict(q) == promise_verdict(parsed)
             assert group_summary(q._contraction) == group_summary(_contract(parsed.node_count, parsed.edges))
 
-    def test_label_table_holds_gadget_subtrees_only(self, monkeypatch):
-        monkeypatch.setattr(graphauto, "_LABELS", {})
-        monkeypatch.setattr(graphauto, "_gadget", functools.cache(graphauto._gadget.__wrapped__))
-        for g in scanned_bases():
-            scan_queries(g)
-        table = dict(graphauto._LABELS)
-        for g in scanned_bases():
-            scan_queries(g)
-        assert graphauto._LABELS == table  # a second scan adds nothing
-
-        # every label is a subtree of a gadget some query hangs, by shape
-        shape = {}
-        for key, label in sorted(table.items(), key=itemgetter(1)):
-            shape[label] = tuple(sorted(shape[c] for c in key))
-        gadget_shapes = set()
-        for n in range(2, 15):
-            for k in range(n - 1):
-                for tail in (*range(1, k + 1), *_query_layout(n, k)[1]):
-                    edges = set()
-                    _hang_label(edges, 0, 0, n, tail)  # the gadget on node 0, from node 1
-                    gadget_shapes |= rooted_subtree_shapes(edges - {(0, 1)}, 1)
-        assert len(set(shape.values())) == len(table)
-        assert set(shape.values()) <= gadget_shapes
-
-    def test_import_fills_no_table(self):
-        script = (
-            "import qscd\n"
-            "g = qscd.graphauto\n"
-            "print(len(g._LABELS), g._gadget.cache_info().currsize)\n"
-        )
-        src = Path(__file__).resolve().parents[1] / "src"
-        out = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
-        assert out.stdout.split() == ["0", "0"]
-
-
-def rooted_subtree_shapes(edges, root):
-    """The shape of every subtree of the tree on edges rooted at root, each a
-    sorted tuple of its children's shapes."""
-    adj = defaultdict(list)
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    order, parent = [root], {root: None}
-    for v in order:
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    shapes = {}
-    for v in reversed(order):
-        shapes[v] = tuple(sorted(shapes[w] for w in adj[v] if parent.get(w) == v))
-    return set(shapes.values())
+    def test_the_two_documented_limits(self):
+        # the colour view misses the full peel's flip for a gadget smaller
+        # than its base (m = 1 on a 7-node tree), and for a single gadget on
+        # a path's end whose tail mirrors the path
+        tree = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)})
+        for n, base, hung in [(13, tree, [(1, 8, 1, 1)]), (14, path(2).edges, [(1, 3, 2, 5)])]:
+            full = Graph(n, _with_gadgets(base, hung))
+            assert group_summary(_contract(n, base, hung))[0] == 1
+            assert group_summary(_contract(n, full.edges))[0] == len(automorphisms(full)) == 2
 
 
 @pytest.mark.slow

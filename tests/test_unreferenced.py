@@ -8,6 +8,10 @@ module-level assignment binds, and every method; dunder names are exempt,
 since Python reads them itself. A name that only the tests use belongs in
 ``tests/oracles.py``.
 
+Every name a module-level import binds must be read in its own module, so
+an import left behind by a deletion is caught; ``from __future__`` and the
+submodule loads of ``__init__.py`` are exempt.
+
 The one exemption is a name that ``perfbench/tracing.py`` lists in
 ``LAYERS``: every traced run resolves it, so it cannot go before the tracer
 drops it. ROADMAP item 13 deletes the four that are kept only for that; once
@@ -82,3 +86,28 @@ def test_the_tracer_keeps_only_item_13s_names():
         "qstate.SparseState.controlled_power",
         "qstate.SparseState.fourier_control",
     ]
+
+
+def unread_imports() -> list[str]:
+    """``module.name`` for each name a module-level import binds that no
+    Name or Attribute in the same module reads, sorted."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and (
+                node.module == "__future__" or path.name == "__init__.py" and node.module is None
+            ):
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.stem}.{name}")
+    return sorted(unread)
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []
