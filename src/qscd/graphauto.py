@@ -41,12 +41,12 @@ class PromiseViolation(Exception):
 class Graph:
     """Undirected graph on nodes {1..node_count}; canonical edge storage.
 
-    A query from ``build_query`` holds its copies' edges and its gadget
-    list, and makes its edge set and its contraction from that list, each
-    on first read, the contraction with each gadget as a labelled leaf of
-    its host. Equality, hash, repr, ``criterion_labels`` and caller-supplied
-    oracles read its edges; the promise oracle and ``PromiseInstance`` read
-    only its contraction."""
+    A query from ``build_query`` holds its copies' edges and its gadget list,
+    gadgets numbered after the copies, and makes its edge set and its
+    contraction from them on first read, the contraction on the copies'
+    nodes with each gadget a name in its host's label. Equality, hash, repr,
+    ``criterion_labels`` and caller-supplied oracles read its edges; the
+    promise oracle and ``PromiseInstance`` read only its contraction."""
 
     node_count: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
@@ -258,73 +258,64 @@ def _search(adj: list[set[int]], colors: Sequence[int]):
 
 
 def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[int, int, int, int]] = ()):
-    """Peel the pendant trees of g, the graph of edges on nodes 1..n: all
+    """Peel the pendant trees of g, the graph of edges on nodes 1..base: all
     leaves at once, round after round, each recording the neighbour it hung
     from as its parent. The 2-core and each tree component's one or two
     centres are kept. Each vertex is labelled bottom up by the sorted labels
     of its children (Aho, Hopcroft and Ullman, 1974), each new key numbered
     in a table local to the call: a leaf is 0, the rest count from 1.
 
-    Each entry (node, root, m, tail) of hung, in node order, is a gadget whose
-    edges g leaves out: the tree ``_with_gadgets`` hangs on node for (m, tail),
-    numbered from root. Its root is a child of node from the start, outside
-    node's degree, named in the same table by its (m, tail), so only g's own
-    nodes are peeled; it swaps inside when its tail mirrors its arm, at
-    tail = m + 1. With every m at least the node count of g's largest
-    component the names are exact: a gadget's chain to its first branch has
-    m+2 nodes, longer than any path of g's own nodes in a pendant tree, and a
-    path that enters another gadget of the same m branches even deeper, so
-    two subtrees get equal names exactly when they have equal shapes. The
-    view is exact when, besides, every automorphism of g with its gadgets
-    keeps g's own nodes. Each can fail: a gadget smaller than its base, as on
-    the tree of 7 nodes with edges (1,2) .. (5,6) and (4,7) and gadget
-    (1, 8, 1, 1), which mirrors the rest of the tree about node 1; and a
-    single gadget on one end of a path component whose tail mirrors the
+    Each entry (node, root, m, tail) of hung is a gadget whose edges g leaves
+    out: the tree ``_with_gadgets`` hangs on node for (m, tail), numbered
+    from root. Gadgets are numbered after g's nodes, each where the one before
+    it ends, so g's nodes are 1..base, base the first root less 1 (n with
+    none). A gadget is no vertex: its (m, tail), named in the same table, is
+    one of its host's child labels from the start, outside the host's degree,
+    so only g's own nodes are peeled; it swaps inside when its tail mirrors
+    its arm, at tail = m + 1. With every m at least the node count of g's
+    largest component the names are exact: a gadget's chain to its first
+    branch has m+2 nodes, longer than any path of g's own nodes in a pendant
+    tree, and a path that enters another gadget of the same m branches even
+    deeper, so two subtrees get equal names exactly when they have equal
+    shapes. The view is exact when, besides, every automorphism of g with
+    its gadgets keeps g's own nodes. Each can fail: a gadget smaller than its
+    base, as on the tree of 7 nodes with edges (1,2) .. (5,6) and (4,7) and
+    gadget (1, 8, 1, 1), which mirrors the rest of the tree about node 1; and
+    a single gadget on one end of a path component whose tail mirrors the
     path, as on the 2-node path with gadget (1, 3, 2, 5). The second cannot
     occur with gadgets on two distinct nodes of a connected base.
     ``build_query`` hangs every gadget with m the base's node count, and
     refuses a disconnected base.
 
     Returns (adj, colors, product, extend): the kept graph, renumbered from 0
-    in node order; each kept vertex's label as its colour; the product over
-    every vertex, gadgets' included, of k! for each k of its children that
-    share a label; and ``extend(image)``, which carries a kept automorphism
-    down the trees by matching children with equal labels, a match that is
-    unique when the product is 1, and moves each gadget as its root moves. The
-    (parent, label) map it matches through is built on its first call and
-    shared by the later ones. An automorphism keeps the 2-core, the centres and
-    the labels, and each colour-preserving automorphism of the kept graph
-    extends in exactly product ways, so |Aut| is |Aut_col(kept)| times the
-    product. The product's factorials are counted only at a vertex whose
-    children repeat a label."""
+    in node order; each kept vertex's label as its colour; the gadgets' inner
+    swaps times the product over every vertex of k! for each k of its child
+    labels that are equal; and ``extend(image)``, which carries a kept
+    automorphism down the trees by matching children with equal labels, a
+    match that is unique when the product is 1, moves each gadget onto the
+    one with its (m, tail) on its host's image, and returns a permutation of
+    all n nodes. An automorphism keeps the 2-core, the centres and the labels,
+    and each colour-preserving automorphism of the kept graph extends in
+    exactly product ways, so |Aut| is |Aut_col(kept)| times the product."""
     # Nodes are 1-based and parent 0 marks a kept node. rest[v] is the sum
     # of v's unpeeled neighbours in g: its last one when deg[v] is 1.
-    deg, rest = [0] * (n + 1), [0] * (n + 1)
+    base = hung[0][1] - 1 if hung else n
+    deg, rest = [0] * (base + 1), [0] * (base + 1)
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
         rest[u] += v
         rest[v] += u
-    parent, label = [0] * (n + 1), [0] * (n + 1)
+    parent, label = [0] * (base + 1), [0] * (base + 1)
     local: dict[tuple, int] = {}  # a gadget's ("gadget", m, tail), or a vertex's children's labels
     product = 1
-    nodes: list[int] = []  # g's nodes outside the gadgets
-    spans: list[tuple[int, int]] = []  # (root, node count) of each gadget
-    peeled: list[int] = []  # gadget roots first, so that extend maps them after their hosts
-    children: dict[int, list[int]] = {}
-    after = 1
-    for node, root, m, tail in hung:
-        label[root] = local.setdefault(("gadget", m, tail), len(local) + 1)
-        nodes.extend(range(after, root))
-        after = root + 2 * m + 3 + tail
-        spans.append((root, after - root))
-        parent[root] = node
-        peeled.append(root)
-        children.setdefault(node, []).append(root)
+    below: dict[int, list[int]] = {}  # each vertex's gadgets' names, then its children's labels
+    for node, _, m, tail in hung:
+        below.setdefault(node, []).append(local.setdefault(("gadget", m, tail), len(local) + 1))
         product *= 2 if tail == m + 1 else 1
-    nodes.extend(range(after, n + 1))
 
-    leaves = [v for v in nodes if deg[v] == 1]
+    peeled: list[int] = []
+    leaves = [v for v in range(1, base + 1) if deg[v] == 1]
     while leaves:
         ends, queued = set(leaves), []
         for v in leaves:
@@ -334,28 +325,28 @@ def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[in
             parent[v] = p
             rest[p] -= v
             peeled.append(v)
-            children.setdefault(p, []).append(v)
             deg[p] -= 1
             if deg[p] == 1:
                 queued.append(p)
         # a node queued at degree 1 may have dropped to 0 later in the round
         leaves = [v for v in queued if deg[v] == 1]
 
-    kept = [v for v in nodes if not parent[v]]
-    for v in (*peeled, *kept):
-        kids = children.get(v)
-        if not kids:
-            continue
-        if len(kids) == 1:
-            key = (label[kids[0]],)
-        else:
-            key = tuple(sorted([label[c] for c in kids]))
-            if len(set(key)) < len(key):
-                for k in Counter(key).values():
-                    product *= math.factorial(k)
-        label[v] = local.setdefault(key, len(local) + 1)
+    kept = [v for v in range(1, base + 1) if not parent[v]]
+    for v in (*peeled, *kept):  # children before their parents
+        kids = below.get(v)
+        if kids:
+            if len(kids) == 1:
+                key = (kids[0],)
+            else:
+                key = tuple(sorted(kids))
+                if len(set(key)) < len(key):
+                    for k in Counter(key).values():
+                        product *= math.factorial(k)
+            label[v] = local.setdefault(key, len(local) + 1)
+        if parent[v]:
+            below.setdefault(parent[v], []).append(label[v])
 
-    index = [-1] * (n + 1)
+    index = [-1] * (base + 1)
     for k, v in enumerate(kept):
         index[v] = k
     adj: list[set[int]] = [set() for _ in kept]
@@ -365,7 +356,7 @@ def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[in
             adj[a].add(b)
             adj[b].add(a)
 
-    child: dict[tuple[int, int], int] = {}  # built on the first extension
+    child: dict[tuple, int] = {}  # (parent, label) or (host, m, tail); built on the first extension
 
     def extend(image: Sequence[int]) -> Permutation:
         full = [0] * (n + 1)
@@ -373,10 +364,12 @@ def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[in
             full[v] = kept[image[k]]
         if not child:
             child.update(((parent[c], label[c]), c) for c in peeled)
+            child.update(((node, m, tail), root) for node, root, m, tail in hung)
         for v in reversed(peeled):  # parents before children
             full[v] = child[full[parent[v]], label[v]]
-        for root, size in spans:  # equal gadgets are numbered alike
-            full[root + 1:root + size] = range(full[root] + 1, full[root] + size)
+        for node, root, m, tail in hung:  # onto the gadget of its (m, tail) on its host's image
+            to, size = child[full[node], m, tail], 2 * m + 3 + tail
+            full[root:root + size] = range(to, to + size)
         return Permutation(tuple(full[1:]))
 
     return adj, [label[v] for v in kept], product, extend
@@ -457,11 +450,14 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
     sizes are computed against the node count of g itself, not of the
     partially labeled copies.
 
-    The query holds its node count, gadgets included, which ``--limit``
-    counts, and its copies' edges with its gadget list. Its edge set and
-    its contraction are each made from that list on first read (``Graph``),
-    so the oracle refuses an oversized query before contracting any of it.
-    A disconnected g is refused, as its contraction may miss a flip.
+    The copies are nodes 1..n and n+1..2n, and the gadgets follow them,
+    the first copy's and then the second's, each starting where the one
+    before it ends. The query holds its node count, gadgets included, which
+    ``--limit`` counts, and its copies' edges with its gadget list. Its edge
+    set and its contraction are each made from that list on first read
+    (``Graph``), so the oracle refuses an oversized query before
+    contracting any of it. A disconnected g is refused, as its contraction
+    may miss a flip.
     """
     n = g.node_count
     if not 1 <= i < j <= n:
@@ -470,23 +466,18 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
         raise ValueError("need a connected base graph; complement a disconnected one")
     size, tails = _query_layout(n, i - 1)
 
-    # Both labeled copies go into one edge set: the second copy's nodes are
-    # numbered after all of the first copy's. Each gadget of hung takes the
-    # 2n+3+tail nodes after the last one numbered.
-    copies: set[tuple[int, int]] = set()
+    # copies 1..n and n+1..2n; each gadget takes the next 2n+3+tail nodes
+    copies = g.edges | {(u + n, v + n) for u, v in g.edges}
     hung: list[tuple[int, int, int, int]] = []
-    count = 0
-    for a_node, b_node in ((i, j), (j, i)):
-        shift = count
-        copies.update((u + shift, v + shift) for u, v in g.edges)
-        count += n
+    count = 2 * n
+    for shift, a_node, b_node in ((0, i, j), (n, j, i)):
         for node, tail in (*((t, t) for t in range(1, i)), (a_node, tails[0]), (b_node, tails[1])):
             hung.append((node + shift, count + 1, n, tail))
             count += 2 * n + 3 + tail
     if count != size or count % 4 != 2:
         raise AssertionError(f"padding failed: {count} nodes, planned {size}; need 2 mod 4")
     query = object.__new__(Graph)
-    query.__dict__.update(node_count=count, _unhung=(frozenset(copies), hung))
+    query.__dict__.update(node_count=count, _unhung=(copies, hung))
     return query
 
 

@@ -583,11 +583,17 @@ class TestBuildQuery:
         # every query of the path scans on 2..8 nodes and of every labelled
         # graph on up to 4 nodes, a disconnected one complemented as
         # koebler_reduce does, against the earlier construction that built
-        # a new graph for every chain. A query builds its edges on first
-        # read, so equality both ways, hash and repr each get a fresh one.
+        # a new graph for every chain, renumbered with both copies first. A
+        # query builds its edges on first read, so equality both ways, hash
+        # and repr each get a fresh one.
         graphs = [path(n) for n in range(2, 9)] + [g for n in range(1, 5) for g in all_graphs(n)]
         for g, i, j in (pair for h in graphs for pair in scan_pairs(h)):
-            count, edges = chain_by_chain_query(g.node_count, g.edges, list(range(1, i)), i, j)
+            count, chained = chain_by_chain_query(g.node_count, g.edges, list(range(1, i)), i, j)
+            # the old nodes in the new order: copy A, copy B, A's gadgets, B's gadgets
+            n, half = g.node_count, count // 2
+            old = [*range(1, n + 1), *range(half + 1, half + n + 1), *range(n + 1, half + 1), *range(half + n + 1, count + 1)]
+            new = {v: k for k, v in enumerate(old, 1)}
+            edges = {tuple(sorted((new[u], new[v]))) for u, v in chained}
             eager = Graph(count, frozenset(edges))
             assert build_query(g, i, j) == eager
             assert eager == build_query(g, i, j)
@@ -596,6 +602,23 @@ class TestBuildQuery:
             q = build_query(g, i, j)
             assert (q.node_count, q.edges) == (count, edges)
             assert shown == f"Graph(node_count={count}, edges={q.edges!r})"
+
+    def test_numbers_both_copies_before_the_gadgets(self):
+        # every scan query: the copies are nodes 1..n and n+1..2n, the first
+        # copy's gadgets hang before the second's, and the gadgets run on
+        # from 2n+1, each starting where the one before it ends, up to the
+        # query's last node
+        for g, i, j in (pair for h in scanned_bases() for pair in scan_pairs(h)):
+            n, q = g.node_count, build_query(g, i, j)
+            copies, hung = vars(q)["_unhung"]
+            assert copies == g.edges | {(u + n, v + n) for u, v in g.edges}
+            hosts = [node for node, _, _, _ in hung]
+            assert hosts == sorted(hosts, key=lambda v: v > n) and hosts[0] <= n < hosts[-1] <= 2 * n
+            end = 2 * n
+            for _, root, m, tail in hung:
+                assert root == end + 1
+                end += 2 * m + 3 + tail
+            assert end == q.node_count
 
     def test_largest_query_is_the_first_and_its_size_is_known_in_advance(self):
         # the scan's queries, built, against the arithmetic the CLI checks
@@ -708,16 +731,16 @@ class TestOracle:
 
     def test_yes_keys_restrict_to_a_base_automorphism(self, scanned_queries):
         # each YES query's key, checked with no search: it carries the first
-        # copy onto the second, and shifted back by half the query's nodes,
-        # its first copy's base nodes are an automorphism of the base that
-        # fixes 1..i-1 and swaps i and j
+        # copy, nodes 1..n, onto the second, n+1..2n, and shifted back by n,
+        # its first copy's nodes are an automorphism of the base that fixes
+        # 1..i-1 and swaps i and j
         pairs = [pair for g in scanned_bases() for pair in scan_pairs(g)]
         yes = 0
         for (base, i, j), q in zip(pairs, scanned_queries):
             if oracle_answer(q) == 1:
                 yes += 1
-                n, half, key = base.node_count, q.node_count // 2, PromiseInstance(q).hidden_key()
-                sigma = [key(v) - half for v in range(1, n + 1)]
+                n, key = base.node_count, PromiseInstance(q).hidden_key()
+                sigma = [key(v) - n for v in range(1, n + 1)]
                 assert sorted(sigma) == list(range(1, n + 1))
                 assert {tuple(sorted((sigma[u - 1], sigma[v - 1]))) for u, v in base.edges} == base.edges
                 assert sigma[:i - 1] == list(range(1, i)) and (sigma[i - 1], sigma[j - 1]) == (j, i)
@@ -837,20 +860,21 @@ class TestAttachedContraction:
 
     def test_a_centre_inside_a_gadget(self, scanned_queries):
         # In a query on a tree, the whole copy's centres may lie on a
-        # gadget's chain, while its contraction keeps the centres of the
-        # base tree, with the gadgets as labelled leaves.
+        # gadget's chain, numbered after the copies' 2n nodes, while its
+        # contraction keeps the centres of the base tree, with each gadget
+        # a name in its host's label.
         bases = [base for g in scanned_bases() for base, _, _ in scan_pairs(g)]
         found = []
         for base, q in zip(bases, scanned_queries):
             if len(base.edges) == base.node_count - 1:
-                half, n = q.node_count // 2, base.node_count
+                n = base.node_count
                 centres = tree_centres(q)
-                if any(n < v <= half or v > half + n for v in centres):
+                if any(v > 2 * n for v in centres):
                     found.append((n, sorted(base.edges), centres, q))
         assert sum(len(b.edges) == b.node_count - 1 for b in bases) == 595
         assert [(n, centres) for n, _, centres, _ in found] == (
-            [(3, [3, 41, 64]), (3, [3, 25, 41]), (3, [3, 41, 64]), (3, [3, 41, 64]), (3, [3, 25, 41])]
-            + [(4, [4, 44, 64]), (4, [4, 64, 105]), (4, [4, 64, 105]), (4, [4, 44, 64])]
+            [(3, [3, 5, 64]), (3, [3, 5, 28]), (3, [3, 5, 64]), (3, [3, 5, 64]), (3, [3, 5, 28])]
+            + [(4, [4, 7, 48]), (4, [4, 7, 105]), (4, [4, 7, 105]), (4, [4, 7, 48])]
         )
         for _, _, _, q in found:
             parsed = Graph(q.node_count, q.edges)  # holds no gadget list
