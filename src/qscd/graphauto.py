@@ -41,12 +41,14 @@ class PromiseViolation(Exception):
 class Graph:
     """Undirected graph on nodes {1..node_count}; canonical edge storage.
 
-    A query from ``build_query`` holds its copies' edges and its gadget list,
-    gadgets numbered after the copies, and makes its edge set and its
-    contraction from them on first read, the contraction on the copies'
-    nodes with each gadget a name in its host's label. Equality, hash, repr,
-    ``criterion_labels`` and caller-supplied oracles read its edges; the
-    promise oracle and ``PromiseInstance`` read only its contraction."""
+    A query from ``build_query`` holds its base and its gadget list, gadgets
+    numbered after the base's two copies. The base keeps one peel of its
+    copies (``_two_copies``) for every query of a scan, and a query makes
+    its edge set and its contraction from it on first read, the contraction
+    by labelling the copies' kept peel with each gadget a name in its host's
+    label. Equality, hash, repr, ``criterion_labels`` and caller-supplied
+    oracles read its edges; the promise oracle and ``PromiseInstance`` read
+    only its contraction."""
 
     node_count: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
@@ -69,13 +71,28 @@ class Graph:
         unhung = self.__dict__.get("_unhung") if name == "edges" else None
         if unhung is None:
             raise AttributeError(f"'Graph' object has no attribute {name!r}")
-        return self.__dict__.setdefault("edges", _with_gadgets(*unhung))
+        base, hung = unhung
+        return self.__dict__.setdefault("edges", _with_gadgets(base._two_copies[0], hung))
 
     @cached_property
     def _contraction(self):
-        """``_contract``'s peel, made on first read: of a query's copies'
-        edges with its gadget list, or of another graph's edges."""
-        return _contract(self.node_count, *(self.__dict__.get("_unhung") or (self.edges,)))
+        """``_contract``'s result, made on first read: a query's base's kept
+        two-copy peel labelled with its gadget list, or the peel of another
+        graph's edges."""
+        unhung = self.__dict__.get("_unhung")
+        if unhung is None:
+            return _contract(self.node_count, self.edges)
+        base, hung = unhung
+        return _label(self.node_count, base._two_copies[1], hung)
+
+    @cached_property
+    def _two_copies(self):
+        """The edges of two copies of the graph, nodes 1..n and n+1..2n, and
+        their ``_peel``, made on the first query of a scan; every query of
+        the graph labels this one peel and must not change it."""
+        n = self.node_count
+        copies = self.edges | {(u + n, v + n) for u, v in self.edges}
+        return copies, _peel(2 * n, copies)
 
     @cached_property
     def _connected(self) -> bool:
@@ -287,6 +304,10 @@ def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[in
     ``build_query`` hangs every gadget with m the base's node count, and
     refuses a disconnected base.
 
+    The call is ``_peel`` then ``_label``. A promise query skips the peel:
+    it labels its base's one peel of both copies (``Graph._two_copies``),
+    whose nodes come before every gadget, with its own gadgets.
+
     Returns (adj, colors, product, extend): the kept graph, renumbered from 0
     in node order; each kept vertex's label as its colour; the gadgets' inner
     swaps times the product over every vertex of k! for each k of its child
@@ -297,23 +318,23 @@ def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[in
     all n nodes. An automorphism keeps the 2-core, the centres and the labels,
     and each colour-preserving automorphism of the kept graph extends in
     exactly product ways, so |Aut| is |Aut_col(kept)| times the product."""
+    return _label(n, _peel(hung[0][1] - 1 if hung else n, edges), hung)
+
+
+def _peel(base: int, edges: frozenset[tuple[int, int]]):
+    """``_contract``'s peel of the graph of edges on nodes 1..base: returns
+    (parent, peeled, kept, adj), each node's parent (0 when it is kept), the
+    peeled nodes in peeling order, the kept nodes in node order and the kept
+    graph renumbered from 0 in that order."""
     # Nodes are 1-based and parent 0 marks a kept node. rest[v] is the sum
-    # of v's unpeeled neighbours in g: its last one when deg[v] is 1.
-    base = hung[0][1] - 1 if hung else n
+    # of v's unpeeled neighbours: its last one when deg[v] is 1.
     deg, rest = [0] * (base + 1), [0] * (base + 1)
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
         rest[u] += v
         rest[v] += u
-    parent, label = [0] * (base + 1), [0] * (base + 1)
-    local: dict[tuple, int] = {}  # a gadget's ("gadget", m, tail), or a vertex's children's labels
-    product = 1
-    below: dict[int, list[int]] = {}  # each vertex's gadgets' names, then its children's labels
-    for node, _, m, tail in hung:
-        below.setdefault(node, []).append(local.setdefault(("gadget", m, tail), len(local) + 1))
-        product *= 2 if tail == m + 1 else 1
-
+    parent = [0] * (base + 1)
     peeled: list[int] = []
     leaves = [v for v in range(1, base + 1) if deg[v] == 1]
     while leaves:
@@ -332,6 +353,31 @@ def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[in
         leaves = [v for v in queued if deg[v] == 1]
 
     kept = [v for v in range(1, base + 1) if not parent[v]]
+    index = [-1] * (base + 1)
+    for k, v in enumerate(kept):
+        index[v] = k
+    adj: list[set[int]] = [set() for _ in kept]
+    for u, v in edges:
+        a, b = index[u], index[v]
+        if a >= 0 and b >= 0:
+            adj[a].add(b)
+            adj[b].add(a)
+    return parent, peeled, kept, adj
+
+
+def _label(n: int, peel, hung: Sequence[tuple[int, int, int, int]]):
+    """``_contract``'s labelling of a ``_peel`` with the gadgets of hung, on
+    n nodes in all. It reads the peel and never changes it, so one peel can
+    serve many gadget lists."""
+    parent, peeled, kept, adj = peel
+    label = [0] * len(parent)
+    local: dict[tuple, int] = {}  # a gadget's ("gadget", m, tail), or a vertex's children's labels
+    product = 1
+    below: dict[int, list[int]] = {}  # each vertex's gadgets' names, then its children's labels
+    for node, _, m, tail in hung:
+        below.setdefault(node, []).append(local.setdefault(("gadget", m, tail), len(local) + 1))
+        product *= 2 if tail == m + 1 else 1
+
     for v in (*peeled, *kept):  # children before their parents
         kids = below.get(v)
         if kids:
@@ -345,16 +391,6 @@ def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[in
             label[v] = local.setdefault(key, len(local) + 1)
         if parent[v]:
             below.setdefault(parent[v], []).append(label[v])
-
-    index = [-1] * (base + 1)
-    for k, v in enumerate(kept):
-        index[v] = k
-    adj: list[set[int]] = [set() for _ in kept]
-    for u, v in edges:
-        a, b = index[u], index[v]
-        if a >= 0 and b >= 0:
-            adj[a].add(b)
-            adj[b].add(a)
 
     child: dict[tuple, int] = {}  # (parent, label) or (host, m, tail); built on the first extension
 
@@ -453,11 +489,12 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
     The copies are nodes 1..n and n+1..2n, and the gadgets follow them,
     the first copy's and then the second's, each starting where the one
     before it ends. The query holds its node count, gadgets included, which
-    ``--limit`` counts, and its copies' edges with its gadget list. Its edge
-    set and its contraction are each made from that list on first read
-    (``Graph``), so the oracle refuses an oversized query before
-    contracting any of it. A disconnected g is refused, as its contraction
-    may miss a flip.
+    ``--limit`` counts, and g with its gadget list; it builds no edge set.
+    g keeps one peel of its two copies for every query of a scan, and the
+    query's edge set and contraction are each made from that and its list
+    on first read (``Graph``), so the oracle refuses an oversized query
+    before contracting any of it. A disconnected g is refused, as its
+    contraction may miss a flip.
     """
     n = g.node_count
     if not 1 <= i < j <= n:
@@ -467,7 +504,6 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
     size, tails = _query_layout(n, i - 1)
 
     # copies 1..n and n+1..2n; each gadget takes the next 2n+3+tail nodes
-    copies = g.edges | {(u + n, v + n) for u, v in g.edges}
     hung: list[tuple[int, int, int, int]] = []
     count = 2 * n
     for shift, a_node, b_node in ((0, i, j), (n, j, i)):
@@ -477,7 +513,7 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
     if count != size or count % 4 != 2:
         raise AssertionError(f"padding failed: {count} nodes, planned {size}; need 2 mod 4")
     query = object.__new__(Graph)
-    query.__dict__.update(node_count=count, _unhung=(copies, hung))
+    query.__dict__.update(node_count=count, _unhung=(g, hung))
     return query
 
 

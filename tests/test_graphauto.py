@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import time
@@ -610,8 +611,9 @@ class TestBuildQuery:
         # query's last node
         for g, i, j in (pair for h in scanned_bases() for pair in scan_pairs(h)):
             n, q = g.node_count, build_query(g, i, j)
-            copies, hung = vars(q)["_unhung"]
-            assert copies == g.edges | {(u + n, v + n) for u, v in g.edges}
+            base, hung = vars(q)["_unhung"]
+            assert base is g
+            assert base._two_copies[0] == g.edges | {(u + n, v + n) for u, v in g.edges}
             hosts = [node for node, _, _, _ in hung]
             assert hosts == sorted(hosts, key=lambda v: v > n) and hosts[0] <= n < hosts[-1] <= 2 * n
             end = 2 * n
@@ -648,6 +650,33 @@ class TestBuildQuery:
         assert calls == [g]
         scan_queries(g)
         assert calls == [g]
+
+    def test_a_scan_peels_its_base_once(self, monkeypatch):
+        # every query of a scan labels one peel of its base's two copies,
+        # kept on the base; a second scan of the same base peels nothing
+        calls, peel = [], graphauto._peel
+        monkeypatch.setattr(graphauto, "_peel", lambda *args: calls.append(args) or peel(*args))
+        g, answers = path(6), []
+        assert koebler_reduce(g, oracle=lambda q: answers.append(unique_ga_ff_oracle(q)) or answers[-1]) == 1
+        assert answers == [0] * 14 + [1]
+        assert len(calls) == 1
+        assert koebler_reduce(g) == 1
+        assert len(calls) == 1
+
+    def test_queries_leave_their_base_peel_unchanged(self):
+        # a scan's queries share one kept graph and one parent, peeled and
+        # kept list; neither the oracle nor a YES query's extension to
+        # whole automorphisms changes them
+        for g in scanned_bases():
+            for base, i, j in scan_pairs(g):
+                before = copy.deepcopy(base._two_copies)
+                q = build_query(base, i, j)
+                answer = oracle_answer(q)
+                assert q._contraction[0] is base._two_copies[1][3]
+                assert base._two_copies == before
+                if answer == 1:
+                    PromiseInstance(build_query(base, i, j)).aut_elements()
+                    assert base._two_copies == before
 
     def test_refuses_a_disconnected_base(self):
         # a disconnected base is refused before anything is built;
@@ -858,6 +887,16 @@ class TestAttachedContraction:
         n = full.node_count
         assert group_summary(_contract(n, base, hung)) == group_summary(_contract(n, full.edges))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(forests(7, connected=True), forests(7, max_extra=3, connected=True)))
+    def test_equals_the_full_peel_on_random_connected_bases(self, g):
+        # every scan query of a random connected base, trees and graphs with
+        # cycles, each labelling the base's one peel with its own gadgets
+        assume(g.node_count >= 3)
+        for base, i, j in scan_pairs(g):
+            q = build_query(base, i, j)
+            assert group_summary(q._contraction) == group_summary(_contract(q.node_count, q.edges))
+
     def test_a_centre_inside_a_gadget(self, scanned_queries):
         # In a query on a tree, the whole copy's centres may lie on a
         # gadget's chain, numbered after the copies' 2n nodes, while its
@@ -900,11 +939,18 @@ def test_promise_query_layer_timing(scanned_queries):
     pairs = [pair for g in scanned_bases() for pair in scan_pairs(g)]
     assert [build_query(*pair) for pair in pairs] == scanned_queries
     kept = [q._contraction[:2] for q in scanned_queries]
-    unhung = [(q.node_count, vars(build_query(*pair))["_unhung"]) for q, pair in zip(scanned_queries, pairs)]
+    unhung = [(q.node_count, *vars(build_query(*pair))["_unhung"]) for q, pair in zip(scanned_queries, pairs)]
     layers = {
         "build_query": lambda: [build_query(*pair) for pair in pairs],
-        "a query's contraction, made on first read from its gadget list": lambda: [_contract(n, *u) for n, u in unhung],
-        "a query's edge set, built on first read": lambda: [graphauto._with_gadgets(*u) for _, u in unhung],
+        "_contract of the copies' edges with the gadget list": lambda: [
+            _contract(n, base._two_copies[0], hung) for n, base, hung in unhung
+        ],
+        "a query's contraction from its base's kept peel": lambda: [
+            graphauto._label(n, base._two_copies[1], hung) for n, base, hung in unhung
+        ],
+        "a query's edge set, built on first read": lambda: [
+            graphauto._with_gadgets(base._two_copies[0], hung) for _, base, hung in unhung
+        ],
         "_contract of the built query, as a parsed graph is peeled": lambda: [
             _contract(q.node_count, q.edges) for q in scanned_queries
         ],
