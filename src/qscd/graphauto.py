@@ -41,14 +41,15 @@ class PromiseViolation(Exception):
 class Graph:
     """Undirected graph on nodes {1..node_count}; canonical edge storage.
 
-    A query from ``build_query`` holds its base and its gadget list, gadgets
-    numbered after the base's two copies. The base keeps one peel of its
-    copies (``_two_copies``) for every query of a scan, and a query makes
-    its edge set and its contraction from it on first read, the contraction
-    by labelling the copies' kept peel with each gadget a name in its host's
-    label. Equality, hash, repr, ``criterion_labels`` and caller-supplied
-    oracles read its edges; the promise oracle and ``PromiseInstance`` read
-    only its contraction."""
+    Each graph keeps one scan (``_scan``): its connected base, itself or
+    its complement, with that base's two-copy peel, shared by every scan
+    and query. A query from ``build_query`` holds its base and its gadget
+    list, gadgets numbered after the base's two copies, and makes its edge
+    set and its contraction from the base's scan on first read, the
+    contraction by labelling the copies' kept peel with each gadget a name
+    in its host's label. Equality, hash, repr, ``criterion_labels`` and
+    caller-supplied oracles read its edges; the promise oracle and
+    ``PromiseInstance`` read only its contraction."""
 
     node_count: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
@@ -72,7 +73,7 @@ class Graph:
         if unhung is None:
             raise AttributeError(f"'Graph' object has no attribute {name!r}")
         base, hung = unhung
-        return self.__dict__.setdefault("edges", _with_gadgets(base._two_copies[0], hung))
+        return self.__dict__.setdefault("edges", _with_gadgets(base._scan[1], hung))
 
     @cached_property
     def _contraction(self):
@@ -83,21 +84,16 @@ class Graph:
         if unhung is None:
             return _contract(self.node_count, self.edges)
         base, hung = unhung
-        return _label(self.node_count, base._two_copies[1], hung)
+        return _label(self.node_count, base._scan[2], hung)
 
     @cached_property
-    def _two_copies(self):
-        """The edges of two copies of the graph, nodes 1..n and n+1..2n, and
-        their ``_peel``, made on the first query of a scan; every query of
-        the graph labels this one peel and must not change it."""
-        n = self.node_count
-        copies = self.edges | {(u + n, v + n) for u, v in self.edges}
-        return copies, _peel(2 * n, copies)
-
-    @cached_property
-    def _connected(self) -> bool:
-        """Whether the graph is connected, from one search on first read, so
-        a scan's queries of one base share it."""
+    def _scan(self):
+        """(base, copies, peel), made on first read from one connectivity
+        search: base is the graph when it is connected, else its complement,
+        which is connected and has the same automorphisms; copies are the
+        edges of base's two copies, nodes 1..n and n+1..2n, and peel their
+        ``_peel``. Every scan and query of the graph reads this one peel and
+        must not change it."""
         adj = self.adjacency()
         seen, stack = {0}, [0]
         while stack:
@@ -105,7 +101,11 @@ class Graph:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
-        return len(seen) == self.node_count
+        if len(seen) < self.node_count:
+            return complement(self)._scan
+        n = self.node_count
+        copies = self.edges | {(u + n, v + n) for u, v in self.edges}
+        return self, copies, _peel(2 * n, copies)
 
     def adjacency(self) -> list[set[int]]:
         """0-based neighbor sets."""
@@ -274,51 +274,24 @@ def _search(adj: list[set[int]], colors: Sequence[int]):
     return order, backtrack
 
 
-def _contract(n: int, edges: frozenset[tuple[int, int]], hung: Sequence[tuple[int, int, int, int]] = ()):
-    """Peel the pendant trees of g, the graph of edges on nodes 1..base: all
+def _contract(n: int, edges: frozenset[tuple[int, int]]):
+    """Peel the pendant trees of the graph of edges on nodes 1..n: all
     leaves at once, round after round, each recording the neighbour it hung
     from as its parent. The 2-core and each tree component's one or two
     centres are kept. Each vertex is labelled bottom up by the sorted labels
     of its children (Aho, Hopcroft and Ullman, 1974), each new key numbered
     in a table local to the call: a leaf is 0, the rest count from 1.
 
-    Each entry (node, root, m, tail) of hung is a gadget whose edges g leaves
-    out: the tree ``_with_gadgets`` hangs on node for (m, tail), numbered
-    from root. Gadgets are numbered after g's nodes, each where the one before
-    it ends, so g's nodes are 1..base, base the first root less 1 (n with
-    none). A gadget is no vertex: its (m, tail), named in the same table, is
-    one of its host's child labels from the start, outside the host's degree,
-    so only g's own nodes are peeled; it swaps inside when its tail mirrors
-    its arm, at tail = m + 1. With every m at least the node count of g's
-    largest component the names are exact: a gadget's chain to its first
-    branch has m+2 nodes, longer than any path of g's own nodes in a pendant
-    tree, and a path that enters another gadget of the same m branches even
-    deeper, so two subtrees get equal names exactly when they have equal
-    shapes. The view is exact when, besides, every automorphism of g with
-    its gadgets keeps g's own nodes. Each can fail: a gadget smaller than its
-    base, as on the tree of 7 nodes with edges (1,2) .. (5,6) and (4,7) and
-    gadget (1, 8, 1, 1), which mirrors the rest of the tree about node 1; and
-    a single gadget on one end of a path component whose tail mirrors the
-    path, as on the 2-node path with gadget (1, 3, 2, 5). The second cannot
-    occur with gadgets on two distinct nodes of a connected base.
-    ``build_query`` hangs every gadget with m the base's node count, and
-    refuses a disconnected base.
-
-    The call is ``_peel`` then ``_label``. A promise query skips the peel:
-    it labels its base's one peel of both copies (``Graph._two_copies``),
-    whose nodes come before every gadget, with its own gadgets.
-
     Returns (adj, colors, product, extend): the kept graph, renumbered from 0
-    in node order; each kept vertex's label as its colour; the gadgets' inner
-    swaps times the product over every vertex of k! for each k of its child
-    labels that are equal; and ``extend(image)``, which carries a kept
-    automorphism down the trees by matching children with equal labels, a
-    match that is unique when the product is 1, moves each gadget onto the
-    one with its (m, tail) on its host's image, and returns a permutation of
-    all n nodes. An automorphism keeps the 2-core, the centres and the labels,
-    and each colour-preserving automorphism of the kept graph extends in
-    exactly product ways, so |Aut| is |Aut_col(kept)| times the product."""
-    return _label(n, _peel(hung[0][1] - 1 if hung else n, edges), hung)
+    in node order; each kept vertex's label as its colour; the product over
+    every vertex of k! for each k of its child labels that are equal; and
+    ``extend(image)``, which carries a kept automorphism down the trees by
+    matching children with equal labels, a match that is unique when the
+    product is 1, and returns a permutation of all n nodes. An automorphism
+    keeps the 2-core, the centres and the labels, and each colour-preserving
+    automorphism of the kept graph extends in exactly product ways, so |Aut|
+    is |Aut_col(kept)| times the product."""
+    return _label(n, _peel(n, edges), ())
 
 
 def _peel(base: int, edges: frozenset[tuple[int, int]]):
@@ -366,9 +339,33 @@ def _peel(base: int, edges: frozenset[tuple[int, int]]):
 
 
 def _label(n: int, peel, hung: Sequence[tuple[int, int, int, int]]):
-    """``_contract``'s labelling of a ``_peel`` with the gadgets of hung, on
-    n nodes in all. It reads the peel and never changes it, so one peel can
-    serve many gadget lists."""
+    """``_contract``'s labelling of a ``_peel`` of g, the graph on the peel's
+    nodes, with the gadgets of hung, on n nodes in all. It reads the peel
+    and never changes it, so one peel serves many gadget lists: a promise
+    query labels its base's one peel of both copies (``Graph._scan``) with
+    its own gadgets.
+
+    Each entry (node, root, m, tail) of hung is a gadget whose edges g leaves
+    out: the tree ``_with_gadgets`` hangs on node for (m, tail), numbered
+    from root, after g's nodes. A gadget is no vertex: its (m, tail), named
+    in the same table, is one of its host's child labels from the start,
+    outside the host's degree, so only g's own nodes are peeled; it swaps
+    inside when its tail mirrors its arm, at tail = m + 1, which doubles the
+    product, and ``extend`` moves it onto the gadget with its (m, tail) on
+    its host's image. With every m at least the node count of g's largest
+    component the names are exact: a gadget's chain to its first branch has
+    m+2 nodes, longer than any path of g's own nodes in a pendant tree, and
+    a path that enters another gadget of the same m branches even deeper, so
+    two subtrees get equal names exactly when they have equal shapes. The
+    view is exact when, besides, every automorphism of g with its gadgets
+    keeps g's own nodes. Each can fail: a gadget smaller than its base, as
+    on the tree of 7 nodes with edges (1,2) .. (5,6) and (4,7) and gadget
+    (1, 8, 1, 1), which mirrors the rest of the tree about node 1; and a
+    single gadget on one end of a path component whose tail mirrors the
+    path, as on the 2-node path with gadget (1, 3, 2, 5). The second cannot
+    occur with gadgets on two distinct nodes of a connected base.
+    ``build_query`` hangs every gadget with m the base's node count, and
+    refuses a disconnected base."""
     parent, peeled, kept, adj = peel
     label = [0] * len(parent)
     local: dict[tuple, int] = {}  # a gadget's ("gadget", m, tail), or a vertex's children's labels
@@ -490,16 +487,16 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
     the first copy's and then the second's, each starting where the one
     before it ends. The query holds its node count, gadgets included, which
     ``--limit`` counts, and g with its gadget list; it builds no edge set.
-    g keeps one peel of its two copies for every query of a scan, and the
-    query's edge set and contraction are each made from that and its list
-    on first read (``Graph``), so the oracle refuses an oversized query
-    before contracting any of it. A disconnected g is refused, as its
+    The query's edge set and contraction are each made from g's scan, its
+    one peel of its two copies, and the list on first read (``Graph``), so
+    the oracle refuses an oversized query before contracting any of it. A
+    disconnected g, whose scan base is its complement, is refused, as its
     contraction may miss a flip.
     """
     n = g.node_count
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= {n}, got i={i}, j={j}")
-    if not g._connected:
+    if g._scan[0] is not g:
         raise ValueError("need a connected base graph; complement a disconnected one")
     size, tails = _query_layout(n, i - 1)
 
@@ -586,15 +583,14 @@ def koebler_reduce(g: Graph, oracle=None) -> int:
 
     Scans target pairs (i, j) with i from n down to 1 and j from i+1 up to n,
     querying the oracle on the corresponding two-copy gadget graph, and
-    answers YES at the first YES. A disconnected input, which ``build_query``
-    refuses, is replaced by its complement, which is connected and has the
-    same relabeling symmetries.
+    answers YES at the first YES. It queries g's scan base (``Graph._scan``):
+    g, or the complement g keeps when g is disconnected, which
+    ``build_query`` refuses; the complement is connected and has the same
+    relabeling symmetries.
     """
     if oracle is None:
         oracle = unique_ga_ff_oracle
-    base = g
-    if g.node_count > 1 and not g._connected:
-        base = complement(g)
+    base = g._scan[0]
     n = base.node_count
     for i in range(n, 0, -1):
         for j in range(i + 1, n + 1):

@@ -96,9 +96,9 @@ class TestGraph:
             parse_graph("3 1\n3 1\n")
 
     def test_connectivity_and_complement(self):
-        assert P3._connected
+        assert P3._scan[0] is P3
         two_isolated = Graph(2, frozenset())
-        assert not two_isolated._connected
+        assert two_isolated._scan[0] is not two_isolated
         assert complement(two_isolated) == K2
         # complementing preserves the automorphism list exactly
         for g in all_graphs(4):
@@ -215,8 +215,12 @@ def scan_queries(g):
 
 
 def scan_pairs(g):
-    """(base, i, j) of every query of koebler_reduce's full scan of g, in scan order."""
-    base = complement(g) if g.node_count > 1 and not g._connected else g
+    """(base, i, j) of every query of koebler_reduce's full scan of g, in scan
+    order: the base is g when networkx finds it connected, else its complement."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(range(1, g.node_count + 1))
+    base = g if nx.is_connected(h) else complement(g)
     n = base.node_count
     return [(base, i, j) for i in range(n, 0, -1) for j in range(i + 1, n + 1)]
 
@@ -613,7 +617,7 @@ class TestBuildQuery:
             n, q = g.node_count, build_query(g, i, j)
             base, hung = vars(q)["_unhung"]
             assert base is g
-            assert base._two_copies[0] == g.edges | {(u + n, v + n) for u, v in g.edges}
+            assert base._scan[1] == g.edges | {(u + n, v + n) for u, v in g.edges}
             hosts = [node for node, _, _, _ in hung]
             assert hosts == sorted(hosts, key=lambda v: v > n) and hosts[0] <= n < hosts[-1] <= 2 * n
             end = 2 * n
@@ -642,7 +646,9 @@ class TestBuildQuery:
 
     def test_a_scan_searches_its_base_for_connectivity_once(self, monkeypatch):
         # koebler_reduce and every build_query of a scan read one answer,
-        # kept on the base; a second scan of the same base searches nothing
+        # kept on the graph; a second scan of the same graph searches nothing.
+        # The 6-node path with an isolated node is searched, and so is the
+        # complement it keeps, which its scans query.
         calls, adjacency = [], Graph.adjacency
         monkeypatch.setattr(Graph, "adjacency", lambda g: calls.append(g) or adjacency(g))
         g = path(6)
@@ -650,18 +656,27 @@ class TestBuildQuery:
         assert calls == [g]
         scan_queries(g)
         assert calls == [g]
+        calls.clear()
+        g = Graph(7, path(6).edges)
+        assert len(scan_queries(g)) == 21
+        assert calls == [g, complement(g)]
+        scan_queries(g)
+        assert calls == [g, complement(g)]
 
     def test_a_scan_peels_its_base_once(self, monkeypatch):
         # every query of a scan labels one peel of its base's two copies,
-        # kept on the base; a second scan of the same base peels nothing
+        # kept on the graph; a second scan of the same graph peels nothing,
+        # also when the base is the complement of a disconnected graph
         calls, peel = [], graphauto._peel
         monkeypatch.setattr(graphauto, "_peel", lambda *args: calls.append(args) or peel(*args))
-        g, answers = path(6), []
-        assert koebler_reduce(g, oracle=lambda q: answers.append(unique_ga_ff_oracle(q)) or answers[-1]) == 1
-        assert answers == [0] * 14 + [1]
-        assert len(calls) == 1
-        assert koebler_reduce(g) == 1
-        assert len(calls) == 1
+        for g, first_yes in [(path(6), 15), (Graph(7, path(6).edges), 20)]:
+            calls.clear()
+            answers = []
+            assert koebler_reduce(g, oracle=lambda q: answers.append(unique_ga_ff_oracle(q)) or answers[-1]) == 1
+            assert answers == [0] * (first_yes - 1) + [1]
+            assert len(calls) == 1
+            assert koebler_reduce(g) == 1
+            assert len(calls) == 1
 
     def test_queries_leave_their_base_peel_unchanged(self):
         # a scan's queries share one kept graph and one parent, peeled and
@@ -669,18 +684,19 @@ class TestBuildQuery:
         # whole automorphisms changes them
         for g in scanned_bases():
             for base, i, j in scan_pairs(g):
-                before = copy.deepcopy(base._two_copies)
+                before = copy.deepcopy(base._scan[1:])
                 q = build_query(base, i, j)
                 answer = oracle_answer(q)
-                assert q._contraction[0] is base._two_copies[1][3]
-                assert base._two_copies == before
+                assert q._contraction[0] is base._scan[2][3]
+                assert base._scan[1:] == before
                 if answer == 1:
                     PromiseInstance(build_query(base, i, j)).aut_elements()
-                    assert base._two_copies == before
+                    assert base._scan[1:] == before
 
     def test_refuses_a_disconnected_base(self):
-        # a disconnected base is refused before anything is built;
-        # koebler_reduce queries its complement, the path 1-3-2
+        # a disconnected base is refused before any query is built, once
+        # its complement, the path 1-3-2, is built and kept; koebler_reduce
+        # queries that complement
         lone = Graph(3, frozenset({(1, 2)}))
         for i, j in [(1, 2), (1, 3), (2, 3)]:
             with pytest.raises(ValueError, match="connected base"):
@@ -843,11 +859,12 @@ def hung_gadgets(draw):
     """(full, base, hung): a connected tree, cyclic or twin-branch graph of n
     nodes with two to four gadgets hung on two or more distinct nodes, each
     with m = n and numbered after the last node, as a query's copy carries
-    them, and the same graph as ``_contract`` takes it, the graph's own
-    edges (base) with the gadgets in hung. The tails come from a pool of one
-    or two, so equal gadgets often hang on distinct nodes. Tail lengths
-    reach 2n+1, past n+1, the tail that gives a gadget an internal swap, and
-    every tail that mirrors a path from a gadget's host."""
+    them, and the same graph as a query's contraction takes it: the graph
+    alone (base), whose ``_peel`` ``_label`` labels with the gadgets in
+    hung. The tails come from a pool of one or two, so equal gadgets often
+    hang on distinct nodes. Tail lengths reach 2n+1, past n+1, the tail that
+    gives a gadget an internal swap, and every tail that mirrors a path from
+    a gadget's host."""
     g = draw(st.one_of(
         forests(8, connected=True), forests(8, max_extra=3, connected=True), twin_branches(8, connected=True)
     ))
@@ -861,7 +878,7 @@ def hung_gadgets(draw):
         tail = draw(st.sampled_from(tails))
         hung.append((node, count + 1, n, tail))
         count += 2 * n + 3 + tail
-    return Graph(count, _with_gadgets(g.edges, hung)), g.edges, hung
+    return Graph(count, _with_gadgets(g.edges, hung)), g, hung
 
 
 class TestAttachedContraction:
@@ -885,7 +902,8 @@ class TestAttachedContraction:
     def test_equals_the_peel_with_gadgets_hung_on_forests(self, case):
         full, base, hung = case
         n = full.node_count
-        assert group_summary(_contract(n, base, hung)) == group_summary(_contract(n, full.edges))
+        labelled = graphauto._label(n, graphauto._peel(base.node_count, base.edges), hung)
+        assert group_summary(labelled) == group_summary(_contract(n, full.edges))
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(forests(7, connected=True), forests(7, max_extra=3, connected=True)))
@@ -925,10 +943,10 @@ class TestAttachedContraction:
         # the colour view misses the full peel's flip for a gadget smaller
         # than its base (m = 1 on a 7-node tree), and for a single gadget on
         # a path's end whose tail mirrors the path
-        tree = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)})
-        for n, base, hung in [(13, tree, [(1, 8, 1, 1)]), (14, path(2).edges, [(1, 3, 2, 5)])]:
-            full = Graph(n, _with_gadgets(base, hung))
-            assert group_summary(_contract(n, base, hung))[0] == 1
+        tree = Graph(7, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)}))
+        for n, base, hung in [(13, tree, [(1, 8, 1, 1)]), (14, path(2), [(1, 3, 2, 5)])]:
+            full = Graph(n, _with_gadgets(base.edges, hung))
+            assert group_summary(graphauto._label(n, graphauto._peel(base.node_count, base.edges), hung))[0] == 1
             assert group_summary(_contract(n, full.edges))[0] == len(automorphisms(full)) == 2
 
 
@@ -942,14 +960,14 @@ def test_promise_query_layer_timing(scanned_queries):
     unhung = [(q.node_count, *vars(build_query(*pair))["_unhung"]) for q, pair in zip(scanned_queries, pairs)]
     layers = {
         "build_query": lambda: [build_query(*pair) for pair in pairs],
-        "_contract of the copies' edges with the gadget list": lambda: [
-            _contract(n, base._two_copies[0], hung) for n, base, hung in unhung
+        "_peel and _label of the copies' edges with the gadget list": lambda: [
+            graphauto._label(n, graphauto._peel(2 * base.node_count, base._scan[1]), hung) for n, base, hung in unhung
         ],
         "a query's contraction from its base's kept peel": lambda: [
-            graphauto._label(n, base._two_copies[1], hung) for n, base, hung in unhung
+            graphauto._label(n, base._scan[2], hung) for n, base, hung in unhung
         ],
         "a query's edge set, built on first read": lambda: [
-            graphauto._with_gadgets(base._two_copies[0], hung) for _, base, hung in unhung
+            graphauto._with_gadgets(base._scan[1], hung) for _, base, hung in unhung
         ],
         "_contract of the built query, as a parsed graph is peeled": lambda: [
             _contract(q.node_count, q.edges) for q in scanned_queries
