@@ -14,14 +14,12 @@ import sys
 from pathlib import Path
 
 from .graphauto import (
-    QUERY_NODE_LIMIT,
     SEARCH_NODE_LIMIT,
     PromiseInstance,
     PromiseViolation,
     check_node_limit,
     group_order,
     koebler_reduce,
-    largest_query_nodes,
     parse_graph,
     unique_ga_ff_oracle,
 )
@@ -147,8 +145,7 @@ def cmd_ga(args) -> int:
 
 def cmd_reduce_ga(args) -> int:
     g = parse_graph(Path(args.graph).read_text())
-    # the oracle's own refusal of the first query, before anything is built
-    check_node_limit(largest_query_nodes(g.node_count), args.limit)
+    check_node_limit(g.node_count, args.limit)  # as the oracle counts each query, before any scan
     count = 0
 
     def logging_oracle(query):
@@ -320,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce-ga", help="decide automorphism existence via promise queries")
     p.add_argument("--graph", required=True)
-    p.add_argument("--limit", type=int, default=QUERY_NODE_LIMIT)
+    p.add_argument("--limit", type=int, default=SEARCH_NODE_LIMIT, help="node limit for the search")
     p.set_defaults(func=cmd_reduce_ga)
 
     p = sub.add_parser("attack", help="distinguisher-driven attack pipeline on an instance")

@@ -29,8 +29,8 @@ from .permgroup import (
 from .qscdcyc import _coset_draw
 from .qstate import SparseState
 
-SEARCH_NODE_LIMIT = 40  # default node limit of a whole-graph search
-QUERY_NODE_LIMIT = 4000  # default node limit of a promise query
+SEARCH_NODE_LIMIT = 40  # default node limit of a search, and of ``qscd ga`` and ``reduce-ga``
+QUERY_NODE_LIMIT = 4000  # the promise oracle's default, which ``attack`` and ``koebler_reduce`` keep
 
 
 class PromiseViolation(Exception):
@@ -89,11 +89,13 @@ class Graph:
     @cached_property
     def _scan(self):
         """(base, copies, peel), made on first read from one connectivity
-        search: base is the graph when it is connected, else its complement,
-        which is connected and has the same automorphisms; copies are the
-        edges of base's two copies, nodes 1..n and n+1..2n, and peel their
-        ``_peel``. Every scan and query of the graph reads this one peel and
-        must not change it."""
+        search: base is the complement of a disconnected graph, which is
+        connected and has the same automorphisms, and None for a connected
+        one, read as the graph itself (``g._scan[0] or g``) so that no graph
+        holds itself and each is freed with its last reference; copies are
+        the edges of the base's two copies, nodes 1..n and n+1..2n, and peel
+        their ``_peel``. Every scan and query of the graph reads this one
+        peel and must not change it."""
         adj = self.adjacency()
         seen, stack = {0}, [0]
         while stack:
@@ -102,10 +104,11 @@ class Graph:
                     seen.add(u)
                     stack.append(u)
         if len(seen) < self.node_count:
-            return complement(self)._scan
+            base = complement(self)
+            return base, *base._scan[1:]
         n = self.node_count
         copies = self.edges | {(u + n, v + n) for u, v in self.edges}
-        return self, copies, _peel(2 * n, copies)
+        return None, copies, _peel(2 * n, copies)
 
     def adjacency(self) -> list[set[int]]:
         """0-based neighbor sets."""
@@ -485,18 +488,19 @@ def build_query(g: Graph, i: int, j: int) -> Graph:
 
     The copies are nodes 1..n and n+1..2n, and the gadgets follow them,
     the first copy's and then the second's, each starting where the one
-    before it ends. The query holds its node count, gadgets included, which
-    ``--limit`` counts, and g with its gadget list; it builds no edge set.
-    The query's edge set and contraction are each made from g's scan, its
-    one peel of its two copies, and the list on first read (``Graph``), so
-    the oracle refuses an oversized query before contracting any of it. A
-    disconnected g, whose scan base is its complement, is refused, as its
+    before it ends. The query holds its node count, gadgets included, and
+    g with its gadget list; it builds no edge set. The query's edge set and
+    contraction are each made from g's scan, its one peel of its two
+    copies, and the list on first read (``Graph``). The oracle's node limit
+    (``--limit``) counts g's n, the node count ``reduce-ga`` checks before
+    its scan, and refuses an oversized query before contracting any of it.
+    A disconnected g, whose scan base is its complement, is refused, as its
     contraction may miss a flip.
     """
     n = g.node_count
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= {n}, got i={i}, j={j}")
-    if g._scan[0] is not g:
+    if g._scan[0] is not None:
         raise ValueError("need a connected base graph; complement a disconnected one")
     size, tails = _query_layout(n, i - 1)
 
@@ -528,13 +532,6 @@ def _query_layout(n: int, k: int) -> tuple[int, tuple[int, int]]:
     raise AssertionError(f"no tail lengths for n={n}, k={k}")
 
 
-def largest_query_nodes(n: int) -> int:
-    """Node count of the largest query ``koebler_reduce`` makes on an n-node
-    graph: its first, for the pair (n-1, n) with nodes 1..n-2 fixed (0 when
-    n < 2, which makes no query)."""
-    return _query_layout(n, n - 2)[0] if n >= 2 else 0
-
-
 def unique_ga_ff_oracle(g: Graph, node_limit: int = QUERY_NODE_LIMIT) -> int:
     """Decide the promise problem, verifying the promise first.
 
@@ -553,7 +550,8 @@ def _promise_images(g: Graph, node_limit: int = QUERY_NODE_LIMIT):
     the kept graph's colour-preserving automorphisms as 0-based images,
     sorted, so the identity comes first, and ``_contract``'s ``extend``,
     which turns each into its one automorphism of g. The node limit is
-    checked before ``g._contraction`` is made, a query's from its gadgets.
+    checked before ``g._contraction`` is made, a query's from its gadgets,
+    and counts the nodes of a query's base, or of any other graph its own.
 
     Aut(g) has order |Aut_col(kept)| times the tree product, so the search
     stops at a third image, which already breaks the promise. A product of
@@ -567,7 +565,8 @@ def _promise_images(g: Graph, node_limit: int = QUERY_NODE_LIMIT):
     one on the kept vertices, which is what is checked."""
     if not is_ff_degree(g.node_count):
         raise PromiseViolation(f"node count {g.node_count} is not 2 mod 4")
-    check_node_limit(g.node_count, node_limit)
+    unhung = g.__dict__.get("_unhung")
+    check_node_limit((unhung[0] if unhung else g).node_count, node_limit)
     adj, colors, product, extend = g._contraction
     images = sorted(islice(_search(adj, colors)[1](), 3))
     if len(images) * product > 2:
@@ -590,7 +589,7 @@ def koebler_reduce(g: Graph, oracle=None) -> int:
     """
     if oracle is None:
         oracle = unique_ga_ff_oracle
-    base = g._scan[0]
+    base = g._scan[0] or g
     n = base.node_count
     for i in range(n, 0, -1):
         for j in range(i + 1, n + 1):

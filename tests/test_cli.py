@@ -189,10 +189,13 @@ class TestGraphCommands:
 
     def test_limit_counts_whole_graphs_not_kept_graphs(self, tmp_path, capsys):
         # The searches run on the graph with its pendant trees peeled, a few
-        # nodes here, but --limit counts the nodes of the graph given to it.
+        # nodes here, but --limit counts the nodes of the graph given to it,
+        # not of reduce-ga's queries (1106 nodes in the first one here).
         path = write_graph(tmp_path / "p14.txt", Graph(14, frozenset((i, i + 1) for i in range(1, 14))))
-        code, out = run_cli(capsys, "reduce-ga", "--graph", path, "--limit", "1105")
-        assert (code, out) == (2, "error: 1106 nodes exceeds the configured limit 1105\n")
+        code, out = run_cli(capsys, "reduce-ga", "--graph", path, "--limit", "13")
+        assert (code, out) == (2, "error: 14 nodes exceeds the configured limit 13\n")
+        code, out = run_cli(capsys, "reduce-ga", "--graph", path, "--limit", "14")
+        assert code == 0 and out.startswith("query index=1 nodes=1106 answer=NO\n") and out.endswith("YES\n")
         star = write_graph(tmp_path / "star.txt", Graph(13, frozenset((1, v) for v in range(2, 14))))
         code, out = run_cli(capsys, "ga", "--graph", star, "--limit", "12")
         assert (code, out) == (2, "error: 13 nodes exceeds the configured limit 12\n")
@@ -206,7 +209,19 @@ class TestGraphCommands:
         start = time.perf_counter()
         code, out = run_cli(capsys, "reduce-ga", "--graph", str(huge))
         assert time.perf_counter() - start < 0.5
-        assert (code, out) == (2, "error: 5000000009000000006 nodes exceeds the configured limit 4000\n")
+        assert (code, out) == (2, "error: 1000000000 nodes exceeds the configured limit 40\n")
+
+    def test_reduce_ga_decides_graphs_up_to_the_default_limit(self, tmp_path, capsys, monkeypatch):
+        # ga's limit of 40 nodes: the 5 x 8 grid has its mirror images; a
+        # 41-node graph is refused before any scan
+        grid = {(8 * r + c, 8 * r + c + 1) for r in range(5) for c in range(1, 8)}
+        grid |= {(v, v + 8) for v in range(1, 33)}
+        code, out = run_cli(capsys, "reduce-ga", "--graph", write_graph(tmp_path / "grid.txt", Graph(40, grid)))
+        assert code == 0 and out.endswith("queries=748\nYES\n")
+        monkeypatch.setattr(cli, "koebler_reduce", None)
+        over = write_graph(tmp_path / "p41.txt", Graph(41, frozenset((i, i + 1) for i in range(1, 41))))
+        code, out = run_cli(capsys, "reduce-ga", "--graph", over)
+        assert (code, out) == (2, "error: 41 nodes exceeds the configured limit 40\n")
 
 
 class TestAttack:
@@ -242,6 +257,15 @@ class TestAttack:
             capsys, "attack", "--graph", k3, "--dist", "coin", "--seed", "13"
         )
         assert code == 3 and "promise-violation" in out
+
+    def test_keeps_the_promise_oracles_fixed_limit(self, tmp_path, capsys):
+        # attack has no --limit: its planted graph meets the oracle's default
+        graph = tmp_path / "empty4002.txt"
+        graph.write_text("4002 0\n")
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "attack", "--graph", str(graph), "--dist", "coin", "--seed", "13")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "error: 4002 nodes exceeds the configured limit 4000\n")
 
     def test_planted_key_is_checked_against_the_search(self, tmp_path, capsys):
         # the 6-cycle has 12 automorphisms, so no planted key makes it a YES
@@ -609,7 +633,7 @@ CYC_CIPHERTEXT = (
 )
 PATH5 = "5 4\n1 2\n2 3\n3 4\n4 5\n"
 # Per command: its fixed arguments, with {name} for a file, and the valid
-# file sets that the fuzz mutates. --limit 300 admits graphs of up to 6 nodes.
+# file sets that the fuzz mutates. --limit 6 admits graphs of up to 6 nodes.
 FUZZ_COMMANDS = {
     "decrypt": (
         ["--key", "{key}", "--ciphertext", "{ciphertext}", "--seed", "1"],
@@ -620,7 +644,7 @@ FUZZ_COMMANDS = {
         [{"key": FF_KEY}, {"key": CYC_KEY}],
     ),
     "ga": (["--graph", "{graph}", "--limit", "12"], [{"graph": format_graph(RIGID7A)}, {"graph": PATH5}]),
-    "reduce-ga": (["--graph", "{graph}", "--limit", "300"], [{"graph": format_graph(RIGID6)}, {"graph": PATH5}]),
+    "reduce-ga": (["--graph", "{graph}", "--limit", "6"], [{"graph": format_graph(RIGID6)}, {"graph": PATH5}]),
 }
 # What an edit may write: the edge values of every limit and number parser.
 FUZZ_FIELDS = [

@@ -1,9 +1,13 @@
+import contextlib
 import copy
+import gc
+import io
 import itertools
 import math
 import time
 import timeit
-from collections import defaultdict, deque
+import weakref
+from collections import Counter, defaultdict, deque
 from itertools import groupby
 from operator import itemgetter
 
@@ -23,7 +27,6 @@ from qscd.graphauto import (
     _with_gadgets,
     automorphisms,
     build_query,
-    largest_query_nodes,
     complement,
     coset_sample,
     disjoint_union,
@@ -96,9 +99,10 @@ class TestGraph:
             parse_graph("3 1\n3 1\n")
 
     def test_connectivity_and_complement(self):
-        assert P3._scan[0] is P3
+        # a connected graph's scan names no base, read as the graph itself
+        assert P3._scan[0] is None
         two_isolated = Graph(2, frozenset())
-        assert two_isolated._scan[0] is not two_isolated
+        assert two_isolated._scan[0] == complement(two_isolated)
         assert complement(two_isolated) == K2
         # complementing preserves the automorphism list exactly
         for g in all_graphs(4):
@@ -626,18 +630,6 @@ class TestBuildQuery:
                 end += 2 * m + 3 + tail
             assert end == q.node_count
 
-    def test_largest_query_is_the_first_and_its_size_is_known_in_advance(self):
-        # the scan's queries, built, against the arithmetic the CLI checks
-        # before it builds anything
-        assert largest_query_nodes(1) == 0
-        for n in range(2, 9):
-            sizes = [
-                build_query(path(n), i, j).node_count
-                for i in range(n, 0, -1)
-                for j in range(i + 1, n + 1)
-            ]
-            assert sizes[0] == max(sizes) == largest_query_nodes(n), n
-
     def test_rejects_degenerate_arguments(self):
         # a pair outside 1 <= i < j <= n: equal, reversed, below 1, past n
         for i, j in [(1, 1), (2, 1), (0, 2), (1, 4)]:
@@ -677,6 +669,38 @@ class TestBuildQuery:
             assert len(calls) == 1
             assert koebler_reduce(g) == 1
             assert len(calls) == 1
+
+    def test_scanned_graphs_and_queries_are_freed_without_the_collector(self):
+        # no graph holds itself through its scan, so with the cyclic
+        # collector off a scanned connected graph, a disconnected one with
+        # the complement it keeps, and a YES query with its base, edge set,
+        # contraction and extended automorphisms are each freed when their
+        # last reference goes
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = path(6)
+            answer = koebler_reduce(g)
+            refs = [weakref.ref(g)]
+            del g
+            assert answer == 1 and [ref() for ref in refs] == [None]
+            g = Graph(7, path(6).edges)
+            answer = koebler_reduce(g)
+            refs = [weakref.ref(g), weakref.ref(g._scan[0])]
+            del g
+            assert answer == 1 and [ref() for ref in refs] == [None, None]
+            q = build_query(path(6), 1, 6)
+            # two trees, each a path copy with its gadgets: nodes less 2 edges
+            answer, edges = unique_ga_ff_oracle(q), q.node_count - len(q.edges)
+            inst = PromiseInstance(q)
+            key = inst.hidden_key()  # the flip onto the other copy: 1 to 6 + 6
+            refs = [weakref.ref(q), weakref.ref(vars(q)["_unhung"][0]), weakref.ref(inst)]
+            del q, inst
+            assert (answer, edges, key.image[0]) == (1, 2, 12)
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_queries_leave_their_base_peel_unchanged(self):
         # a scan's queries share one kept graph and one parent, peeled and
@@ -731,15 +755,23 @@ class TestOracle:
                 check(edgeless)
             assert time.perf_counter() - start < 1.0
 
-    def test_node_limit_counts_the_query_not_its_kept_graph(self):
+    def test_node_limit_counts_the_base_not_the_query(self):
         # the 8-node path's first query: 398 nodes, of which a handful are
-        # kept; the oversized query is refused before any of it is contracted
+        # kept; the limit counts its base's 8, as reduce-ga counts the graph
+        # it is given, and an oversized query is refused before any of it is
+        # contracted
         q = build_query(path(8), 7, 8)
-        with pytest.raises(ValueError, match="398 nodes exceeds the configured limit 397"):
-            unique_ga_ff_oracle(q, node_limit=397)
+        assert q.node_count == 398
+        with pytest.raises(ValueError, match="^8 nodes exceeds the configured limit 7$"):
+            unique_ga_ff_oracle(q, node_limit=7)
         assert "_contraction" not in vars(q)
         assert len(_contract(q.node_count, q.edges)[0]) < 20
-        assert unique_ga_ff_oracle(q, node_limit=398) == 0
+        assert unique_ga_ff_oracle(q, node_limit=8) == 0
+        # a graph with no base, such as a planted instance, counts its own nodes
+        doubled = disjoint_union(RIGID7A, RIGID7A)
+        with pytest.raises(ValueError, match="^14 nodes exceeds the configured limit 13$"):
+            unique_ga_ff_oracle(doubled, node_limit=13)
+        assert unique_ga_ff_oracle(doubled, node_limit=14) == 1
 
     def test_promise_violation_on_fixed_point_automorphism(self):
         # path 1-2-3 next to a rigid 7-node graph: 10 nodes, and the unique
@@ -1024,6 +1056,66 @@ class TestKoeblerReduce:
         koebler_reduce(K3, oracle=logging_oracle)
         assert answers[-1] == 1
         assert all(a == 0 for a in answers[:-1])
+
+
+def networkx_corpus():
+    """(name, networkx graph, Graph) for the differential test: seeded
+    G(n, p) on 8..40 nodes, random 3-regular graphs, grids, ladders, the
+    Paley graph on 37 nodes and the line graph of K_9, as networkx builds
+    them."""
+    nx = pytest.importorskip("networkx")
+    cases = [
+        (f"G({n}, {p}) seed {seed}", nx.gnp_random_graph(n, p, seed=seed))
+        for n in (8, 12, 16, 20, 25, 30, 35, 40) for p in (0.1, 0.2, 0.3, 0.5) for seed in (1, 2, 3)
+    ]
+    cases += [(f"3-regular on {n} seed {seed}", nx.random_regular_graph(3, n, seed=seed)) for n in (10, 20, 30, 40) for seed in (1, 2)]
+    cases += [(f"{a} x {b} grid", nx.grid_2d_graph(a, b)) for a, b in ((2, 5), (3, 4), (4, 6), (5, 8))]
+    cases += [(f"ladder of {n} rungs", nx.ladder_graph(n)) for n in (5, 10, 20)]
+    cases += [("Paley(37)", nx.paley_graph(37).to_undirected()), ("line graph of K_9", nx.line_graph(nx.complete_graph(9)))]
+    for name, h in cases:
+        h = nx.convert_node_labels_to_integers(h, first_label=1)
+        yield name, h, Graph(h.number_of_nodes(), frozenset(h.edges()))
+
+
+@pytest.mark.slow
+def test_reduction_matches_networkx_up_to_the_default_limit():
+    # koebler_reduce with the oracle at reduce-ga's default limit, which
+    # counts each query's base, against VF2's automorphism existence, which
+    # shares no code with the search
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def oracle(q):
+        return unique_ga_ff_oracle(q, node_limit=graphauto.SEARCH_NODE_LIMIT)
+
+    answers = Counter()
+    for name, h, g in networkx_corpus():
+        want = sum(1 for _ in itertools.islice(GraphMatcher(h, h).isomorphisms_iter(), 2)) - 1
+        assert koebler_reduce(g, oracle=oracle) == want, name
+        answers[want] += 1
+    assert min(answers.values()) >= 40, answers
+
+
+@pytest.mark.slow
+def test_reduce_ga_timing(tmp_path):
+    # Not a gate: prints reduce-ga's time in process, parse included, best of
+    # 3, with its query count and answer, on networkx graphs of 20, 30 and 40
+    # nodes. pytest -m slow -s tests/test_graphauto.py -k timing
+    from qscd.cli import run
+
+    nx = pytest.importorskip("networkx")
+    print()
+    for n, (a, b) in ((20, (4, 5)), (30, (5, 6)), (40, (5, 8))):
+        graphs = [(f"G({n}, {p}) seed {seed}", nx.gnp_random_graph(n, p, seed=seed)) for p in (0.1, 0.3, 0.5) for seed in (1, 2)]
+        graphs += [(f"3-regular on {n} seed 1", nx.random_regular_graph(3, n, seed=1)), (f"{a} x {b} grid", nx.grid_2d_graph(a, b))]
+        for name, h in graphs:
+            h = nx.convert_node_labels_to_integers(h, first_label=1)
+            graph = tmp_path / "g.txt"
+            graph.write_text(format_graph(Graph(n, frozenset(h.edges()))))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                best = min(timeit.repeat(lambda: run(["reduce-ga", "--graph", str(graph)]), number=1, repeat=3))
+            queries, answer = out.getvalue().splitlines()[-2:]
+            print(f"reduce-ga on {name}: {best:.2f} s, {queries}, {answer}")
 
 
 @pytest.fixture(scope="module")
